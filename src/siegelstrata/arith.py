@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .errors import InputError, ScopeError
+from .errors import InputError, ScopeError, check_level, check_levels
 
 DEFAULT_CAP = 200_000
 _SCAN_GUARD = 5_000_000  # raw candidate-space bound for filter-style scans
@@ -115,6 +115,8 @@ def _order_any_level(kind: GroupKind, n: int) -> int:
     """Order over Z/n with n >= 1 (n = 1 gives the trivial group)."""
     if kind.family == "N":
         return n ** kind.param
+    if kind.family == "SL" and kind.param == 0:
+        return 1  # SL_0 is trivial; phi(p^e) need not divide |GL_0| = 1
     out = 1
     for p, e in factorint(n).items():
         phi_pp = p ** (e - 1) * (p - 1)
@@ -123,7 +125,7 @@ def _order_any_level(kind: GroupKind, n: int) -> int:
         elif kind.family == "SL":
             q, rem = divmod(_gl_pp(kind.param, p, e), phi_pp)
             assert rem == 0
-            out *= q if kind.param >= 1 else 1
+            out *= q
         elif kind.family == "Sp":
             out *= _sp_pp(kind.param, p, e)
         elif kind.family == "GSp":
@@ -158,10 +160,7 @@ def integral_image_order(k: int, n: int) -> int:
 
 def congruence_index(kind: GroupKind, n: int, m: int) -> int:
     """|kind(Z/m)| / |kind(Z/n)| for 3 <= n | m; exact division asserted."""
-    if not (isinstance(n, int) and n >= 3):
-        raise InputError(f"base level must be >= 3, got {n!r}")
-    if not (isinstance(m, int) and m >= n and m % n == 0):
-        raise InputError(f"levels must satisfy n | m, got n={n}, m={m}")
+    check_levels(n, m)
     q, rem = divmod(group_order(kind, m), group_order(kind, n))
     assert rem == 0, (kind, n, m)
     return q
@@ -197,8 +196,7 @@ def euler_char_congruence(k: int, n: int) -> Fraction:
     """
     if not (isinstance(k, int) and k >= 1):
         raise InputError(f"block size must be >= 1, got {k!r}")
-    if not (isinstance(n, int) and n >= 3):
-        raise InputError(f"level must be >= 3 (torsion-freeness), got {n!r}")
+    check_level(n)
     out = Fraction(group_order(SL(k), n)) if k >= 1 else Fraction(1)
     for i in range(2, k + 1):
         out *= zeta_negative(i)
@@ -406,27 +404,36 @@ def brute_force_group(kind: GroupKind, n: int, cap: int = DEFAULT_CAP):
 # ---------------------------------------------------------------------------
 # subgroup closures and orbits
 
-def subgroup_closure(gens, n: int, cap: int = DEFAULT_CAP):
-    """BFS closure of generator matrices under multiplication mod n."""
-    gens = [mat_mod(g, n) for g in gens]
-    if not gens:
-        raise InputError("need at least one generator")
-    size = len(gens[0])
-    ident = identity_matrix(size)
-    seen = {ident}
-    frontier = [ident]
+def _orbit(seed, gens, n: int, cap: int | None = None) -> set:
+    """Breadth-first closure of {seed} under left multiplication by gens mod n.
+
+    Raises ScopeError once the orbit would pass ``cap`` elements (no cap if
+    None).  The visiting order is fixed by the generator order, so the set is
+    built the same way on every run.
+    """
+    orbit = {seed}
+    frontier = [seed]
     while frontier:
         nxt = []
         for x in frontier:
             for g in gens:
                 y = mat_mul(g, x, n)
-                if y not in seen:
-                    if len(seen) >= cap:
-                        raise ScopeError(f"subgroup closure exceeded cap {cap}")
-                    seen.add(y)
+                if y not in orbit:
+                    if cap is not None and len(orbit) >= cap:
+                        raise ScopeError(f"orbit exceeded cap {cap}")
+                    orbit.add(y)
                     nxt.append(y)
         frontier = nxt
-    return frozenset(seen)
+    return orbit
+
+
+def subgroup_closure(gens, n: int, cap: int = DEFAULT_CAP):
+    """BFS closure of generator matrices under multiplication mod n."""
+    gens = [mat_mod(g, n) for g in gens]
+    if not gens:
+        raise InputError("need at least one generator")
+    ident = identity_matrix(len(gens[0]))
+    return frozenset(_orbit(ident, gens, n, cap))
 
 
 def left_orbits(universe, gens, n: int):
@@ -440,18 +447,7 @@ def left_orbits(universe, gens, n: int):
     remaining = set(universe)
     reps: dict = {}
     while remaining:
-        seed = remaining.pop()
-        orbit = {seed}
-        frontier = [seed]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = mat_mul(g, x, n)
-                    if y not in orbit:
-                        orbit.add(y)
-                        nxt.append(y)
-            frontier = nxt
+        orbit = _orbit(remaining.pop(), gens, n)
         remaining -= orbit
         reps[min(orbit)] = len(orbit)
     return reps
@@ -460,18 +456,4 @@ def left_orbits(universe, gens, n: int):
 def orbit_canonical(x, gens, n: int, cap: int = DEFAULT_CAP):
     """Minimal element of the left orbit of x (canonical class label)."""
     gens = [mat_mod(g, n) for g in gens]
-    x = mat_mod(x, n)
-    orbit = {x}
-    frontier = [x]
-    while frontier:
-        nxt = []
-        for y in frontier:
-            for g in gens:
-                z = mat_mul(g, y, n)
-                if z not in orbit:
-                    if len(orbit) >= cap:
-                        raise ScopeError(f"orbit exceeded cap {cap}")
-                    orbit.add(z)
-                    nxt.append(z)
-        frontier = nxt
-    return min(orbit)
+    return min(_orbit(mat_mod(x, n), gens, n, cap))

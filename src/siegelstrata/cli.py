@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Every subcommand parses into a ``JobSpec``, ``run`` maps the job to a
+Every subcommand parses into an ``argparse.Namespace``, ``run`` maps it to a
 payload ``{"meta": {...}, "result": {...}}`` with all leaf values
 pre-rendered as strings (large integers and exact rationals survive any
 JSON reader), and the payload is serialized as canonical JSON (sorted
@@ -16,17 +16,14 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import engine, hecke, strata
+from . import __version__, engine, hecke, strata
 from .arith import DEFAULT_CAP, euler_phi
 from .errors import InputError, ScopeError
 from .grouptheory import build_context
 from .kostant import lie_n_cohomology
 from .reps import Bound, Weight, central_weight, weyl_dim
-
-VERSION = "0.1.0"
 
 
 # ---------------------------------------------------------------------------
@@ -144,24 +141,12 @@ def _report_rows(cls: engine.SymbolicClass, label: str | None = None):
 # ---------------------------------------------------------------------------
 # job dispatch
 
-@dataclass
-class JobSpec:
-    command: str
-    options: dict = field(default_factory=dict)
-
-    def __getitem__(self, key):
-        return self.options[key]
-
-    def get(self, key, default=None):
-        return self.options.get(key, default)
+def _ctx(args: argparse.Namespace):
+    return build_context(args.d, args.n)
 
 
-def _ctx(spec: JobSpec):
-    return build_context(spec["d"], spec["n"])
-
-
-def _run_context(spec: JobSpec):
-    ctx = _ctx(spec)
+def _run_context(args: argparse.Namespace):
+    ctx = _ctx(args)
     return {
         "dimG": str(ctx.dimG),
         "weylOrder": str(ctx.weylOrder),
@@ -172,15 +157,15 @@ def _run_context(spec: JobSpec):
     }
 
 
-def _run_strata(spec: JobSpec):
-    ctx = _ctx(spec)
-    if spec["S"] is not None:
-        S = spec["S"]
-        r = spec["r"] if spec["r"] is not None else min(S)
+def _run_strata(args: argparse.Namespace):
+    ctx = _ctx(args)
+    if args.S is not None:
+        S = args.S
+        r = args.r if args.r is not None else min(S)
         return {"columns": ["r", "S", "doubleCosets"],
                 "rows": [{"r": str(r), "S": _fmt_set(S),
                           "doubleCosets": str(strata.double_coset_count(ctx, r, S))}]}
-    indices = range(ctx.d) if spec["r"] is None else [spec["r"]]
+    indices = range(ctx.d) if args.r is None else [args.r]
     rows = []
     for r in indices:
         rows.append({"r": str(r), "count": str(strata.strata_count(ctx, r)),
@@ -188,9 +173,9 @@ def _run_strata(spec: JobSpec):
     return {"columns": ["r", "count", "stratumDim"], "rows": rows}
 
 
-def _run_kostant(spec: JobSpec):
-    ctx = _ctx(spec)
-    module = lie_n_cohomology(ctx, spec["S"], spec["lam"])
+def _run_kostant(args: argparse.Namespace):
+    ctx = _ctx(args)
+    module = lie_n_cohomology(ctx, args.S, args.lam)
     rows = []
     for s in module.summands:
         w = s.levi.as_weight()
@@ -199,55 +184,55 @@ def _run_kostant(spec: JobSpec):
                      "mult": str(s.mult),
                      "dim": str(weyl_dim(s.levi)),
                      "pairings": ",".join(str(p) for p in s.pairings)})
-    return {"S": _fmt_set(spec["S"]),
-            "lam": _fmt_weight(spec["lam"].a, spec["lam"].m0),
-            "centralWeight": str(central_weight(spec["lam"])),
+    return {"S": _fmt_set(args.S),
+            "lam": _fmt_weight(args.lam.a, args.lam.m0),
+            "centralWeight": str(central_weight(args.lam)),
             "columns": ["degree", "weight", "mult", "dim", "pairings"],
             "rows": rows}
 
 
-def _class_result(spec: JobSpec, cls: engine.SymbolicClass, **extra):
-    out = {"r": str(spec["r"]),
-           "lam": _fmt_weight(spec["lam"].a, spec["lam"].m0),
+def _class_result(args: argparse.Namespace, cls: engine.SymbolicClass, **extra):
+    out = {"r": str(args.r),
+           "lam": _fmt_weight(args.lam.a, args.lam.m0),
            "columns": list(REPORT_COLUMNS),
            "rows": _report_rows(cls)}
     out.update(extra)
     return out
 
 
-def _run_chain_term(spec: JobSpec):
-    ctx = _ctx(spec)
-    cls = engine.chain_term(ctx, spec["chain"], spec["r"], spec["lam"])
-    chain_s = ",".join(f"{s}:{_fmt_bound(a)}" for s, a in spec["chain"].entries)
-    if spec.get("mode") == "euler":
-        return {"r": str(spec["r"]),
-                "lam": _fmt_weight(spec["lam"].a, spec["lam"].m0),
+def _run_chain_term(args: argparse.Namespace):
+    ctx = _ctx(args)
+    cls = engine.chain_term(ctx, args.chain, args.r, args.lam)
+    chain_s = ",".join(f"{s}:{_fmt_bound(a)}" for s, a in args.chain.entries)
+    if args.mode == "euler":
+        return {"r": str(args.r),
+                "lam": _fmt_weight(args.lam.a, args.lam.m0),
                 "chain": chain_s,
                 "euler": _fmt_fraction(engine.euler_evaluate(cls, ctx))}
-    return _class_result(spec, cls, chain=chain_s)
+    return _class_result(args, cls, chain=chain_s)
 
 
-def _run_restrict_weighted(spec: JobSpec):
-    ctx = _ctx(spec)
-    cls = engine.restrict_weighted(ctx, spec["profile"], spec["lam"], spec["r"])
-    if spec.get("mode") == "euler":
-        return {"r": str(spec["r"]),
-                "lam": _fmt_weight(spec["lam"].a, spec["lam"].m0),
-                "profile": [_fmt_bound(p) for p in spec["profile"]],
+def _run_restrict_weighted(args: argparse.Namespace):
+    ctx = _ctx(args)
+    cls = engine.restrict_weighted(ctx, args.profile, args.lam, args.r)
+    if args.mode == "euler":
+        return {"r": str(args.r),
+                "lam": _fmt_weight(args.lam.a, args.lam.m0),
+                "profile": [_fmt_bound(p) for p in args.profile],
                 "euler": _fmt_fraction(engine.euler_evaluate(cls, ctx))}
-    return _class_result(spec, cls,
-                         profile=[_fmt_bound(p) for p in spec["profile"]])
+    return _class_result(args, cls,
+                         profile=[_fmt_bound(p) for p in args.profile])
 
 
-def _run_restrict_ic(spec: JobSpec):
-    ctx = _ctx(spec)
-    upper_cls, lower_cls = engine.restrict_ic(ctx, spec["lam"], spec["r"])
+def _run_restrict_ic(args: argparse.Namespace):
+    ctx = _ctx(args)
+    upper_cls, lower_cls = engine.restrict_ic(ctx, args.lam, args.r)
     upper, lower = strata.ic_profiles(ctx.d)
-    base = {"r": str(spec["r"]),
-            "lam": _fmt_weight(spec["lam"].a, spec["lam"].m0),
+    base = {"r": str(args.r),
+            "lam": _fmt_weight(args.lam.a, args.lam.m0),
             "upperProfile": [_fmt_bound(p) for p in upper],
             "lowerProfile": [_fmt_bound(p) for p in lower]}
-    if spec.get("mode") == "euler":
+    if args.mode == "euler":
         eu = engine.euler_evaluate(upper_cls, ctx)
         el = engine.euler_evaluate(lower_cls, ctx)
         base.update({"eulerUpper": _fmt_fraction(eu),
@@ -260,77 +245,71 @@ def _run_restrict_ic(spec: JobSpec):
     return base
 
 
-def _run_euler(spec: JobSpec):
-    ctx = _ctx(spec)
-    profile = spec["profile"]
+def _run_euler(args: argparse.Namespace):
+    ctx = _ctx(args)
+    profile = args.profile
     if profile is None:
         profile = strata.ic_profiles(ctx.d)[0]
-    cls = engine.restrict_weighted(ctx, profile, spec["lam"], spec["r"])
+    cls = engine.restrict_weighted(ctx, profile, args.lam, args.r)
     val = engine.euler_evaluate(cls, ctx)
-    return {"r": str(spec["r"]),
-            "lam": _fmt_weight(spec["lam"].a, spec["lam"].m0),
+    return {"r": str(args.r),
+            "lam": _fmt_weight(args.lam.a, args.lam.m0),
             "profile": [_fmt_bound(p) for p in profile],
             "euler": _fmt_fraction(val)}
 
 
-def _run_expansion(spec: JobSpec):
-    ctx = _ctx(spec)
-    r = spec["r"]
-    engine._check_r(ctx.d, r)
+def _run_expansion(args: argparse.Namespace):
+    r = args.r
     rows = []
-    for subset, sign in engine.expansion_terms(ctx.d - 1 - r):
-        extras = tuple(r + i for i in subset)
-        plain = engine.chain_bounds_for_profile(spec["lam"], spec["profile"], extras)
-        with_r = engine.chain_bounds_for_profile(spec["lam"], spec["profile"],
-                                                 extras + (r,))
-        for chain, chain_sign in ((plain, sign), (with_r, -sign)):
-            S = tuple(sorted(set(chain.indices) | {r}))
-            rows.append({"subset": _fmt_set(subset) or "-",
-                         "sign": str(chain_sign),
-                         "chain": ",".join(f"{s}:{_fmt_bound(a)}"
-                                           for s, a in chain.entries) or "-",
-                         "S": _fmt_set(S)})
+    for subset, sign, chain in engine.expansion_chains(_ctx(args), args.profile,
+                                                       args.lam, r):
+        S = tuple(sorted(set(chain.indices) | {r}))
+        rows.append({"subset": _fmt_set(subset) or "-",
+                     "sign": str(sign),
+                     "chain": ",".join(f"{s}:{_fmt_bound(a)}"
+                                       for s, a in chain.entries) or "-",
+                     "S": _fmt_set(S)})
     return {"r": str(r),
-            "lam": _fmt_weight(spec["lam"].a, spec["lam"].m0),
-            "profile": [_fmt_bound(p) for p in spec["profile"]],
+            "lam": _fmt_weight(args.lam.a, args.lam.m0),
+            "profile": [_fmt_bound(p) for p in args.profile],
             "columns": ["subset", "sign", "chain", "S"], "rows": rows}
 
 
-def _datum(spec: JobSpec) -> hecke.HeckeDatum:
-    return hecke.HeckeDatum(spec["d"], spec["n"], spec["m"])
+def _datum(args: argparse.Namespace) -> hecke.HeckeDatum:
+    return hecke.HeckeDatum(args.d, args.n, args.m)
 
 
-def _run_hecke_index(spec: JobSpec):
-    value = hecke.hecke_index(_datum(spec), spec["S"])
-    return {"m": str(spec["m"]), "S": _fmt_set(spec["S"]), "value": str(value)}
+def _run_hecke_index(args: argparse.Namespace):
+    value = hecke.hecke_index(_datum(args), args.S)
+    return {"m": str(args.m), "S": _fmt_set(args.S), "value": str(value)}
 
 
-def _run_transfer_degree(spec: JobSpec):
-    value = hecke.transfer_degree(_datum(spec))
-    return {"m": str(spec["m"]), "value": str(value)}
+def _run_transfer_degree(args: argparse.Namespace):
+    value = hecke.transfer_degree(_datum(args))
+    return {"m": str(args.m), "value": str(value)}
 
 
-def _run_fiber_count(spec: JobSpec):
-    datum = _datum(spec)
-    return {"m": str(spec["m"]), "S": _fmt_set(spec["S"]),
-            "value": str(hecke.boundary_fiber_count(datum, spec["S"])),
-            "cosetValue": str(hecke.reduction_fiber_count(datum, spec["S"]))}
+def _run_fiber_count(args: argparse.Namespace):
+    datum = _datum(args)
+    return {"m": str(args.m), "S": _fmt_set(args.S),
+            "value": str(hecke.boundary_fiber_count(datum, args.S)),
+            "cosetValue": str(hecke.reduction_fiber_count(datum, args.S))}
 
 
-def _run_hecke_matrix(spec: JobSpec):
-    datum = _datum(spec)
-    struct = hecke.hecke_matrix_structure(datum, spec["S"], spec["g"],
-                                          cap=spec["cap"])
+def _run_hecke_matrix(args: argparse.Namespace):
+    datum = _datum(args)
+    struct = hecke.hecke_matrix_structure(datum, args.S, args.g,
+                                          cap=args.cap)
     rows = [{"to": str(i), "from": str(j), "count": str(c)}
             for i, j, c in struct.entries]
-    return {"m": str(spec["m"]), "S": _fmt_set(spec["S"]),
+    return {"m": str(args.m), "S": _fmt_set(args.S),
             "classes": [_fmt_matrix(g) for g in struct.classes],
             "columnTotals": [str(t) for t in struct.column_totals()],
             "columns": ["to", "from", "count"], "rows": rows}
 
 
-def _run_oracle(spec: JobSpec):
-    d, n, r, cap = spec["d"], spec["n"], spec["r"], spec["cap"]
+def _run_oracle(args: argparse.Namespace):
+    d, n, r, cap = args.d, args.n, args.r, args.cap
     ctx = build_context(d, n)
     checks = []
     formula = strata.strata_count(ctx, r)
@@ -338,8 +317,8 @@ def _run_oracle(spec: JobSpec):
     checks.append({"name": f"strata d={d} n={n} r={r}",
                    "formula": str(formula), "bruteforce": str(brute),
                    "ok": "PASS" if formula == brute else "FAIL"})
-    if spec["S"] is not None:
-        S = spec["S"]
+    if args.S is not None:
+        S = args.S
         formula = strata.double_coset_count(ctx, r, S)
         brute = strata.double_coset_count_bruteforce(d, n, r, S, cap=cap)
         checks.append({"name": f"doubleCosets d={d} n={n} S={_fmt_set(S)}",
@@ -374,14 +353,14 @@ _HANDLERS = {
 }
 
 
-def run(spec: JobSpec) -> dict:
+def run(args: argparse.Namespace) -> dict:
     try:
-        handler = _HANDLERS[spec.command]
+        handler = _HANDLERS[args.command]
     except KeyError:
-        raise InputError(f"unknown command {spec.command!r}")
-    meta = {"command": spec.command, "d": str(spec["d"]), "n": str(spec["n"]),
-            "version": VERSION}
-    return {"meta": meta, "result": handler(spec)}
+        raise InputError(f"unknown command {args.command!r}")
+    meta = {"command": args.command, "d": str(args.d), "n": str(args.n),
+            "version": __version__}
+    return {"meta": meta, "result": handler(args)}
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="siegelstrata",
         description="boundary strata, truncated restrictions, and level "
                     "transfers for symplectic similitude groups")
-    top.add_argument("--version", action="version", version=VERSION)
+    top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p, need_m=False):
@@ -493,10 +472,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def parse_args(argv=None) -> tuple[JobSpec, str]:
-    ns = _build_parser().parse_args(argv)
-    options = {k: v for k, v in vars(ns).items() if k not in ("command", "format")}
-    return JobSpec(ns.command, options), getattr(ns, "format", "json")
+def parse_args(argv=None) -> tuple[argparse.Namespace, str]:
+    args = _build_parser().parse_args(argv)
+    return args, args.format
 
 
 # ---------------------------------------------------------------------------
@@ -523,12 +501,12 @@ def render(payload: dict, fmt: str) -> str:
 
 def main(argv=None) -> int:
     try:
-        spec, fmt = parse_args(argv)
+        args, fmt = parse_args(argv)
     except SystemExit as e:
         # argparse already reported; --help/--version exit 0, bad args exit 2
         return 0 if e.code in (0, None) else 2
     try:
-        payload = run(spec)
+        payload = run(args)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

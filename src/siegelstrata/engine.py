@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import euler_char_congruence
-from .errors import InputError
+from .errors import InputError, check_index
 from .grouptheory import GroupContext, normalize_parabolic_set, parabolic_data
 from .kostant import lie_n_cohomology
 from .reps import (Bound, GradedVirtualRep, LeviWeight, Weight, _check_bound,
@@ -124,12 +124,6 @@ def _check_profile(d: int, profile) -> tuple[Bound, ...]:
     return tuple(_check_bound(p) for p in profile)
 
 
-def _check_r(d: int, r: int) -> int:
-    if not (isinstance(r, int) and 0 <= r <= d - 1):
-        raise InputError(f"stratum index {r!r} out of range for d={d}")
-    return r
-
-
 def chain_term(ctx: GroupContext, chain: Chain, r: int, lam: Weight) -> SymbolicClass:
     """Unsigned building block: card(I_S) * truncation of H*(Lie N_S, V_lam).
 
@@ -139,7 +133,7 @@ def chain_term(ctx: GroupContext, chain: Chain, r: int, lam: Weight) -> Symbolic
     < -a + s(s+1)/2; a threshold of -inf imposes nothing, one of +inf
     kills the term.
     """
-    _check_r(ctx.d, r)
+    check_index(r, ctx.d)
     if not isinstance(chain, Chain):
         chain = Chain(tuple(chain))
     for s, _ in chain.entries:
@@ -167,7 +161,7 @@ def restrict_weighted(ctx: GroupContext, profile, lam: Weight,
     sit m above the profile normalization, which is stated for the
     trivial-central-character slice).
     """
-    _check_r(ctx.d, r)
+    check_index(r, ctx.d)
     profile = _check_profile(ctx.d, profile)
     m = central_weight(lam)
     terms = []
@@ -230,24 +224,31 @@ def expansion_terms(numStrata: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple(out)
 
 
-def restrict_weighted_via_expansion(ctx: GroupContext, profile, lam: Weight,
-                                    r: int) -> SymbolicClass:
-    """Same class as ``restrict_weighted``, assembled from chain terms only.
+def expansion_chains(ctx: GroupContext, profile, lam: Weight, r: int):
+    """The signed chains whose chain terms sum to ``restrict_weighted``.
 
     The cuts strictly above r expand through ``expansion_terms`` (subset
     element i names parabolic index r + i); the >= cut at r itself expands
-    through [w_{>=t} X] = [X] - [w_{<t} X].
+    through [w_{>=t} X] = [X] - [w_{<t} X].  Returns (subset, sign, chain)
+    triples, two per subset: without the cut at r, then with it.
     """
-    _check_r(ctx.d, r)
+    check_index(r, ctx.d)
     profile = _check_profile(ctx.d, profile)
-    total = SymbolicClass(())
+    out = []
     for subset, sign in expansion_terms(ctx.d - 1 - r):
         extras = tuple(r + i for i in subset)
-        plain = chain_bounds_for_profile(lam, profile, extras)
-        with_r = chain_bounds_for_profile(lam, profile, extras + (r,))
-        part = chain_term(ctx, plain, r, lam).plus(
-            chain_term(ctx, with_r, r, lam).scaled(-1))
-        total = total.plus(part.scaled(sign))
+        out.append((subset, sign, chain_bounds_for_profile(lam, profile, extras)))
+        out.append((subset, -sign,
+                    chain_bounds_for_profile(lam, profile, extras + (r,))))
+    return tuple(out)
+
+
+def restrict_weighted_via_expansion(ctx: GroupContext, profile, lam: Weight,
+                                    r: int) -> SymbolicClass:
+    """Same class as ``restrict_weighted``, assembled from chain terms only."""
+    total = SymbolicClass(())
+    for _, sign, chain in expansion_chains(ctx, profile, lam, r):
+        total = total.plus(chain_term(ctx, chain, r, lam).scaled(sign))
     return total
 
 

@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InputError, LevelError, ScopeError
+from .errors import InputError, check_genus, check_level
 from .reps import Weight
 
 MAX_DEFAULT_GENUS = 6  # 2^d * d! grows fast; overridable via allow_large_d
@@ -73,52 +73,23 @@ class WeylElt:
         return WeylElt(tuple(range(d)), (False,) * d, 0)
 
 
-@lru_cache(maxsize=None)
-def _symplectic_positive_roots(d: int):
-    # Symplectic (a-coordinate) vectors only; enough for inversion counting.
-    roots = []
+def _weyl_elt(perm, signs) -> WeylElt:
+    # Closed-form type-C length (Bjorner-Brenti, section 8.1): 2e_i is sent
+    # negative iff i is flipped; for i < j the pair e_i -+ e_j loses exactly
+    # one root when perm reverses i, j, and both when it keeps them in order
+    # and i is flipped.
+    d = len(perm)
+    length = sum(signs)
     for i in range(d):
         for j in range(i + 1, d):
-            v = [0] * d
-            v[i], v[j] = 1, -1
-            roots.append(tuple(v))
-    for i in range(d):
-        for j in range(i, d):
-            v = [0] * d
-            v[i] += 1
-            v[j] += 1
-            roots.append(tuple(v))
-    return tuple(roots)
-
-
-def _is_negative(v) -> bool:
-    for x in v:
-        if x:
-            return x < 0
-    return False
-
-
-def _weyl_elt(perm, signs) -> WeylElt:
-    d = len(perm)
-    length = 0
-    for root in _symplectic_positive_roots(d):
-        out = [0] * d
-        for i, x in enumerate(root):
-            if x:
-                out[perm[i]] += -x if signs[i] else x
-        if _is_negative(out):
-            length += 1
+            length += 2 * signs[i] if perm[i] < perm[j] else 1
     return WeylElt(tuple(perm), tuple(signs), length)
 
 
 @lru_cache(maxsize=None)
 def weyl_group(d: int) -> tuple[WeylElt, ...]:
     """All 2^d * d! signed permutations, sorted by (length, perm, signs)."""
-    if not (isinstance(d, int) and d >= 1):
-        raise LevelError(f"genus must be a positive integer, got {d!r}")
-    if d > MAX_DEFAULT_GENUS:
-        raise ScopeError(f"genus {d} exceeds the default Weyl-group guard "
-                         f"({MAX_DEFAULT_GENUS}); enumerate explicitly if you mean it")
+    check_genus(d, MAX_DEFAULT_GENUS)
     elems = [
         _weyl_elt(perm, signs)
         for perm in itertools.permutations(range(d))
@@ -131,6 +102,24 @@ def weyl_group(d: int) -> tuple[WeylElt, ...]:
 def longest_element(d: int) -> WeylElt:
     """-1 on every coordinate; the unique element of length d^2."""
     return _weyl_elt(tuple(range(d)), (True,) * d)
+
+
+@lru_cache(maxsize=None)
+def positive_roots(d: int) -> tuple[Weight, ...]:
+    """The d^2 positive roots: e_i - e_j (i < j), then e_i + e_j - e_0 (i <= j)."""
+    roots = []
+    for i in range(d):
+        for j in range(i + 1, d):
+            a = [0] * d
+            a[i], a[j] = 1, -1
+            roots.append(Weight(tuple(a), 0))
+    for i in range(d):
+        for j in range(i, d):
+            a = [0] * d
+            a[i] += 1
+            a[j] += 1
+            roots.append(Weight(tuple(a), -1))
+    return tuple(roots)
 
 
 @dataclass(frozen=True)
@@ -153,30 +142,13 @@ def build_context(d: int, n: int, allow_large_d: bool = False) -> GroupContext:
     n >= 3 is the standing neatness hypothesis (principal level structures
     are rigid only from level 3 on); d > 6 needs ``allow_large_d``.
     """
-    if not (isinstance(d, int) and d >= 1):
-        raise LevelError(f"genus must be a positive integer, got {d!r}")
-    if not (isinstance(n, int) and n >= 3):
-        raise LevelError(f"level must be an integer >= 3, got {n!r}")
-    if d > MAX_DEFAULT_GENUS and not allow_large_d:
-        raise ScopeError(f"genus {d} > {MAX_DEFAULT_GENUS}; pass allow_large_d=True")
-
-    roots = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            a = [0] * d
-            a[i], a[j] = 1, -1
-            roots.append(Weight(tuple(a), 0))
-    for i in range(d):
-        for j in range(i, d):
-            a = [0] * d
-            a[i] += 1
-            a[j] += 1
-            roots.append(Weight(tuple(a), -1))
+    check_level(n)
+    check_genus(d, None if allow_large_d else MAX_DEFAULT_GENUS)
     rho = Weight(tuple(range(d, 0, -1)), 0)  # m0 normalized to 0; see dot_action
     dims = tuple((d - r) * (d + 1 - r) // 2 for r in range(d + 1))
     ctx = GroupContext(
         d=d, n=n,
-        positiveRoots=tuple(roots),
+        positiveRoots=positive_roots(d),
         rho=rho,
         weylOrder=(2 ** d) * _factorial(d),
         dimG=2 * d * d + d + 1,
@@ -252,7 +224,7 @@ def _parabolic_data(d: int, S: tuple[int, ...]) -> ParabolicData:
         return None  # in the GSp range
 
     levi, nil, uu = [], [], []
-    for root in build_context(d, 3, allow_large_d=True).positiveRoots:
+    for root in positive_roots(d):
         pos = [i for i, x in enumerate(root.a) if x]
         if root.m0 == 0:
             i, j = pos if len(pos) == 2 else (pos[0], pos[0])
@@ -306,15 +278,19 @@ def levi_weyl_order(pd: ParabolicData) -> int:
 
 @lru_cache(maxsize=None)
 def _kostant_reps(d: int, S: tuple[int, ...]) -> tuple[WeylElt, ...]:
+    # w^-1 sends every Levi simple root positive exactly when w(rho) pairs
+    # positively with it: strictly decreasing inside each GL block and the
+    # GSp block, with the last GSp entry > 0.
     pd = _parabolic_data(d, S)
-    simple_vecs = [w.a for w in pd.leviSimpleRoots]
-    reps = []
-    for w in weyl_group(d):
-        winv = w.inverse()
-        if all(not _is_negative(winv.apply_vector(v)) for v in simple_vecs):
-            reps.append(w)
-    reps.sort(key=lambda w: (w.length, w.perm, w.signs))
-    return tuple(reps)
+    ranges = pd.blockRanges + (pd.gspRange,)
+    rho = tuple(range(d, 0, -1))
+
+    def levi_regular(v) -> bool:
+        if pd.sympRank and v[-1] <= 0:
+            return False
+        return all(v[i] > v[i + 1] for lo, hi in ranges for i in range(lo, hi - 1))
+
+    return tuple(w for w in weyl_group(d) if levi_regular(w.apply_vector(rho)))
 
 
 def kostant_reps(ctx: GroupContext, S) -> tuple[WeylElt, ...]:

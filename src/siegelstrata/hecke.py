@@ -28,7 +28,7 @@ from math import gcd
 from .arith import (DEFAULT_CAP, GSp, SL, brute_force_group, congruence_index,
                     left_orbits, mat_mod, mat_mul, orbit_canonical, similitude,
                     subgroup_closure)
-from .errors import InputError
+from .errors import InputError, check_genus, check_levels
 from .grouptheory import build_context, normalize_parabolic_set, parabolic_data
 from .matrixmodel import parabolic_generators
 
@@ -42,12 +42,8 @@ class HeckeDatum:
     m: int
 
     def __post_init__(self):
-        if not (isinstance(self.d, int) and self.d >= 1):
-            raise InputError(f"genus must be a positive integer, got {self.d!r}")
-        if not (isinstance(self.n, int) and self.n >= 3):
-            raise InputError(f"base level must be an integer >= 3, got {self.n!r}")
-        if not (isinstance(self.m, int) and self.m >= self.n and self.m % self.n == 0):
-            raise InputError(f"levels must satisfy n | m, got n={self.n}, m={self.m}")
+        check_genus(self.d)
+        check_levels(self.n, self.m)
 
 
 def _pdata(datum: HeckeDatum, S):

@@ -21,7 +21,7 @@ from math import gcd
 
 from .arith import identity_matrix, j_form, mat_inv_mod, mat_mod, mat_mul
 from .errors import InputError
-from .grouptheory import GroupContext, build_context, parabolic_data
+from .grouptheory import GroupContext, parabolic_data, positive_roots
 from .reps import Weight
 
 
@@ -109,9 +109,8 @@ def conjugation_weight(g_diag, x):
                 ratios.add(Fraction(diag[i], diag[j]))
     if len(ratios) != 1:
         return None
-    ratio = ratios.pop()
-    # express as a power of lam = diag entries' base; caller passes lam
-    return ratio
+    # The ratio itself, not its exponent: the caller compares it with lam**pairing.
+    return ratios.pop()
 
 
 def embed_linear(d: int, r: int, a, n: int):
@@ -183,8 +182,7 @@ def parabolic_generators(ctx: GroupContext, S):
     for root in pd.nRoots:
         gens.append(root_element(d, root, n))
     if r >= 1:
-        small = build_context(r, max(ctx.n, 3), allow_large_d=True)
-        for root in small.positiveRoots:
+        for root in positive_roots(r):
             x = root_matrix(r, root)
             xn = negative_root_matrix(r, root)
             for y in (x, xn):
@@ -206,21 +204,6 @@ def parabolic_generators(ctx: GroupContext, S):
         if g != ident and g not in uniq:
             uniq.append(g)
     return uniq
-
-
-def linear_detpm_generators(k: int, n: int):
-    """Generators of the image of GL_k(Z) in GL_k(Z/n) (det in {+-1})."""
-    gens = []
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                m = [[int(a == b) for b in range(k)] for a in range(k)]
-                m[i][j] = 1
-                gens.append(tuple(map(tuple, m)))
-    flip = [[int(a == b) for b in range(k)] for a in range(k)]
-    flip[0][0] = n - 1
-    gens.append(tuple(map(tuple, flip)))
-    return gens
 
 
 def linear_parabolic_generators(k: int, blocks, n: int):

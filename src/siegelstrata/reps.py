@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import InputError
+from .errors import InputError, check_index
 
 # Truncation bounds live in Z union {-inf, +inf}; CPython compares int
 # with float('inf') exactly, so mixed comparisons below are safe.
@@ -76,10 +76,8 @@ def torus_pairing(mu: Weight, s: int) -> int:
     S_s feeds x^2 into the first d-s torus coordinates, x into the last s,
     and x^2 into the similitude coordinate.
     """
-    d = mu.d
-    if not (isinstance(s, int) and 0 <= s <= d - 1):
-        raise InputError(f"parabolic index s={s!r} out of range for d={d}")
-    cut = d - s
+    check_index(s, mu.d)
+    cut = mu.d - s
     return 2 * sum(mu.a[:cut]) + sum(mu.a[cut:]) + 2 * mu.m0
 
 

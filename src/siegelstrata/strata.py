@@ -15,16 +15,14 @@ from functools import lru_cache
 from .arith import (DEFAULT_CAP, GSp, _order_any_level, brute_force_group,
                     euler_phi, integral_image_order, left_orbits, similitude,
                     subgroup_closure)
-from .errors import InputError
+from .errors import InputError, ScopeError, check_genus, check_index
 from .grouptheory import GroupContext, build_context, normalize_parabolic_set, parabolic_data
-from .matrixmodel import (linear_detpm_generators, linear_parabolic_generators,
-                          parabolic_generators)
+from .matrixmodel import linear_parabolic_generators, parabolic_generators
 
 
 def stratum_dims(d: int) -> tuple[int, ...]:
     """(c_0, ..., c_d) with c_r = (d-r)(d+1-r)/2: open stratum first, points last."""
-    if not (isinstance(d, int) and d >= 1):
-        raise InputError(f"genus must be a positive integer, got {d!r}")
+    check_genus(d)
     return tuple((d - r) * (d + 1 - r) // 2 for r in range(d + 1))
 
 
@@ -57,8 +55,7 @@ def strata_count(ctx: GroupContext, r: int) -> int:
     similitude scaling of the linear block is already accounted by the
     GSp_2r factor.
     """
-    if not (isinstance(r, int) and 0 <= r <= ctx.d - 1):
-        raise InputError(f"parabolic index {r!r} out of range for d={ctx.d}")
+    check_index(r, ctx.d)
     return _strata_count_raw(ctx.d, ctx.n, r)
 
 
@@ -122,7 +119,7 @@ def strata_orbit_partition(d: int, n: int, r: int, cap: int = DEFAULT_CAP):
     """Literal orbit partition (canonical rep -> orbit size); small cases only."""
     ambient = brute_force_group(GSp(2 * d), n, cap)
     if len(ambient) > 2_000:
-        raise InputError("use strata_count_bruteforce for ambient groups this large")
+        raise ScopeError("use strata_count_bruteforce for ambient groups this large")
     ctx = build_context(d, n)
     gens = parabolic_generators(ctx, (r,))
     return left_orbits(ambient, gens, n)
@@ -135,7 +132,7 @@ def double_coset_count_bruteforce(d: int, n: int, r: int, S,
     if S[0] != r:
         raise InputError(f"min(S)={S[0]} must equal r={r}")
     k = d - r
-    ambient = subgroup_closure(linear_detpm_generators(k, n), n, cap)
+    ambient = subgroup_closure(linear_parabolic_generators(k, (k,), n), n, cap)
     blocks = parabolic_data(build_context(d, n), S).leviBlocks
     gens = linear_parabolic_generators(k, blocks, n)
     sub = subgroup_closure(gens, n, cap)

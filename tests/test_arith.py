@@ -68,7 +68,9 @@ def test_group_order_crt_multiplicative(n, k):
 
 
 def test_group_order_matches_bruteforce_small():
-    for kind, n in [(GL(2), 3), (SL(2), 4), (GSp(2), 3), (Sp(2), 5)]:
+    cases = [(GL(2), 3), (SL(2), 4), (GSp(2), 3), (Sp(2), 5)]
+    cases += [(SL(0), n) for n in range(2, 6)]  # the trivial group
+    for kind, n in cases:
         elems = brute_force_group(kind, n)
         assert len(elems) == group_order(kind, n)
 
@@ -94,9 +96,9 @@ def test_integral_image_order():
 
 
 def test_integral_image_bruteforce():
-    from siegelstrata.matrixmodel import linear_detpm_generators
+    from siegelstrata.matrixmodel import linear_parabolic_generators
     n = 5
-    gens = linear_detpm_generators(2, n)
+    gens = linear_parabolic_generators(2, (2,), n)
     elems = subgroup_closure(gens, n)
     assert len(elems) == integral_image_order(2, n) == 240
 

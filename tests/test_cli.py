@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from siegelstrata import __version__
 from siegelstrata.cli import REPORT_COLUMNS, main
 
 
@@ -145,6 +146,13 @@ def test_version_and_help_exit_zero(capsys):
     code, out = run_cli(capsys, "--version")
     assert code == 0 and out.strip() == "0.1.0"
     assert run_cli(capsys, "--help")[0] == 0
+
+
+def test_version_has_one_source(capsys):
+    code, out = run_cli(capsys, "--version")
+    assert code == 0 and out.strip() == __version__
+    payload = run_json(capsys, "context", "--d", "1", "--n", "3")
+    assert payload["meta"]["version"] == __version__
 
 
 @pytest.mark.parametrize("argv,code", [

@@ -1,5 +1,6 @@
 """Weyl group, root data, parabolic bookkeeping, coset representatives."""
 
+import itertools
 import math
 
 import pytest
@@ -28,12 +29,14 @@ def test_identity_and_longest():
         assert w0.compose(w0).length == 0
 
 
-def test_length_counts_sent_negatives(ctx2):
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_length_counts_sent_negatives(d):
     # length = number of positive roots sent negative; the image a-vector of
     # any root is again of root shape, so first-nonzero decides the sign
-    for w in weyl_group(2):
+    ctx = build_context(d, 3)
+    for w in weyl_group(d):
         sent = 0
-        for root in ctx2.positiveRoots:
+        for root in ctx.positiveRoots:
             img = w.apply_vector(root.a)
             first = next((x for x in img if x != 0), 0)
             if first < 0:
@@ -142,13 +145,19 @@ def test_kostant_reps_lengths_palindromic(ctx3):
         assert lengths[0] == 0 and lengths[-1] == pd.dimN
 
 
-def test_kostant_reps_minimal_length_property(ctx2):
-    # each rep sends the Levi's simple roots to positive roots under inverse
-    for S in [(0,), (1,), (0, 1)]:
-        pd = parabolic_data(ctx2, S)
-        for w in kostant_reps(ctx2, S):
-            inv = w.inverse()
-            for root in pd.leviSimpleRoots:
-                img = inv.apply_vector(root.a)
-                first = next((x for x in img if x != 0), 0)
-                assert first > 0 or all(x == 0 for x in img)
+@pytest.mark.parametrize("ctx_name", ["ctx2", "ctx3"])
+def test_kostant_reps_minimal_length_property(request, ctx_name):
+    # the reps are exactly the w, in Weyl-group order, whose inverse sends
+    # every Levi simple root to a positive root
+    ctx = request.getfixturevalue(ctx_name)
+    for size in range(1, ctx.d + 1):
+        for S in itertools.combinations(range(ctx.d), size):
+            pd = parabolic_data(ctx, S)
+            expected = []
+            for w in weyl_group(ctx.d):
+                inv = w.inverse()
+                firsts = [next(x for x in inv.apply_vector(root.a) if x != 0)
+                          for root in pd.leviSimpleRoots]
+                if all(first > 0 for first in firsts):
+                    expected.append(w)
+            assert kostant_reps(ctx, S) == tuple(expected), S
