@@ -49,15 +49,11 @@ def SL(k: int) -> GroupKind:
 
 
 def Sp(two_r: int) -> GroupKind:
-    if two_r % 2:
-        raise InputError(f"Sp parameter must be even, got {two_r}")
-    return GroupKind("Sp", _nonneg(two_r))
+    return GroupKind("Sp", _even("Sp", two_r))
 
 
 def GSp(two_r: int) -> GroupKind:
-    if two_r % 2:
-        raise InputError(f"GSp parameter must be even, got {two_r}")
-    return GroupKind("GSp", _nonneg(two_r))
+    return GroupKind("GSp", _even("GSp", two_r))
 
 
 def Unipotent(dim: int) -> GroupKind:
@@ -70,8 +66,21 @@ def _nonneg(k) -> int:
     return k
 
 
+def _even(family: str, two_r) -> int:
+    if two_r % 2:
+        raise InputError(f"{family} parameter must be even, got {two_r}")
+    return _nonneg(two_r)
+
+
 # ---------------------------------------------------------------------------
 # integer utilities
+
+def exact_div(num: int, den: int) -> int:
+    """num / den, asserted to divide exactly (the closed forms rely on it)."""
+    q, rem = divmod(num, den)
+    assert rem == 0, (num, den)
+    return q
+
 
 def factorint(n: int) -> dict[int, int]:
     """Prime factorization by trial division (inputs here are small)."""
@@ -123,9 +132,7 @@ def _order_any_level(kind: GroupKind, n: int) -> int:
         if kind.family == "GL":
             out *= _gl_pp(kind.param, p, e)
         elif kind.family == "SL":
-            q, rem = divmod(_gl_pp(kind.param, p, e), phi_pp)
-            assert rem == 0
-            out *= q
+            out *= exact_div(_gl_pp(kind.param, p, e), phi_pp)
         elif kind.family == "Sp":
             out *= _sp_pp(kind.param, p, e)
         elif kind.family == "GSp":
@@ -161,9 +168,7 @@ def integral_image_order(k: int, n: int) -> int:
 def congruence_index(kind: GroupKind, n: int, m: int) -> int:
     """|kind(Z/m)| / |kind(Z/n)| for 3 <= n | m; exact division asserted."""
     check_levels(n, m)
-    q, rem = divmod(group_order(kind, m), group_order(kind, n))
-    assert rem == 0, (kind, n, m)
-    return q
+    return exact_div(group_order(kind, m), group_order(kind, n))
 
 
 @lru_cache(maxsize=None)
@@ -307,7 +312,6 @@ def _enumerate_symplectic(d: int, n: int, sim: int | None) -> list:
     size = 2 * d
     if n ** size > _SCAN_GUARD // 10:
         raise ScopeError(f"column space {n}^{size} too large for backtracking")
-    j = j_form(d)
     vectors = list(itertools.product(range(n), repeat=size))
 
     def pairing(u, v) -> int:

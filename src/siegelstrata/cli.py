@@ -45,29 +45,27 @@ def parse_bound(tok: str) -> Bound:
     return _int(t)
 
 
+def _items(body: str, what: str, text: str) -> list[str]:
+    parts = [p for p in body.split(",") if p.strip() != ""]
+    if not parts:
+        raise InputError(f"empty {what} in {text!r}")
+    return parts
+
+
 def parse_weight(text: str) -> Weight:
     body, m0 = text.strip(), 0
     if "@" in body:
         body, tail = body.split("@", 1)
         m0 = _int(tail)
-    parts = [p for p in body.split(",") if p.strip() != ""]
-    if not parts:
-        raise InputError(f"empty weight in {text!r}")
-    return Weight(tuple(_int(p) for p in parts), m0)
+    return Weight(tuple(_int(p) for p in _items(body, "weight", text)), m0)
 
 
 def parse_set(text: str) -> tuple[int, ...]:
-    parts = [p for p in text.split(",") if p.strip() != ""]
-    if not parts:
-        raise InputError(f"empty index set in {text!r}")
-    return tuple(_int(p) for p in parts)
+    return tuple(_int(p) for p in _items(text, "index set", text))
 
 
 def parse_profile(text: str) -> tuple[Bound, ...]:
-    parts = [p for p in text.split(",") if p.strip() != ""]
-    if not parts:
-        raise InputError(f"empty profile in {text!r}")
-    return tuple(parse_bound(p) for p in parts)
+    return tuple(parse_bound(p) for p in _items(text, "profile", text))
 
 
 def parse_chain(text: str | None) -> engine.Chain:
@@ -191,12 +189,14 @@ def _run_kostant(args: argparse.Namespace):
             "rows": rows}
 
 
-def _class_result(args: argparse.Namespace, cls: engine.SymbolicClass, **extra):
-    out = {"r": str(args.r),
-           "lam": _fmt_weight(args.lam.a, args.lam.m0),
-           "columns": list(REPORT_COLUMNS),
-           "rows": _report_rows(cls)}
-    out.update(extra)
+def _class_result(args: argparse.Namespace, ctx, cls: engine.SymbolicClass,
+                  **extra):
+    """The Euler value of cls in euler mode, its report rows otherwise."""
+    out = {"r": str(args.r), "lam": _fmt_weight(args.lam.a, args.lam.m0), **extra}
+    if args.mode == "euler":
+        out["euler"] = _fmt_fraction(engine.euler_evaluate(cls, ctx))
+    else:
+        out.update(columns=list(REPORT_COLUMNS), rows=_report_rows(cls))
     return out
 
 
@@ -204,24 +204,18 @@ def _run_chain_term(args: argparse.Namespace):
     ctx = _ctx(args)
     cls = engine.chain_term(ctx, args.chain, args.r, args.lam)
     chain_s = ",".join(f"{s}:{_fmt_bound(a)}" for s, a in args.chain.entries)
-    if args.mode == "euler":
-        return {"r": str(args.r),
-                "lam": _fmt_weight(args.lam.a, args.lam.m0),
-                "chain": chain_s,
-                "euler": _fmt_fraction(engine.euler_evaluate(cls, ctx))}
-    return _class_result(args, cls, chain=chain_s)
+    return _class_result(args, ctx, cls, chain=chain_s)
 
 
 def _run_restrict_weighted(args: argparse.Namespace):
+    """``restrict-weighted``, and ``euler`` (upper IC profile by default)."""
     ctx = _ctx(args)
-    cls = engine.restrict_weighted(ctx, args.profile, args.lam, args.r)
-    if args.mode == "euler":
-        return {"r": str(args.r),
-                "lam": _fmt_weight(args.lam.a, args.lam.m0),
-                "profile": [_fmt_bound(p) for p in args.profile],
-                "euler": _fmt_fraction(engine.euler_evaluate(cls, ctx))}
-    return _class_result(args, cls,
-                         profile=[_fmt_bound(p) for p in args.profile])
+    profile = args.profile
+    if profile is None:
+        profile = strata.ic_profiles(ctx.d)[0]
+    cls = engine.restrict_weighted(ctx, profile, args.lam, args.r)
+    return _class_result(args, ctx, cls,
+                         profile=[_fmt_bound(p) for p in profile])
 
 
 def _run_restrict_ic(args: argparse.Namespace):
@@ -243,19 +237,6 @@ def _run_restrict_ic(args: argparse.Namespace):
                  "rows": (_report_rows(upper_cls, "upper")
                           + _report_rows(lower_cls, "lower"))})
     return base
-
-
-def _run_euler(args: argparse.Namespace):
-    ctx = _ctx(args)
-    profile = args.profile
-    if profile is None:
-        profile = strata.ic_profiles(ctx.d)[0]
-    cls = engine.restrict_weighted(ctx, profile, args.lam, args.r)
-    val = engine.euler_evaluate(cls, ctx)
-    return {"r": str(args.r),
-            "lam": _fmt_weight(args.lam.a, args.lam.m0),
-            "profile": [_fmt_bound(p) for p in profile],
-            "euler": _fmt_fraction(val)}
 
 
 def _run_expansion(args: argparse.Namespace):
@@ -343,7 +324,7 @@ _HANDLERS = {
     "chain-term": _run_chain_term,
     "restrict-weighted": _run_restrict_weighted,
     "restrict-ic": _run_restrict_ic,
-    "euler": _run_euler,
+    "euler": _run_restrict_weighted,
     "expansion": _run_expansion,
     "hecke-index": _run_hecke_index,
     "transfer-degree": _run_transfer_degree,
@@ -437,6 +418,7 @@ def _build_parser() -> argparse.ArgumentParser:
     lam(p)
     p.add_argument("--profile", type=parse_profile, default=None,
                    help="defaults to the upper intersection-complex profile")
+    p.set_defaults(mode="euler")
 
     p = sub.add_parser("expansion", help="chain expansion of a restriction")
     common(p)

@@ -24,10 +24,11 @@ from fractions import Fraction
 
 from .arith import euler_char_congruence
 from .errors import InputError, check_index
-from .grouptheory import GroupContext, normalize_parabolic_set, parabolic_data
-from .kostant import lie_n_cohomology
+from .grouptheory import (GroupContext, descent_mask, normalize_parabolic_set,
+                          parabolic_data, weyl_group)
+from .kostant import check_weight, kostant_summand, lie_n_cohomology
 from .reps import (Bound, GradedVirtualRep, LeviWeight, Weight, _check_bound,
-                   central_weight, torus_pairing, truncate, weyl_dim)
+                   central_weight, dot_action, torus_pairing, truncate, weyl_dim)
 from .strata import double_coset_count, ic_profiles
 
 
@@ -160,20 +161,46 @@ def restrict_weighted(ctx: GroupContext, profile, lam: Weight,
     m is the central weight of lam (the pairings of a weight-w constituent
     sit m above the profile normalization, which is stated for the
     trivial-central-character slice).
+
+    Every H*(Lie N_S, V_lam) is a slice of the one dot-action orbit of lam,
+    so a single pass over the Weyl group serves all S: each w.lam is cut on
+    its integer pairings first, and a summand is built only for the S whose
+    W^S holds w and whose cuts it passes.
     """
     check_index(r, ctx.d)
     profile = _check_profile(ctx.d, profile)
-    m = central_weight(lam)
+    check_weight(ctx, lam)
+    d, m = ctx.d, central_weight(lam)
+    bounds = [p + m for p in profile]
+    kept: dict[int, list] = {}  # bit mask of S -> (degree, w.lam) kept for S
+    for w in weyl_group(d):
+        descents = descent_mask(w)
+        if descents & ((1 << r) - 1):  # w lies in no W^S with min S = r
+            continue
+        mu = dot_action(w, lam, ctx.rho)
+        pairings = [torus_pairing(mu, s) for s in range(d)]
+        if pairings[r] < bounds[r]:
+            continue
+        allowed = 1 << r | sum(1 << s for s in range(r + 1, d)
+                               if pairings[s] < bounds[s])
+        if descents & ~allowed:
+            continue
+        # The S keeping w.lam lie between its descents plus r and the allowed cuts.
+        low = descents | 1 << r
+        free = sub = allowed & ~low
+        while True:
+            kept.setdefault(low | sub, []).append((w.length, mu))
+            if not sub:
+                break
+            sub = (sub - 1) & free
     terms = []
-    for size in range(ctx.d - r):
-        for extra in itertools.combinations(range(r + 1, ctx.d), size):
-            S = (r,) + extra
-            conds = [(r, profile[r] + m, ">=")]
-            conds += [(s, profile[s] + m, "<") for s in extra]
-            module = truncate(lie_n_cohomology(ctx, S, lam), conds)
-            sign = -1 if size % 2 else 1
-            terms.append(
-                ClassTerm(sign * double_coset_count(ctx, r, S), S, module))
+    for subset, sign in expansion_terms(d - 1 - r):
+        S = (r,) + tuple(r + i for i in subset)
+        pd = parabolic_data(ctx, S)
+        module = GradedVirtualRep.build(
+            kostant_summand(degree, mu, pd, m)
+            for degree, mu in kept.get(sum(1 << s for s in S), ()))
+        terms.append(ClassTerm(sign * double_coset_count(ctx, r, S), S, module))
     return SymbolicClass.build(terms)
 
 

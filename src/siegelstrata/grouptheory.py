@@ -20,13 +20,14 @@ root inventories of the nilpotent radicals.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InputError, check_genus, check_level
 from .reps import Weight
 
-MAX_DEFAULT_GENUS = 6  # 2^d * d! grows fast; overridable via allow_large_d
+MAX_DEFAULT_GENUS = 6  # 2^d * d! grows fast: |W| = 46,080 at d = 6
 
 
 @dataclass(frozen=True, order=True)
@@ -136,36 +137,35 @@ class GroupContext:
     stratumDims: tuple[int, ...]
 
 
-def build_context(d: int, n: int, allow_large_d: bool = False) -> GroupContext:
+def stratum_dims(d: int) -> tuple[int, ...]:
+    """(c_0, ..., c_d) with c_r = (d-r)(d+1-r)/2: open stratum first, points last."""
+    check_genus(d)
+    return tuple((d - r) * (d + 1 - r) // 2 for r in range(d + 1))
+
+
+def build_context(d: int, n: int) -> GroupContext:
     """Validate (d, n) and assemble the root datum.
 
     n >= 3 is the standing neatness hypothesis (principal level structures
-    are rigid only from level 3 on); d > 6 needs ``allow_large_d``.
+    are rigid only from level 3 on); d is capped at MAX_DEFAULT_GENUS, the
+    Weyl-group guard of ``weyl_group``.
     """
     check_level(n)
-    check_genus(d, None if allow_large_d else MAX_DEFAULT_GENUS)
+    check_genus(d, MAX_DEFAULT_GENUS)
     rho = Weight(tuple(range(d, 0, -1)), 0)  # m0 normalized to 0; see dot_action
-    dims = tuple((d - r) * (d + 1 - r) // 2 for r in range(d + 1))
     ctx = GroupContext(
         d=d, n=n,
         positiveRoots=positive_roots(d),
         rho=rho,
-        weylOrder=(2 ** d) * _factorial(d),
+        weylOrder=(2 ** d) * math.factorial(d),
         dimG=2 * d * d + d + 1,
         c=d * (d + 1) // 2,
-        stratumDims=dims,
+        stratumDims=stratum_dims(d),
     )
     assert len(ctx.positiveRoots) == d * d
     assert ctx.dimG == 2 * len(ctx.positiveRoots) + d + 1
     assert ctx.c == ctx.stratumDims[0]
     return ctx
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 def normalize_parabolic_set(d: int, S) -> tuple[int, ...]:
@@ -238,15 +238,11 @@ def _parabolic_data(d: int, S: tuple[int, ...]) -> ParabolicData:
         (levi if in_levi else nil).append(root)
 
     simple = []
-    for lo, hi in ranges:
+    for lo, hi in ranges + [gsp_range]:
         for i in range(lo, hi - 1):
             a = [0] * d
             a[i], a[i + 1] = 1, -1
             simple.append(Weight(tuple(a), 0))
-    for i in range(d - r, d - 1):
-        a = [0] * d
-        a[i], a[i + 1] = 1, -1
-        simple.append(Weight(tuple(a), 0))
     if r >= 1:
         a = [0] * d
         a[d - 1] = 2
@@ -270,27 +266,33 @@ def parabolic_data(ctx: GroupContext, S) -> ParabolicData:
 
 
 def levi_weyl_order(pd: ParabolicData) -> int:
-    out = (2 ** pd.sympRank) * _factorial(pd.sympRank)
+    out = (2 ** pd.sympRank) * math.factorial(pd.sympRank)
     for b in pd.leviBlocks:
-        out *= _factorial(b)
+        out *= math.factorial(b)
     return out
+
+
+def descent_mask(w: WeylElt) -> int:
+    """Where w(rho) fails to be Levi-dominant, as a bit mask of parabolic indices.
+
+    Bit s >= 1 marks a rise of w(rho) across the cut at coordinate d-s, bit 0
+    a negative last entry.  A parabolic set S cuts exactly at those places
+    (and drops the last-entry rule when 0 is in S), so w lies in W^S exactly
+    when every set bit is in S.
+    """
+    d = w.d
+    v = w.apply_vector(tuple(range(d, 0, -1)))
+    mask = int(v[-1] < 0)
+    for s in range(1, d):
+        if v[d - s - 1] < v[d - s]:
+            mask |= 1 << s
+    return mask
 
 
 @lru_cache(maxsize=None)
 def _kostant_reps(d: int, S: tuple[int, ...]) -> tuple[WeylElt, ...]:
-    # w^-1 sends every Levi simple root positive exactly when w(rho) pairs
-    # positively with it: strictly decreasing inside each GL block and the
-    # GSp block, with the last GSp entry > 0.
-    pd = _parabolic_data(d, S)
-    ranges = pd.blockRanges + (pd.gspRange,)
-    rho = tuple(range(d, 0, -1))
-
-    def levi_regular(v) -> bool:
-        if pd.sympRank and v[-1] <= 0:
-            return False
-        return all(v[i] > v[i + 1] for lo, hi in ranges for i in range(lo, hi - 1))
-
-    return tuple(w for w in weyl_group(d) if levi_regular(w.apply_vector(rho)))
+    outside = ~sum(1 << s for s in S)
+    return tuple(w for w in weyl_group(d) if not descent_mask(w) & outside)
 
 
 def kostant_reps(ctx: GroupContext, S) -> tuple[WeylElt, ...]:

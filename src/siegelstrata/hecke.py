@@ -26,24 +26,25 @@ from dataclasses import dataclass
 from math import gcd
 
 from .arith import (DEFAULT_CAP, GSp, SL, brute_force_group, congruence_index,
-                    left_orbits, mat_mod, mat_mul, orbit_canonical, similitude,
-                    subgroup_closure)
+                    exact_div, identity_matrix, left_orbits, mat_mod, mat_mul,
+                    orbit_canonical, similitude, subgroup_closure)
 from .errors import InputError, check_genus, check_levels
-from .grouptheory import build_context, normalize_parabolic_set, parabolic_data
+from .grouptheory import (MAX_DEFAULT_GENUS, build_context,
+                          normalize_parabolic_set, parabolic_data)
 from .matrixmodel import parabolic_generators
 
 
 @dataclass(frozen=True)
 class HeckeDatum:
-    """A genus with a nested pair of principal levels n | m."""
+    """A genus (at most MAX_DEFAULT_GENUS) with nested principal levels n | m."""
 
     d: int
     n: int
     m: int
 
     def __post_init__(self):
-        check_genus(self.d)
         check_levels(self.n, self.m)
+        check_genus(self.d, MAX_DEFAULT_GENUS)
 
 
 def _pdata(datum: HeckeDatum, S):
@@ -73,9 +74,7 @@ def hecke_index(datum: HeckeDatum, S) -> int:
 def boundary_fiber_count(datum: HeckeDatum, S) -> int:
     """Fiber size of the level map on geometric stratum points:
     transfer_degree / hecke_index, asserted to divide exactly."""
-    q, rem = divmod(transfer_degree(datum), hecke_index(datum, S))
-    assert rem == 0, (datum, tuple(S))
-    return q
+    return exact_div(transfer_degree(datum), hecke_index(datum, S))
 
 
 def reduction_fiber_count(datum: HeckeDatum, S) -> int:
@@ -83,9 +82,7 @@ def reduction_fiber_count(datum: HeckeDatum, S) -> int:
     GSp_2r congruence index (phi(m)/phi(n) when r = 0)."""
     pd = _pdata(datum, S)
     gsp_idx = congruence_index(GSp(2 * pd.sympRank), datum.n, datum.m)
-    q, rem = divmod(transfer_degree(datum), hecke_index(datum, S) * gsp_idx)
-    assert rem == 0, (datum, tuple(S))
-    return q
+    return exact_div(transfer_degree(datum), hecke_index(datum, S) * gsp_idx)
 
 
 def kernel_shadow_count(datum: HeckeDatum, S, cap: int = DEFAULT_CAP) -> int:
@@ -137,7 +134,7 @@ def hecke_matrix_structure(datum: HeckeDatum, S, g=None,
     d, n, m = datum.d, datum.n, datum.m
     size = 2 * d
     if g is None:
-        g = tuple(tuple(int(i == j) for j in range(size)) for i in range(size))
+        g = identity_matrix(size)
     g = mat_mod(g, m)
     if len(g) != size or any(len(row) != size for row in g):
         raise InputError(f"g must be a {size} x {size} matrix")

@@ -21,8 +21,16 @@ from __future__ import annotations
 from .errors import InputError
 from .grouptheory import (GroupContext, ParabolicData, kostant_reps,
                           levi_weyl_order, parabolic_data)
-from .reps import (GradedVirtualRep, LeviWeight, Weight, central_weight,
-                   check_dominant, dot_action, is_levi_dominant, make_summand)
+from .reps import (GradedVirtualRep, LeviWeight, Summand, Weight,
+                   central_weight, check_dominant, dot_action, is_levi_dominant,
+                   make_summand)
+
+
+def check_weight(ctx: GroupContext, lam: Weight) -> None:
+    """lam must have d coordinates and be dominant."""
+    if len(lam.a) != ctx.d:
+        raise InputError(f"weight has {len(lam.a)} coordinates, expected {ctx.d}")
+    check_dominant(lam)
 
 
 def levi_split(mu: Weight, pd: ParabolicData) -> LeviWeight:
@@ -32,6 +40,20 @@ def levi_split(mu: Weight, pd: ParabolicData) -> LeviWeight:
     return LeviWeight(blocks, tuple(mu.a[lo:hi]), mu.m0)
 
 
+def kostant_summand(degree: int, mu: Weight, pd: ParabolicData,
+                    central: int) -> Summand:
+    """The summand of a dot-action image mu = w.lam, w in W^S of degree l(w).
+
+    Asserts that mu is dominant for the Levi of P_S and that its central
+    weight is ``central``, that of lam.
+    """
+    levi = levi_split(mu, pd)
+    assert is_levi_dominant(levi), mu
+    summand = make_summand(degree, levi)
+    assert summand.central == central
+    return summand
+
+
 def lie_n_cohomology(ctx: GroupContext, S, lam: Weight) -> GradedVirtualRep:
     """The class of RGamma(Lie N_S, V_lam): one summand per Kostant representative.
 
@@ -39,20 +61,12 @@ def lie_n_cohomology(ctx: GroupContext, S, lam: Weight) -> GradedVirtualRep:
     central weight equals central_weight(lam) on every summand, and each
     Levi weight is dominant for the Levi shape (both asserted).
     """
-    if len(lam.a) != ctx.d:
-        raise InputError(f"weight has {len(lam.a)} coordinates, expected {ctx.d}")
-    check_dominant(lam)
+    check_weight(ctx, lam)
     pd = parabolic_data(ctx, S)
     target = central_weight(lam)
-    out = []
-    for w in kostant_reps(ctx, S):
-        mu = dot_action(w, lam, ctx.rho)
-        levi = levi_split(mu, pd)
-        assert is_levi_dominant(levi), (w, mu)
-        summand = make_summand(w.length, levi)
-        assert summand.central == target
-        out.append(summand)
-    module = GradedVirtualRep.build(out)
+    module = GradedVirtualRep.build(
+        kostant_summand(w.length, dot_action(w, lam, ctx.rho), pd, target)
+        for w in kostant_reps(ctx, S))
     # Dot-action orbits of a dominant lam are free, so nothing merged.
     assert len(module.summands) == ctx.weylOrder // levi_weyl_order(pd)
     return module

@@ -56,11 +56,6 @@ def root_matrix(d: int, root: Weight):
     return tuple(tuple(row) for row in m)
 
 
-def negative_root_matrix(d: int, root: Weight):
-    """Transpose realization for -root (used for symplectic generators)."""
-    return tuple(zip(*root_matrix(d, root)))
-
-
 def root_element(d: int, root: Weight, n: int, t: int = 1):
     """I + t * X_root reduced mod n."""
     x = root_matrix(d, root)
@@ -183,13 +178,8 @@ def parabolic_generators(ctx: GroupContext, S):
         gens.append(root_element(d, root, n))
     if r >= 1:
         for root in positive_roots(r):
-            x = root_matrix(r, root)
-            xn = negative_root_matrix(r, root)
-            for y in (x, xn):
-                ident_plus = tuple(
-                    tuple((int(i == j) + y[i][j]) % n for j in range(2 * r))
-                    for i in range(2 * r))
-                gens.append(embed_gsp(d, r, ident_plus, 1, n))
+            for y in (root, root.neg()):
+                gens.append(embed_gsp(d, r, root_element(r, y, n), 1, n))
         for u in _units(n):
             b = tuple(
                 tuple((u if i < r else 1) if i == j else 0 for j in range(2 * r))

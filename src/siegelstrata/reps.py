@@ -145,15 +145,10 @@ class LeviWeight:
 
 def is_levi_dominant(mu: LeviWeight) -> bool:
     """Each GL block weakly decreasing; GSp block weakly decreasing with last entry >= 0."""
-    for b in mu.blocks:
+    for b in mu.blocks + (mu.gsp,):
         if any(b[i] < b[i + 1] for i in range(len(b) - 1)):
             return False
-    g = mu.gsp
-    if any(g[i] < g[i + 1] for i in range(len(g) - 1)):
-        return False
-    if g and g[-1] < 0:
-        return False
-    return True
+    return not (mu.gsp and mu.gsp[-1] < 0)
 
 
 def _gl_dim(b: Sequence[int]) -> Fraction:

@@ -13,17 +13,12 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .arith import (DEFAULT_CAP, GSp, _order_any_level, brute_force_group,
-                    euler_phi, integral_image_order, left_orbits, similitude,
-                    subgroup_closure)
-from .errors import InputError, ScopeError, check_genus, check_index
-from .grouptheory import GroupContext, build_context, normalize_parabolic_set, parabolic_data
+                    euler_phi, exact_div, integral_image_order, left_orbits,
+                    similitude, subgroup_closure)
+from .errors import InputError, ScopeError, check_index
+from .grouptheory import (GroupContext, build_context, normalize_parabolic_set,
+                          parabolic_data, stratum_dims)
 from .matrixmodel import linear_parabolic_generators, parabolic_generators
-
-
-def stratum_dims(d: int) -> tuple[int, ...]:
-    """(c_0, ..., c_d) with c_r = (d-r)(d+1-r)/2: open stratum first, points last."""
-    check_genus(d)
-    return tuple((d - r) * (d + 1 - r) // 2 for r in range(d + 1))
 
 
 def ic_profiles(d: int):
@@ -41,9 +36,7 @@ def _strata_count_raw(d: int, n: int, r: int) -> int:
     num = _order_any_level(GSp(2 * d), n)
     dim_n = (d - r) * (d - r + 1) // 2 + 2 * r * (d - r)
     den = _order_any_level(GSp(2 * r), n) * n ** dim_n * integral_image_order(d - r, n)
-    q, rem = divmod(num, den)
-    assert rem == 0, (d, n, r)
-    return q
+    return exact_div(num, den)
 
 
 def strata_count(ctx: GroupContext, r: int) -> int:
@@ -74,9 +67,7 @@ def double_coset_count(ctx: GroupContext, r: int, S) -> int:
     den = ctx.n ** dim_linear_radical
     for b in pd.leviBlocks:
         den *= integral_image_order(b, ctx.n)
-    q, rem = divmod(num, den)
-    assert rem == 0, (ctx.d, ctx.n, S)
-    return q
+    return exact_div(num, den)
 
 
 def subgroup_order_formula(ctx: GroupContext, S) -> int:
@@ -109,10 +100,7 @@ def strata_count_bruteforce(d: int, n: int, r: int,
     independent object (it only knows the generator matrices).
     """
     ambient = brute_force_group(GSp(2 * d), n, cap)
-    h = _closure_for(d, n, (r,), cap)
-    q, rem = divmod(len(ambient), len(h))
-    assert rem == 0
-    return q
+    return exact_div(len(ambient), len(_closure_for(d, n, (r,), cap)))
 
 
 def strata_orbit_partition(d: int, n: int, r: int, cap: int = DEFAULT_CAP):
@@ -155,10 +143,8 @@ def refinement_check_bruteforce(d: int, n: int, r: int, S,
     h_r = _closure_for(d, n, (r,), cap)
     h_s = _closure_for(d, n, S, cap)
     assert h_s <= h_r
-    q, rem = divmod(len(h_r), len(h_s))
-    assert rem == 0
-    ctx = build_context(d, n)
-    return q == double_coset_count(ctx, r, S)
+    q = exact_div(len(h_r), len(h_s))
+    return q == double_coset_count(build_context(d, n), r, S)
 
 
 def similitude_image_bruteforce(d: int, n: int, cap: int = DEFAULT_CAP):

@@ -16,3 +16,8 @@ def ctx2():
 @pytest.fixture(scope="session")
 def ctx3():
     return build_context(3, 3)
+
+
+@pytest.fixture(scope="session")
+def ctx4():
+    return build_context(4, 3)

@@ -120,7 +120,7 @@ def test_c3_kostant_suite():
             for S in subsets:
                 _kostant_structure(ctx, S, lam)
 
-    ctx4 = build_context(4, 3, allow_large_d=True)
+    ctx4 = build_context(4, 3)
     for S in ((0,), (3,), (1, 3)):
         _kostant_structure(ctx4, S, Weight((2, 1, 1, 0), 0))
 
@@ -161,7 +161,7 @@ def test_c4_literal_r0_expectation():
 def test_c5_torus_pairing_normalization():
     base = 3
     for d in range(1, 5):
-        ctx = build_context(d, 3, allow_large_d=True)
+        ctx = build_context(d, 3)
         for r in range(d):
             pd = parabolic_data(ctx, (r,))
             u, n_only = set(pd.uRoots), set(pd.nRoots) - set(pd.uRoots)

@@ -166,6 +166,7 @@ def test_version_has_one_source(capsys):
     (("no-such-command",), 2),
     (("hecke-matrix", "--d", "1", "--n", "3", "--m", "6", "--S", "0",
       "--cap", "10"), 3),                               # enumeration cap
+    (("transfer-degree", "--d", "7", "--n", "3", "--m", "6"), 3),  # genus guard
 ])
 def test_exit_codes(capsys, argv, code):
     assert main(list(argv)) == code

@@ -7,13 +7,15 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from siegelstrata import (Chain, ClassTerm, InputError, LeviWeight,
-                          SymbolicClass, Weight, chain_bounds_for_profile,
-                          chain_term, double_coset_count, euler_evaluate,
-                          expansion_terms, graded_report, ic_profiles,
-                          lie_n_cohomology, restrict_ic, restrict_weighted,
-                          restrict_weighted_via_expansion)
+                          SymbolicClass, Weight, build_context, central_weight,
+                          chain_bounds_for_profile, chain_term,
+                          double_coset_count, euler_evaluate, expansion_terms,
+                          graded_report, ic_profiles, lie_n_cohomology,
+                          restrict_ic, restrict_weighted,
+                          restrict_weighted_via_expansion, truncate)
 from siegelstrata.reps import GradedVirtualRep, make_summand
 
 
@@ -226,6 +228,42 @@ def test_expansion_assembles_restriction_d1(ctx1):
             direct = restrict_weighted(ctx1, (t,), lam, 0)
             assembled = restrict_weighted_via_expansion(ctx1, (t,), lam, 0)
             assert direct.flatten() == assembled.flatten()
+
+
+def _per_set_reference(ctx, profile, lam, r):
+    # the restriction formula read literally: one truncated Kostant module
+    # per parabolic set S containing r
+    m = central_weight(lam)
+    terms = []
+    for size in range(ctx.d - r):
+        for extra in itertools.combinations(range(r + 1, ctx.d), size):
+            S = (r,) + extra
+            conds = [(r, profile[r] + m, ">=")]
+            conds += [(s, profile[s] + m, "<") for s in extra]
+            module = truncate(lie_n_cohomology(ctx, S, lam), conds)
+            terms.append(ClassTerm((-1) ** size * double_coset_count(ctx, r, S),
+                                   S, module))
+    return SymbolicClass.build(terms)
+
+
+_BOUNDS = st.one_of(st.integers(-16, 6), st.sampled_from([math.inf, -math.inf]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([3, 4]), st.data())
+def test_one_pass_kernel_matches_references_d3_d4(d, data):
+    ctx = build_context(d, 3)
+    a = sorted(data.draw(st.lists(st.integers(0, 3), min_size=d, max_size=d)),
+               reverse=True)
+    lam = Weight(tuple(a), data.draw(st.integers(-3, 3)))
+    profile = tuple(data.draw(_BOUNDS) for _ in range(d))
+    for r in range(d):
+        direct = restrict_weighted(ctx, profile, lam, r)
+        assembled = restrict_weighted_via_expansion(ctx, profile, lam, r)
+        assert direct.flatten() == assembled.flatten()
+        assert direct == _per_set_reference(ctx, profile, lam, r)
+        upper, lower = restrict_ic(ctx, lam, r)
+        assert euler_evaluate(upper, ctx) == euler_evaluate(lower, ctx)
 
 
 def test_chain_bounds_for_profile():

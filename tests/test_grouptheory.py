@@ -6,7 +6,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from siegelstrata import (GroupContext, InputError, LevelError, ScopeError,
+from siegelstrata import (InputError, LevelError, ScopeError,
                           Weight, WeylElt, build_context, kostant_reps,
                           longest_element, parabolic_data, weyl_group)
 from siegelstrata.grouptheory import levi_weyl_order, normalize_parabolic_set
@@ -77,7 +77,6 @@ def test_build_context_guards():
         build_context(1, 2)
     with pytest.raises(ScopeError):
         build_context(7, 3)
-    assert isinstance(build_context(7, 3, allow_large_d=True), GroupContext)
 
 
 def test_normalize_parabolic_set():
@@ -145,7 +144,7 @@ def test_kostant_reps_lengths_palindromic(ctx3):
         assert lengths[0] == 0 and lengths[-1] == pd.dimN
 
 
-@pytest.mark.parametrize("ctx_name", ["ctx2", "ctx3"])
+@pytest.mark.parametrize("ctx_name", ["ctx2", "ctx3", "ctx4"])
 def test_kostant_reps_minimal_length_property(request, ctx_name):
     # the reps are exactly the w, in Weyl-group order, whose inverse sends
     # every Levi simple root to a positive root

@@ -28,6 +28,8 @@ def test_datum_validation():
         HeckeDatum(1, 2, 4)      # base level must be >= 3
     with pytest.raises(InputError):
         HeckeDatum(0, 3, 6)
+    with pytest.raises(ScopeError):
+        HeckeDatum(7, 3, 6)      # the Weyl-group genus guard
 
 
 def test_equal_levels_are_trivial():
