@@ -202,7 +202,7 @@ def euler_char_congruence(k: int, n: int) -> Fraction:
     if not (isinstance(k, int) and k >= 1):
         raise InputError(f"block size must be >= 1, got {k!r}")
     check_level(n)
-    out = Fraction(group_order(SL(k), n)) if k >= 1 else Fraction(1)
+    out = Fraction(group_order(SL(k), n))
     for i in range(2, k + 1):
         out *= zeta_negative(i)
     if k == 2:
@@ -274,15 +274,31 @@ def j_form(d: int):
     return tuple(tuple(row) for row in m)
 
 
+def symplectic_form(u, v, n: int) -> int:
+    """t(u) J v mod n for the antidiagonal J of ``j_form``."""
+    size = len(u)
+    s = 0
+    for i in range(size // 2):
+        s += u[i] * v[size - 1 - i] - u[size - 1 - i] * v[i]
+    return s % n
+
+
 def similitude(g, n: int):
-    """Similitude factor c with t(g) J g = c J, or None if g fails the identity."""
-    size = len(g)
-    d = size // 2
-    j = j_form(d)
-    m = mat_mul(mat_mul(transpose(g), j, n), g, n)
-    c = m[0][size - 1]
-    expected = tuple(tuple((c * x) % n for x in row) for row in j)
-    return c if m == expected else None
+    """Similitude factor c with t(g) J g = c J, or None if g fails the identity.
+
+    Entry (i, j) of t(g) J g is the form on columns i and j.  The form is
+    alternating, so the pairs i < j decide the identity: partner columns
+    (i, 2d-1-i) must pair to c = form(col_0, col_{2d-1}), all others to 0.
+    """
+    cols = tuple(zip(*g))
+    size = len(cols)
+    c = symplectic_form(cols[0], cols[size - 1], n)
+    for i in range(size):
+        for j in range(i + 1, size):
+            want = c if j == size - 1 - i else 0
+            if symplectic_form(cols[i], cols[j], n) != want:
+                return None
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -307,57 +323,37 @@ def _enumerate_symplectic(d: int, n: int, sim: int | None) -> list:
     """All g with t(g) J g = c J; c = sim if given, else any unit.
 
     Columns are filled in partner pairs (i, 2d-1-i): inside a pair the
-    pairing must be c, across pairs it must vanish; everything else is free.
+    form must be c, across pairs it must vanish; everything else is free.
+    Each pair is drawn from the vectors orthogonal to every column placed
+    before it.
     """
     size = 2 * d
     if n ** size > _SCAN_GUARD // 10:
         raise ScopeError(f"column space {n}^{size} too large for backtracking")
-    vectors = list(itertools.product(range(n), repeat=size))
-
-    def pairing(u, v) -> int:
-        # t(u) J v with the antidiagonal J: sum u_i v_{2d-1-i} (sign split at d)
-        s = 0
-        for i in range(d):
-            s += u[i] * v[size - 1 - i] - u[size - 1 - i] * v[i]
-        return s % n
-
+    if sim is not None and not _unit(sim, n):
+        return []
     out = []
     cols: list = [None] * size
 
-    def place_pair(k: int, c):
+    def place_pair(k: int, c, candidates):
         if k == d:
-            g = tuple(zip(*cols))  # columns -> matrix
-            out.append(g)
+            out.append(tuple(zip(*cols)))  # columns -> matrix
             return
-        fixed = [(i, cols[i]) for i in range(size) if cols[i] is not None]
-        for u in vectors:
-            if any(pairing(v, u) for _, v in fixed):
-                continue
-            cols[k] = u
-            for v in vectors:
-                if c is None:
-                    cc = pairing(u, v)
-                    if not _unit(cc, n):
-                        continue
-                else:
-                    cc = c
-                    if pairing(u, v) != cc % n:
-                        continue
-                ok = True
-                for i, w in fixed:
-                    if pairing(w, v):
-                        ok = False
-                        break
-                if ok:
-                    cols[size - 1 - k] = v
-                    place_pair(k + 1, cc)
-                    cols[size - 1 - k] = None
-            cols[k] = None
+        for u in candidates:
+            for v in candidates:
+                cc = symplectic_form(u, v, n)
+                if not (cc == c or (c is None and _unit(cc, n))):
+                    continue
+                cols[k], cols[size - 1 - k] = u, v
+                rest = None
+                if k + 1 < d:
+                    rest = [w for w in candidates
+                            if not symplectic_form(u, w, n)
+                            and not symplectic_form(v, w, n)]
+                place_pair(k + 1, cc, rest)
 
-    start_c = None if sim is None else sim % n
-    if sim is not None and not _unit(sim, n):
-        return []
-    place_pair(0, start_c)
+    place_pair(0, None if sim is None else sim % n,
+               list(itertools.product(range(n), repeat=size)))
     return out
 
 

@@ -28,7 +28,7 @@ from .grouptheory import (GroupContext, descent_mask, normalize_parabolic_set,
                           parabolic_data, weyl_group)
 from .kostant import check_weight, kostant_summand, lie_n_cohomology
 from .reps import (Bound, GradedVirtualRep, LeviWeight, Weight, _check_bound,
-                   central_weight, dot_action, torus_pairing, truncate, weyl_dim)
+                   central_weight, dot_action, torus_pairing, truncate)
 from .strata import double_coset_count, ic_profiles
 
 
@@ -290,17 +290,15 @@ def euler_evaluate(cls: SymbolicClass, ctx: GroupContext) -> Fraction:
     subgroup of SL_k(Z); the GSp factor of the Levi enters through the
     dimension only (its own arithmetic quotient is the smaller stratum, not
     a finite group).  Blocks of size >= 3 kill their terms since their
-    congruence Euler characteristic vanishes.
+    congruence Euler characteristic vanishes.  The value is linear, so it is
+    summed per class term: coefficient * euler_dim(module) * prod e_k.
     """
     total = Fraction(0)
-    for (S, degree, levi), mult in sorted(
-            cls.flatten().items(),
-            key=lambda kv: (kv[0][0], kv[0][1], kv[0][2].avector, kv[0][2].m0)):
+    for t in cls.terms:
         factor = Fraction(1)
-        for k in parabolic_data(ctx, S).leviBlocks:
+        for k in parabolic_data(ctx, t.S).leviBlocks:
             factor *= euler_char_congruence(k, ctx.n)
-        sign = -1 if degree % 2 else 1
-        total += mult * sign * weyl_dim(levi) * factor
+        total += t.coefficient * factor * t.module.euler_dim()
     return total
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .arith import identity_matrix, j_form, mat_inv_mod, mat_mod, mat_mul
+from .arith import identity_matrix, mat_inv_mod, mat_mod
 from .errors import InputError
 from .grouptheory import GroupContext, parabolic_data, positive_roots
 from .reps import Weight

@@ -1,7 +1,9 @@
 """Exact group orders, congruence indices, Bernoulli machinery, and the
 finite-group brute-force layer that anchors every counting formula."""
 
+import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +15,7 @@ from siegelstrata import (GL, GSp, SL, ScopeError, Sp, Unipotent,
 from siegelstrata.arith import (bernoulli, factorint, identity_matrix, j_form,
                                 left_orbits, mat_det, mat_inv_mod, mat_mod,
                                 mat_mul, orbit_canonical, similitude,
-                                subgroup_closure, transpose)
+                                subgroup_closure, symplectic_form, transpose)
 
 
 def test_factorint_and_phi():
@@ -170,13 +172,67 @@ def test_j_form_and_similitude():
     assert similitude(not_gsp, n) is None
 
 
+def _similitude_reference(g, n):
+    """The defining identity as matrices: c with t(g) J g = c J mod n, else None."""
+    size = len(g)
+    j = j_form(size // 2)
+    m = mat_mul(mat_mul(transpose(g), j, n), g, n)
+    c = m[0][size - 1]
+    return c if m == mat_mod(tuple(tuple(c * x for x in row) for row in j), n) else None
+
+
+_square_2d = st.integers(1, 3).flatmap(lambda d: st.lists(
+    st.tuples(*[st.integers(-9, 9)] * (2 * d)), min_size=2 * d, max_size=2 * d
+).map(tuple))
+
+
+@given(_square_2d, st.integers(2, 9))
+@settings(max_examples=150)
+def test_similitude_matches_matrix_identity(g, n):
+    assert similitude(g, n) == _similitude_reference(g, n)
+    # entry (i, j) of t(g) J g is the form on columns i and j
+    m = mat_mul(mat_mul(transpose(g), j_form(len(g) // 2), n), g, n)
+    cols = transpose(g)
+    assert m == tuple(tuple(symplectic_form(u, v, n) for v in cols) for u in cols)
+
+
+@given(st.integers(0, 103_679), st.booleans(), st.integers(0, 15), st.integers(1, 2))
+@settings(max_examples=150, deadline=None)
+def test_similitude_on_gsp4_elements(index, perturb, pos, delta):
+    g = brute_force_group(GSp(4), 3)[index]
+    if perturb:
+        rows = [list(row) for row in g]
+        rows[pos // 4][pos % 4] = (rows[pos // 4][pos % 4] + delta) % 3
+        g = tuple(map(tuple, rows))
+    c = similitude(g, 3)
+    assert c == _similitude_reference(g, 3)
+    assert perturb or c in (1, 2)
+
+
+def test_rank_one_enumeration_is_the_defining_filter():
+    for n in range(3, 9):
+        mats = list(itertools.product(
+            itertools.product(range(n), repeat=2), repeat=2))
+        sims = [_similitude_reference(g, n) for g in mats]
+        assert brute_force_group(GSp(2), n) == tuple(
+            g for g, c in zip(mats, sims) if c is not None and gcd(c, n) == 1)
+        assert brute_force_group(Sp(2), n) == tuple(
+            g for g, c in zip(mats, sims) if c == 1)
+
+
+def test_two_pair_enumeration_satisfies_the_identity():
+    # with the closed-form count asserted inside, this pins GSp_4(Z/2) exactly
+    group = brute_force_group(GSp(4), 2)
+    assert len(group) == 720
+    assert all(_similitude_reference(g, 2) == 1 for g in group)
+
+
 @given(st.integers(2, 40), st.lists(st.integers(0, 39), min_size=4, max_size=4))
 @settings(max_examples=60)
 def test_mat_inv_mod_roundtrip(n, entries):
     a, b, c, d = (x % n for x in entries)
     g = ((a, b), (c, d))
     det = (a * d - b * c) % n
-    from math import gcd
     if gcd(det, n) != 1:
         with pytest.raises(Exception):
             mat_inv_mod(g, n)
