@@ -82,10 +82,15 @@ def exact_div(num: int, den: int) -> int:
     return q
 
 
+FACTOR_LIMIT = 10 ** 12  # trial division up to 10^6: a fraction of a second
+
+
 def factorint(n: int) -> dict[int, int]:
-    """Prime factorization by trial division (inputs here are small)."""
+    """Prime factorization by trial division, refused above FACTOR_LIMIT."""
     if not (isinstance(n, int) and n >= 1):
         raise InputError(f"cannot factor {n!r}")
+    if n > FACTOR_LIMIT:
+        raise ScopeError(f"{n} exceeds the factoring bound {FACTOR_LIMIT}")
     out: dict[int, int] = {}
     p, m = 2, n
     while p * p <= m:

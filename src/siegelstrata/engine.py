@@ -24,11 +24,11 @@ from fractions import Fraction
 
 from .arith import euler_char_congruence
 from .errors import InputError, check_index
-from .grouptheory import (GroupContext, descent_mask, normalize_parabolic_set,
-                          parabolic_data, weyl_group)
+from .grouptheory import (GroupContext, normalize_parabolic_set, parabolic_data,
+                          weyl_table)
 from .kostant import check_weight, kostant_summand, lie_n_cohomology
 from .reps import (Bound, GradedVirtualRep, LeviWeight, Weight, _check_bound,
-                   central_weight, dot_action, torus_pairing, truncate)
+                   central_weight, torus_pairing, truncate)
 from .strata import double_coset_count, ic_profiles
 
 
@@ -163,33 +163,38 @@ def restrict_weighted(ctx: GroupContext, profile, lam: Weight,
     trivial-central-character slice).
 
     Every H*(Lie N_S, V_lam) is a slice of the one dot-action orbit of lam,
-    so a single pass over the Weyl group serves all S: each w.lam is cut on
-    its integer pairings first, and a summand is built only for the S whose
-    W^S holds w and whose cuts it passes.
+    so a single pass over ``weyl_table(d, r)`` (the w that can lie in a W^S
+    with min S = r) serves all S: each w.lam is computed and cut on its
+    integer pairings first, and a summand is built only for the S whose W^S
+    holds w and whose cuts it passes.
     """
     check_index(r, ctx.d)
     profile = _check_profile(ctx.d, profile)
     check_weight(ctx, lam)
     d, m = ctx.d, central_weight(lam)
     bounds = [p + m for p in profile]
+    shifted, rho = lam.add(ctx.rho).a, ctx.rho.a
     kept: dict[int, list] = {}  # bit mask of S -> (degree, w.lam) kept for S
-    for w in weyl_group(d):
-        descents = descent_mask(w)
-        if descents & ((1 << r) - 1):  # w lies in no W^S with min S = r
-            continue
-        mu = dot_action(w, lam, ctx.rho)
-        pairings = [torus_pairing(mu, s) for s in range(d)]
-        if pairings[r] < bounds[r]:
+    for length, descents, v in weyl_table(d, r):
+        # w.lam = w(lam + rho) - rho: v[p] = +-rho_i puts +-(lam + rho)_i at p,
+        # and each flipped coordinate adds (lam + rho)_i to m0.
+        a = [(shifted[d - x] if x > 0 else -shifted[d + x]) - rho[p]
+             for p, x in enumerate(v)]
+        m0 = lam.m0 + sum(shifted[d + x] for x in v if x < 0)
+        # S_s-pairing = sum(a) + sum(a[:d - s]) + 2 m0, from one prefix sum.
+        prefix = list(itertools.accumulate(a, initial=2 * m0 + sum(a)))
+        if prefix[d - r] < bounds[r]:
             continue
         allowed = 1 << r | sum(1 << s for s in range(r + 1, d)
-                               if pairings[s] < bounds[s])
+                               if prefix[d - s] < bounds[s])
         if descents & ~allowed:
             continue
         # The S keeping w.lam lie between its descents plus r and the allowed cuts.
+        mu = Weight(tuple(a), m0)
         low = descents | 1 << r
         free = sub = allowed & ~low
         while True:
-            kept.setdefault(low | sub, []).append((w.length, mu))
+            kept.setdefault(low | sub, []).append((length, mu))
             if not sub:
                 break
             sub = (sub - 1) & free
@@ -298,7 +303,8 @@ def euler_evaluate(cls: SymbolicClass, ctx: GroupContext) -> Fraction:
         factor = Fraction(1)
         for k in parabolic_data(ctx, t.S).leviBlocks:
             factor *= euler_char_congruence(k, ctx.n)
-        total += t.coefficient * factor * t.module.euler_dim()
+        if factor:  # a GL block of size >= 3 makes it 0: skip the dimensions
+            total += t.coefficient * factor * t.module.euler_dim()
     return total
 
 

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InputError, check_genus, check_level
+from .errors import InputError, check_genus, check_index, check_level
 from .reps import Weight
 
 MAX_DEFAULT_GENUS = 6  # 2^d * d! grows fast: |W| = 46,080 at d = 6
@@ -74,17 +74,27 @@ class WeylElt:
         return WeylElt(tuple(range(d)), (False,) * d, 0)
 
 
+def _length(v) -> int:
+    """Type-C length of the w with w(rho) = v (Bjorner-Brenti, section 8.1):
+    #{i<j: v_i < v_j} + #{i<j: v_i + v_j < 0} + #{i: v_i < 0}."""
+    out = sum(x < 0 for x in v)
+    for x, y in itertools.combinations(v, 2):
+        out += (x < y) + (x + y < 0)
+    return out
+
+
+def _descents(v) -> int:
+    """Descent mask of the w with w(rho) = v; see ``descent_mask``."""
+    d = len(v)
+    return int(v[-1] < 0) | sum(1 << s for s in range(1, d) if v[d - s - 1] < v[d - s])
+
+
 def _weyl_elt(perm, signs) -> WeylElt:
-    # Closed-form type-C length (Bjorner-Brenti, section 8.1): 2e_i is sent
-    # negative iff i is flipped; for i < j the pair e_i -+ e_j loses exactly
-    # one root when perm reverses i, j, and both when it keeps them in order
-    # and i is flipped.
     d = len(perm)
-    length = sum(signs)
+    v = [0] * d  # w(rho)
     for i in range(d):
-        for j in range(i + 1, d):
-            length += 2 * signs[i] if perm[i] < perm[j] else 1
-    return WeylElt(tuple(perm), tuple(signs), length)
+        v[perm[i]] = i - d if signs[i] else d - i
+    return WeylElt(tuple(perm), tuple(signs), _length(v))
 
 
 @lru_cache(maxsize=None)
@@ -280,13 +290,27 @@ def descent_mask(w: WeylElt) -> int:
     (and drops the last-entry rule when 0 is in S), so w lies in W^S exactly
     when every set bit is in S.
     """
-    d = w.d
-    v = w.apply_vector(tuple(range(d, 0, -1)))
-    mask = int(v[-1] < 0)
-    for s in range(1, d):
-        if v[d - s - 1] < v[d - s]:
-            mask |= 1 << s
-    return mask
+    return _descents(w.apply_vector(range(w.d, 0, -1)))
+
+
+@lru_cache(maxsize=None)
+def weyl_table(d: int, r: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """(length, descent mask, w(rho)) for each w with no descent below r.
+
+    These are the w that can lie in a W^S with min S = r, 2^(d-r) * d!/r! of
+    them: w(rho) ends in r positive decreasing entries, after a signed
+    arrangement of the other d - r values.  ``weyl_group`` is not built.
+    """
+    check_genus(d, MAX_DEFAULT_GENUS)
+    check_index(r, d)
+    out = []
+    for tail in itertools.combinations(range(d, 0, -1), r):
+        head = [x for x in range(d, 0, -1) if x not in tail]
+        for perm in itertools.permutations(head):
+            for signed in itertools.product(*((x, -x) for x in perm)):
+                v = signed + tail
+                out.append((_length(v), _descents(v), v))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

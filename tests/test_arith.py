@@ -12,10 +12,11 @@ from siegelstrata import (GL, GSp, SL, ScopeError, Sp, Unipotent,
                           brute_force_group, congruence_index,
                           euler_char_congruence, euler_phi, group_order,
                           integral_image_order, zeta_negative)
-from siegelstrata.arith import (bernoulli, factorint, identity_matrix, j_form,
-                                left_orbits, mat_det, mat_inv_mod, mat_mod,
-                                mat_mul, orbit_canonical, similitude,
-                                subgroup_closure, symplectic_form, transpose)
+from siegelstrata.arith import (FACTOR_LIMIT, bernoulli, factorint,
+                                identity_matrix, j_form, left_orbits, mat_det,
+                                mat_inv_mod, mat_mod, mat_mul, orbit_canonical,
+                                similitude, subgroup_closure, symplectic_form,
+                                transpose)
 
 
 def test_factorint_and_phi():
@@ -24,6 +25,14 @@ def test_factorint_and_phi():
     assert euler_phi(1) == 1
     assert euler_phi(12) == 4
     assert [euler_phi(n) for n in range(3, 13)] == [2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
+
+
+def test_factorint_is_bounded():
+    assert FACTOR_LIMIT == 10 ** 12
+    assert factorint(999999999989) == {999999999989: 1}   # a 12-digit prime
+    assert factorint(FACTOR_LIMIT) == {2: 12, 5: 12}
+    with pytest.raises(ScopeError):
+        factorint(FACTOR_LIMIT + 1)
 
 
 KNOWN_ORDERS = {

@@ -173,6 +173,24 @@ def test_exit_codes(capsys, argv, code):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ("strata", "--d", "1", "--n", "1000000000000000003"),
+    ("transfer-degree", "--d", "1", "--n", "3", "--m", "3000000000000000009"),
+])
+def test_huge_level_is_refused_not_factored(argv):
+    # trial division of a 19-digit prime would run for hours
+    proc = subprocess.run([sys.executable, "-m", "siegelstrata", *argv],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 3 and "factoring bound" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_twelve_digit_prime_level_still_answers(capsys):
+    payload = run_json(capsys, "strata", "--d", "1", "--n", "999999999989")
+    assert payload["meta"]["n"] == "999999999989"
+    assert payload["result"]["rows"]
+
+
 # ---------------------------------------------------------------------------
 # determinism and entry-point equivalence (subprocess level)
 

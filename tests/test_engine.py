@@ -12,10 +12,11 @@ from hypothesis import given, settings, strategies as st
 from siegelstrata import (Chain, ClassTerm, InputError, LeviWeight,
                           SymbolicClass, Weight, build_context, central_weight,
                           chain_bounds_for_profile, chain_term,
-                          double_coset_count, euler_evaluate, expansion_terms,
-                          graded_report, ic_profiles, lie_n_cohomology,
+                          double_coset_count, euler_char_congruence,
+                          euler_evaluate, expansion_terms, graded_report,
+                          ic_profiles, lie_n_cohomology, parabolic_data,
                           restrict_ic, restrict_weighted,
-                          restrict_weighted_via_expansion, truncate)
+                          restrict_weighted_via_expansion, truncate, weyl_dim)
 from siegelstrata.reps import GradedVirtualRep, make_summand
 
 
@@ -249,6 +250,13 @@ def _per_set_reference(ctx, profile, lam, r):
 _BOUNDS = st.one_of(st.integers(-16, 6), st.sampled_from([math.inf, -math.inf]))
 
 
+def _check_one_pass_kernel(ctx, profile, lam, r):
+    direct = restrict_weighted(ctx, profile, lam, r)
+    assembled = restrict_weighted_via_expansion(ctx, profile, lam, r)
+    assert direct.flatten() == assembled.flatten()
+    assert direct == _per_set_reference(ctx, profile, lam, r)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.sampled_from([3, 4]), st.data())
 def test_one_pass_kernel_matches_references_d3_d4(d, data):
@@ -258,12 +266,33 @@ def test_one_pass_kernel_matches_references_d3_d4(d, data):
     lam = Weight(tuple(a), data.draw(st.integers(-3, 3)))
     profile = tuple(data.draw(_BOUNDS) for _ in range(d))
     for r in range(d):
-        direct = restrict_weighted(ctx, profile, lam, r)
-        assembled = restrict_weighted_via_expansion(ctx, profile, lam, r)
-        assert direct.flatten() == assembled.flatten()
-        assert direct == _per_set_reference(ctx, profile, lam, r)
+        _check_one_pass_kernel(ctx, profile, lam, r)
         upper, lower = restrict_ic(ctx, lam, r)
         assert euler_evaluate(upper, ctx) == euler_evaluate(lower, ctx)
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.data())
+def test_one_pass_kernel_matches_references_d5(data):
+    ctx = build_context(5, data.draw(st.sampled_from([3, 4, 5])))
+    a = sorted(data.draw(st.lists(st.integers(0, 3), min_size=5, max_size=5)),
+               reverse=True)
+    lam = Weight(tuple(a), data.draw(st.integers(-3, 3).filter(bool)))
+    profile = tuple(data.draw(_BOUNDS) for _ in range(5))
+    r = data.draw(st.integers(1, 4))
+    _check_one_pass_kernel(ctx, profile, lam, r)
+    upper, lower = restrict_ic(ctx, lam, r)
+    assert euler_evaluate(upper, ctx) == euler_evaluate(lower, ctx)
+
+
+@pytest.mark.parametrize("profile", ["upper", "lower",
+                                     (math.inf, -12, -12, -8, -10, -math.inf)])
+@pytest.mark.parametrize("r", [4, 5])
+def test_one_pass_kernel_matches_references_d6(r, profile):
+    ctx = build_context(6, 3)
+    upper, lower = ic_profiles(6)
+    profile = {"upper": upper, "lower": lower}.get(profile, profile)
+    _check_one_pass_kernel(ctx, profile, Weight((3, 2, 2, 1, 0, 0), -2), r)
 
 
 def test_chain_bounds_for_profile():
@@ -307,6 +336,28 @@ def test_restrict_ic_d1_trivial_weight(ctx1):
 
 # ---------------------------------------------------------------------------
 # euler_evaluate building blocks
+
+def _euler_per_summand(cls, ctx):
+    # the evaluation read literally: every summand of every term, including
+    # those whose GL-block factor is 0
+    total = Fraction(0)
+    for t in cls.terms:
+        factor = math.prod(euler_char_congruence(k, ctx.n)
+                           for k in parabolic_data(ctx, t.S).leviBlocks)
+        for s in t.module.summands:
+            total += (t.coefficient * s.mult * (-1) ** s.degree
+                      * weyl_dim(s.levi) * factor)
+    return total
+
+
+@pytest.mark.parametrize("a,m0", [((0, 0, 0, 0, 0), 0), ((3, 2, 1, 1, 0), 1)])
+def test_euler_evaluate_matches_per_summand_sum_d5(a, m0):
+    ctx = build_context(5, 4)
+    for cls in restrict_ic(ctx, Weight(a, m0), 0):
+        blocks = [parabolic_data(ctx, t.S).leviBlocks for t in cls.terms]
+        assert any(k >= 3 for b in blocks for k in b)  # zero factors occur
+        assert euler_evaluate(cls, ctx) == _euler_per_summand(cls, ctx)
+
 
 def test_euler_single_gl2_term(ctx2):
     # one degree-0 summand of GL_2-dimension 5 at level 3: 5 * e_2(3) = -10

@@ -9,7 +9,8 @@ from hypothesis import given, strategies as st
 from siegelstrata import (InputError, LevelError, ScopeError,
                           Weight, WeylElt, build_context, kostant_reps,
                           longest_element, parabolic_data, weyl_group)
-from siegelstrata.grouptheory import levi_weyl_order, normalize_parabolic_set
+from siegelstrata.grouptheory import (descent_mask, levi_weyl_order,
+                                     normalize_parabolic_set, weyl_table)
 
 
 def test_weyl_group_orders():
@@ -160,3 +161,23 @@ def test_kostant_reps_minimal_length_property(request, ctx_name):
                 if all(first > 0 for first in firsts):
                     expected.append(w)
             assert kostant_reps(ctx, S) == tuple(expected), S
+
+
+@pytest.mark.parametrize("d,r", [(d, r) for d in range(1, 6) for r in range(d)]
+                         + [(6, 0), (6, 4), (6, 5)])
+def test_weyl_table_is_the_weyl_group_filter(d, r):
+    # built without weyl_group: it must hold exactly the w with no descent
+    # below r, each once
+    rho = tuple(range(d, 0, -1))
+    expected = {(w.length, descent_mask(w), w.apply_vector(rho))
+                for w in weyl_group(d) if not descent_mask(w) & ((1 << r) - 1)}
+    table = weyl_table(d, r)
+    assert len(table) == 2 ** (d - r) * math.factorial(d) // math.factorial(r)
+    assert set(table) == expected and len(set(table)) == len(table)
+
+
+def test_weyl_table_guards():
+    with pytest.raises(ScopeError):
+        weyl_table(7, 6)
+    with pytest.raises(InputError):
+        weyl_table(3, 3)

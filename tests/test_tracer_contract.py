@@ -1,0 +1,57 @@
+"""The benchmark's per-layer contract, checked from the calculator's side.
+
+``bench/tracer.py`` wraps public functions by name, and the benchmark stops
+with an error when a per-layer metric that ``BENCHMARK.json`` names is not
+reported by any traced request of a workload.  The ``oracle`` workload
+reaches the restriction layers through just two requests, a symbolic
+``restrict-ic`` and an Euler-mode ``chain-term`` at d = 2; this test traces
+those two and checks that every restriction-layer metric is still reported,
+so a refactor that stops calling a traced function fails here first.
+"""
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
+RESTRICTION_LAYERS = ("grouptheory.", "kostant.", "reps.", "engine.")
+DERIVED = {"reps.truncate.keep_ratio"}  # computed by bench/run.py from counts
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _traced_stats(tracer, argv, tmp_path):
+    spans = tmp_path / "spans.json"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED="0")
+    proc = subprocess.run([sys.executable, str(BENCH / "tracer.py"), str(spans), *argv],
+                          capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(spans.read_text())
+    return {f"{name}.{stat}"
+            for name, layer in tracer.summarize(record["spans"]).items()
+            for stat in layer}
+
+
+def test_oracle_restriction_requests_report_every_restriction_layer(tmp_path):
+    tracer, workloads = _load("tracer"), _load("workloads")
+    argvs = [req.argv for req in workloads.requests("oracle", 0)
+             if req.argv[0] in ("restrict-ic", "chain-term")]
+    assert sorted(argv[0] for argv in argvs) == ["chain-term", "restrict-ic"]
+    reported = set()
+    for argv in argvs:
+        reported |= _traced_stats(tracer, argv, tmp_path)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    wanted = {m["name"] for m in spec["per_layer"]
+              if m["name"].startswith(RESTRICTION_LAYERS)} - DERIVED
+    assert wanted and not wanted - reported, sorted(wanted - reported)
