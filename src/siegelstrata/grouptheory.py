@@ -30,7 +30,7 @@ from .reps import Weight
 MAX_DEFAULT_GENUS = 6  # 2^d * d! grows fast: |W| = 46,080 at d = 6
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class WeylElt:
     """Signed permutation: e_i -> e_{perm[i]}, negated where signs[i] is True.
 
@@ -101,12 +101,12 @@ def _weyl_elt(perm, signs) -> WeylElt:
 def weyl_group(d: int) -> tuple[WeylElt, ...]:
     """All 2^d * d! signed permutations, sorted by (length, perm, signs)."""
     check_genus(d, MAX_DEFAULT_GENUS)
-    elems = [
-        _weyl_elt(perm, signs)
-        for perm in itertools.permutations(range(d))
-        for signs in itertools.product((False, True), repeat=d)
-    ]
-    elems.sort(key=lambda w: (w.length, w.perm, w.signs))
+    # perm and signs tuples are shared between elements, and both loops run
+    # in lexicographic order, so a stable sort by length alone suffices.
+    all_signs = list(itertools.product((False, True), repeat=d))
+    elems = [_weyl_elt(perm, signs)
+             for perm in itertools.permutations(range(d)) for signs in all_signs]
+    elems.sort(key=lambda w: w.length)
     return tuple(elems)
 
 

@@ -20,6 +20,12 @@ def test_weyl_group_orders():
         assert len(set(group)) == order
 
 
+def test_weyl_group_sorted_by_length_perm_signs():
+    for d in range(1, 6):
+        group = weyl_group(d)
+        assert list(group) == sorted(group, key=lambda w: (w.length, w.perm, w.signs))
+
+
 def test_identity_and_longest():
     for d in (1, 2, 3):
         e = WeylElt.identity(d)
