@@ -20,10 +20,10 @@ tuples with entries reduced mod n; all arithmetic is exact.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
 from .errors import InputError, ScopeError, check_level, check_levels
 
@@ -34,8 +34,7 @@ _SCAN_GUARD = 5_000_000  # raw candidate-space bound for filter-style scans
 # ---------------------------------------------------------------------------
 # group kinds
 
-@dataclass(frozen=True, order=True)
-class GroupKind:
+class GroupKind(NamedTuple):
     family: str  # "GL" | "SL" | "Sp" | "GSp" | "N"
     param: int   # k for GL/SL, 2r for Sp/GSp, D for N
 
@@ -76,9 +75,10 @@ def _even(family: str, two_r) -> int:
 # integer utilities
 
 def exact_div(num: int, den: int) -> int:
-    """num / den, asserted to divide exactly (the closed forms rely on it)."""
+    """num / den, checked to divide exactly (the closed forms rely on it)."""
     q, rem = divmod(num, den)
-    assert rem == 0, (num, den)
+    if rem:
+        raise ArithmeticError(f"{num} is not divisible by {den}")
     return q
 
 

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import euler_char_congruence
 from .errors import InputError, check_index
@@ -32,32 +32,35 @@ from .reps import (Bound, GradedVirtualRep, LeviWeight, Weight, _check_bound,
 from .strata import double_coset_count, ic_profiles
 
 
-@dataclass(frozen=True)
-class Chain:
+# A NamedTuple body may not define __new__, so the fields sit on a private base.
+class _Chain(NamedTuple):
+    entries: tuple[tuple[int, Bound], ...]
+
+
+class Chain(_Chain):
     """Truncation thresholds (s_1, a_1), ..., (s_k, a_k), s_i strictly decreasing.
 
     Each pair cuts by the S_{s_i}-pairing; a_i lives in Z union {+-inf}.
     The empty chain is allowed and means no truncation.
     """
 
-    entries: tuple[tuple[int, Bound], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        entries = tuple((int(s), _check_bound(a)) for s, a in self.entries)
+    def __new__(cls, entries):
+        entries = tuple((int(s), _check_bound(a)) for s, a in entries)
         for (s1, _), (s2, _) in zip(entries, entries[1:]):
             if s1 <= s2:
                 raise InputError(f"chain indices must strictly decrease, got {entries}")
         if entries and entries[-1][0] < 0:
             raise InputError(f"chain indices must be >= 0, got {entries}")
-        object.__setattr__(self, "entries", entries)
+        return tuple.__new__(cls, (entries,))
 
     @property
     def indices(self) -> tuple[int, ...]:
         return tuple(s for s, _ in self.entries)
 
 
-@dataclass(frozen=True)
-class ClassTerm:
+class ClassTerm(NamedTuple):
     """coefficient * (graded Levi module supported on the S-boundary)."""
 
     coefficient: int
@@ -72,8 +75,7 @@ def _term_key(t: ClassTerm):
             t.coefficient)
 
 
-@dataclass(frozen=True)
-class SymbolicClass:
+class SymbolicClass(NamedTuple):
     """Formal integer combination of ClassTerms, canonically ordered."""
 
     terms: tuple[ClassTerm, ...]

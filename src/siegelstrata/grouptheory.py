@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import InputError, check_genus, check_index, check_level
 from .reps import Weight
@@ -30,8 +30,7 @@ from .reps import Weight
 MAX_DEFAULT_GENUS = 6  # 2^d * d! grows fast: |W| = 46,080 at d = 6
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class WeylElt:
+class WeylElt(NamedTuple):
     """Signed permutation: e_i -> e_{perm[i]}, negated where signs[i] is True.
 
     Coordinates are 0-indexed internally; ``length`` is the type-C Coxeter
@@ -133,8 +132,7 @@ def positive_roots(d: int) -> tuple[Weight, ...]:
     return tuple(roots)
 
 
-@dataclass(frozen=True)
-class GroupContext:
+class GroupContext(NamedTuple):
     """Immutable combinatorial data for (GSp_2d, principal level n)."""
 
     d: int
@@ -191,8 +189,7 @@ def normalize_parabolic_set(d: int, S) -> tuple[int, ...]:
     return tuple(items)
 
 
-@dataclass(frozen=True)
-class ParabolicData:
+class ParabolicData(NamedTuple):
     """Levi shape and nilpotent-radical roots of the parabolic P_S.
 
     ``leviBlocks`` are the GL block sizes (a composition of d-r), with the

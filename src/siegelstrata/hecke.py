@@ -22,8 +22,8 @@ transfer matrix between the two finite class sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .arith import (DEFAULT_CAP, GSp, SL, brute_force_group, congruence_index,
                     exact_div, identity_matrix, left_orbits, mat_mod, mat_mul,
@@ -34,17 +34,22 @@ from .grouptheory import (MAX_DEFAULT_GENUS, build_context,
 from .matrixmodel import parabolic_generators
 
 
-@dataclass(frozen=True)
-class HeckeDatum:
-    """A genus (at most MAX_DEFAULT_GENUS) with nested principal levels n | m."""
-
+# A NamedTuple body may not define __new__, so the fields sit on a private base.
+class _HeckeDatum(NamedTuple):
     d: int
     n: int
     m: int
 
-    def __post_init__(self):
-        check_levels(self.n, self.m)
-        check_genus(self.d, MAX_DEFAULT_GENUS)
+
+class HeckeDatum(_HeckeDatum):
+    """A genus (at most MAX_DEFAULT_GENUS) with nested principal levels n | m."""
+
+    __slots__ = ()
+
+    def __new__(cls, d, n, m):
+        check_levels(n, m)
+        check_genus(d, MAX_DEFAULT_GENUS)
+        return tuple.__new__(cls, (d, n, m))
 
 
 def _pdata(datum: HeckeDatum, S):
@@ -101,8 +106,7 @@ def kernel_shadow_count(datum: HeckeDatum, S, cap: int = DEFAULT_CAP) -> int:
                       for i in range(len(g)) for j in range(len(g))))
 
 
-@dataclass(frozen=True)
-class HeckeMatrixStructure:
+class HeckeMatrixStructure(NamedTuple):
     """Transfer-matrix support between level-m and level-n stratum classes.
 
     ``classes`` are the level-n class labels (canonical minimal coset

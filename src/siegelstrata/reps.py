@@ -24,9 +24,8 @@ truncation calculus used downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InputError, check_index
 
@@ -41,15 +40,19 @@ def _check_bound(b: Bound) -> Bound:
     return b
 
 
-@dataclass(frozen=True, order=True)
-class Weight:
-    """A character (a_1..a_d; m0) of the diagonal torus, m0 the similitude exponent."""
-
+# A NamedTuple body may not define __new__, so the fields sit on a private base.
+class _Weight(NamedTuple):
     a: tuple[int, ...]
     m0: int = 0
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", tuple(int(x) for x in self.a))
+
+class Weight(_Weight):
+    """A character (a_1..a_d; m0) of the diagonal torus, m0 the similitude exponent."""
+
+    __slots__ = ()
+
+    def __new__(cls, a, m0=0):
+        return tuple.__new__(cls, (tuple(int(x) for x in a), m0))
 
     @property
     def d(self) -> int:
@@ -114,8 +117,7 @@ def dot_action(w, lam: Weight, rho: Weight) -> Weight:
     return Weight(tuple(a), m0).sub(rho)
 
 
-@dataclass(frozen=True, order=True)
-class LeviWeight:
+class LeviWeight(NamedTuple):
     """Highest weight for a Levi GL_{n_1} x ... x GL_{n_k} x GSp_2r.
 
     ``blocks`` are the GL-block coordinate vectors in order, ``gsp`` the
@@ -189,8 +191,7 @@ def weyl_dim(mu: LeviWeight) -> int:
     return int(val)
 
 
-@dataclass(frozen=True, order=True)
-class Summand:
+class Summand(NamedTuple):
     """One graded piece: a Levi irreducible with a degree and bookkeeping.
 
     ``pairings[s]`` is the S_s-pairing of the underlying torus weight and
@@ -215,8 +216,7 @@ def make_summand(degree: int, levi: LeviWeight, mult: int = 1) -> Summand:
     return Summand(degree, levi, mult, pairings, central_weight(w))
 
 
-@dataclass(frozen=True)
-class GradedVirtualRep:
+class GradedVirtualRep(NamedTuple):
     """Integer combination of (degree, Levi highest weight) pairs, canonically sorted."""
 
     summands: tuple[Summand, ...]

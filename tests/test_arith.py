@@ -2,8 +2,12 @@
 finite-group brute-force layer that anchors every counting formula."""
 
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +37,18 @@ def test_factorint_is_bounded():
     assert factorint(FACTOR_LIMIT) == {2: 12, 5: 12}
     with pytest.raises(ScopeError):
         factorint(FACTOR_LIMIT + 1)
+
+
+def test_exact_div_checks_under_optimize():
+    # an assert would be stripped by -O and 7 / 2 would quietly come out as 3
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c",
+         "from siegelstrata.arith import exact_div; print(exact_div(7, 2))"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode != 0 and proc.stdout == ""
+    assert "ArithmeticError: 7 is not divisible by 2" in proc.stderr
 
 
 KNOWN_ORDERS = {

@@ -1,0 +1,72 @@
+"""The value types are NamedTuples that behave as the earlier frozen
+dataclasses did: the hash of their field tuple (which keeps set and dict
+orders), the same repr text, immutable fields, and the same conversion when
+built.  The checks that ``Chain`` and ``HeckeDatum`` run when built are
+pinned in test_engine.py and test_hecke.py."""
+
+import math
+
+import pytest
+
+from siegelstrata import (ClassTerm, GradedVirtualRep, GroupContext, GSp,
+                          HeckeDatum, HeckeMatrixStructure,
+                          LeviWeight, ParabolicData, Summand, SymbolicClass,
+                          Weight, WeylElt, build_context, parabolic_data)
+from siegelstrata.arith import GroupKind
+from siegelstrata.engine import Chain
+from siegelstrata.reps import make_summand
+
+LEVI = LeviWeight(((2,),), (1,), 0)
+SUMMAND = make_summand(0, LEVI)
+MODULE = GradedVirtualRep((SUMMAND,))
+SUMMAND_REPR = ("Summand(degree=0, levi=LeviWeight(blocks=((2,),), gsp=(1,), m0=0), "
+                "mult=1, pairings=(6, 5), central=3)")
+MODULE_REPR = f"GradedVirtualRep(summands=({SUMMAND_REPR},))"
+TERM_REPR = f"ClassTerm(coefficient=1, S=(0,), module={MODULE_REPR})"
+
+# One instance of each type, with the repr the dataclasses printed.
+CASES = [
+    (GroupKind, GSp(4), "GroupKind(family='GSp', param=4)"),
+    (Chain, Chain(((1, 3), (0, -math.inf))), "Chain(entries=((1, 3), (0, -inf)))"),
+    (ClassTerm, ClassTerm(1, (0,), MODULE), TERM_REPR),
+    (SymbolicClass, SymbolicClass((ClassTerm(1, (0,), MODULE),)),
+     f"SymbolicClass(terms=({TERM_REPR},))"),
+    (WeylElt, WeylElt((1, 0), (False, True), 3),
+     "WeylElt(perm=(1, 0), signs=(False, True), length=3)"),
+    (GroupContext, build_context(1, 3),
+     "GroupContext(d=1, n=3, positiveRoots=(Weight(a=(2,), m0=-1),), "
+     "rho=Weight(a=(1,), m0=0), weylOrder=2, dimG=4, c=1, stratumDims=(1, 0))"),
+    (ParabolicData, parabolic_data(build_context(1, 3), (0,)),
+     "ParabolicData(S=(0,), r=0, leviBlocks=(1,), sympRank=0, "
+     "blockRanges=((0, 1),), gspRange=(1, 1), nRoots=(Weight(a=(2,), m0=-1),), "
+     "uRoots=(Weight(a=(2,), m0=-1),), leviRoots=(), leviSimpleRoots=(), "
+     "dimN=1, dimU=1)"),
+    (HeckeDatum, HeckeDatum(1, 3, 6), "HeckeDatum(d=1, n=3, m=6)"),
+    (HeckeMatrixStructure, HeckeMatrixStructure(((((1, 0), (0, 1)),),), ((0, 0, 1),)),
+     "HeckeMatrixStructure(classes=((((1, 0), (0, 1)),),), entries=((0, 0, 1),))"),
+    (Weight, Weight((1, 2), 3), "Weight(a=(1, 2), m0=3)"),
+    (LeviWeight, LEVI, "LeviWeight(blocks=((2,),), gsp=(1,), m0=0)"),
+    (Summand, SUMMAND, SUMMAND_REPR),
+    (GradedVirtualRep, MODULE, MODULE_REPR),
+]
+
+
+@pytest.mark.parametrize("cls, value, text", CASES, ids=[c[0].__name__ for c in CASES])
+def test_value_type_contract(cls, value, text):
+    assert type(value) is cls
+    assert hash(value) == hash(tuple(value))
+    assert repr(value) == text
+    with pytest.raises(AttributeError):
+        setattr(value, value._fields[0], None)
+
+
+def test_every_value_type_is_covered():
+    assert len({c[0] for c in CASES}) == 13
+
+
+def test_weight_coerces_entries_to_int():
+    w = Weight([2, True], 1)
+    assert w.a == (2, 1)
+    assert all(type(x) is int for x in w.a)
+    assert Weight([1]) == Weight((1,), 0)
+
