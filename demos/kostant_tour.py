@@ -11,6 +11,7 @@ from siegelstrata import (Weight, build_context, central_weight, kostant_reps,
                           lie_n_cohomology, parabolic_data, weyl_dim,
                           weyl_group)
 from siegelstrata.grouptheory import normalize_parabolic_set
+from siegelstrata.reps import pairings
 
 
 def wstr(w: Weight) -> str:
@@ -38,7 +39,7 @@ def main() -> None:
     pd = parabolic_data(ctx, S)
     reps = kostant_reps(ctx, S)
     print(f"\nparabolic set S = {S}: Levi GL blocks {pd.leviBlocks}, "
-          f"symplectic rank {pd.sympRank}")
+          f"symplectic rank {pd.r}")
     print(f"dim N_S = {pd.dimN}, dim U_S = {pd.dimU}, "
           f"{len(reps)} minimal-length coset representatives")
 
@@ -48,7 +49,7 @@ def main() -> None:
     print("degree  levi weight       dim   pairings")
     for s in module.summands:
         print(f"{s.degree:>6}  {wstr(s.levi.as_weight()):<16}"
-              f"{weyl_dim(s.levi):>5}   {s.pairings}")
+              f"{weyl_dim(s.levi):>5}   {pairings(s.levi.as_weight())}")
     print(f"\nalternating dimension sum: {module.euler_dim()}"
           " (zero whenever N_S is nontrivial)")
 

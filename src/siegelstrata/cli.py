@@ -23,7 +23,7 @@ from .arith import DEFAULT_CAP, euler_phi
 from .errors import InputError, ScopeError
 from .grouptheory import build_context
 from .kostant import lie_n_cohomology
-from .reps import Bound, Weight, central_weight, weyl_dim
+from .reps import Bound, Weight, central_weight, pairings, weyl_dim
 
 
 # ---------------------------------------------------------------------------
@@ -124,12 +124,12 @@ REPORT_COLUMNS = ["S", "degree", "weight", "mult", "central_weight",
 
 def _report_rows(cls: engine.SymbolicClass, label: str | None = None):
     rows = []
-    for S, degree, levi, mult, central, sheaf, pairings in engine.graded_report(cls):
+    for S, degree, levi, mult, central, sheaf, pairs in engine.graded_report(cls):
         w = levi.as_weight()
         row = {"S": _fmt_set(S), "degree": str(degree),
                "weight": _fmt_weight(w.a, w.m0), "mult": str(mult),
                "central_weight": str(central), "sheaf_weight": str(sheaf),
-               "pairings": ",".join(str(p) for p in pairings)}
+               "pairings": ",".join(str(p) for p in pairs)}
         if label is not None:
             row = {"profile": label, **row}
         rows.append(row)
@@ -181,7 +181,7 @@ def _run_kostant(args: argparse.Namespace):
                      "weight": _fmt_weight(w.a, w.m0),
                      "mult": str(s.mult),
                      "dim": str(weyl_dim(s.levi)),
-                     "pairings": ",".join(str(p) for p in s.pairings)})
+                     "pairings": ",".join(str(p) for p in pairings(w))})
     return {"S": _fmt_set(args.S),
             "lam": _fmt_weight(args.lam.a, args.lam.m0),
             "centralWeight": str(central_weight(args.lam)),

@@ -28,7 +28,7 @@ from .grouptheory import (GroupContext, normalize_parabolic_set, parabolic_data,
                           weyl_table)
 from .kostant import check_weight, kostant_summand, lie_n_cohomology
 from .reps import (Bound, GradedVirtualRep, LeviWeight, Weight, _check_bound,
-                   central_weight, torus_pairing, truncate)
+                   central_weight, pairings, truncate)
 from .strata import double_coset_count, ic_profiles
 
 
@@ -314,14 +314,13 @@ def graded_report(cls: SymbolicClass):
     """Flat rows (S, degree, Levi weight, mult, central weight, sheaf weight,
     pairings), sorted; one row per surviving (S, degree, weight) entry.
 
-    The sheaf weight is minus the central weight; pairings lists the
-    S_s-pairing of the weight for every s in 0..d-1.
+    The sheaf weight is minus the central weight; pairings is
+    ``reps.pairings`` of the weight, its S_s-pairing for every s in 0..d-1.
     """
     rows = []
     for (S, degree, levi), mult in cls.flatten().items():
         w = levi.as_weight()
         central = central_weight(w)
-        pairings = tuple(torus_pairing(w, s) for s in range(len(w.a)))
-        rows.append((S, degree, levi, mult, central, -central, pairings))
+        rows.append((S, degree, levi, mult, central, -central, pairings(w)))
     rows.sort(key=lambda row: (row[0], row[1], row[2].avector, row[2].m0))
     return tuple(rows)

@@ -202,7 +202,6 @@ class ParabolicData(NamedTuple):
     S: tuple[int, ...]
     r: int
     leviBlocks: tuple[int, ...]
-    sympRank: int
     blockRanges: tuple[tuple[int, int], ...]
     gspRange: tuple[int, int]
     nRoots: tuple[Weight, ...]
@@ -256,7 +255,7 @@ def _parabolic_data(d: int, S: tuple[int, ...]) -> ParabolicData:
         simple.append(Weight(tuple(a), -1))
 
     pd = ParabolicData(
-        S=S, r=r, leviBlocks=blocks, sympRank=r,
+        S=S, r=r, leviBlocks=blocks,
         blockRanges=tuple(ranges), gspRange=gsp_range,
         nRoots=tuple(nil), uRoots=tuple(uu),
         leviRoots=tuple(levi), leviSimpleRoots=tuple(simple),
@@ -273,7 +272,7 @@ def parabolic_data(ctx: GroupContext, S) -> ParabolicData:
 
 
 def levi_weyl_order(pd: ParabolicData) -> int:
-    out = (2 ** pd.sympRank) * math.factorial(pd.sympRank)
+    out = (2 ** pd.r) * math.factorial(pd.r)
     for b in pd.leviBlocks:
         out *= math.factorial(b)
     return out

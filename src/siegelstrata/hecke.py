@@ -86,7 +86,7 @@ def reduction_fiber_count(datum: HeckeDatum, S) -> int:
     """Fiber size on coset classes: boundary_fiber_count divided by the
     GSp_2r congruence index (phi(m)/phi(n) when r = 0)."""
     pd = _pdata(datum, S)
-    gsp_idx = congruence_index(GSp(2 * pd.sympRank), datum.n, datum.m)
+    gsp_idx = congruence_index(GSp(2 * pd.r), datum.n, datum.m)
     return exact_div(transfer_degree(datum), hecke_index(datum, S) * gsp_idx)
 
 

@@ -22,8 +22,7 @@ from .errors import InputError
 from .grouptheory import (GroupContext, ParabolicData, kostant_reps,
                           levi_weyl_order, parabolic_data)
 from .reps import (GradedVirtualRep, LeviWeight, Summand, Weight,
-                   central_weight, check_dominant, dot_action, is_levi_dominant,
-                   make_summand)
+                   central_weight, check_dominant, dot_action, is_levi_dominant)
 
 
 def check_weight(ctx: GroupContext, lam: Weight) -> None:
@@ -49,17 +48,17 @@ def kostant_summand(degree: int, mu: Weight, pd: ParabolicData,
     """
     levi = levi_split(mu, pd)
     assert is_levi_dominant(levi), mu
-    summand = make_summand(degree, levi)
-    assert summand.central == central
-    return summand
+    assert central_weight(mu) == central
+    return Summand(degree, levi)
 
 
 def lie_n_cohomology(ctx: GroupContext, S, lam: Weight) -> GradedVirtualRep:
     """The class of RGamma(Lie N_S, V_lam): one summand per Kostant representative.
 
-    Summands are annotated with their S_s-pairings and central weight; the
-    central weight equals central_weight(lam) on every summand, and each
-    Levi weight is dominant for the Levi shape (both asserted).
+    Each summand is (degree, Levi weight, multiplicity 1); its pairings are
+    read from the Levi weight by ``torus_pairing``.  Every Levi weight is
+    dominant for the Levi shape and has central weight central_weight(lam)
+    (both asserted).
     """
     check_weight(ctx, lam)
     pd = parabolic_data(ctx, S)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd
 
 from .arith import identity_matrix, mat_inv_mod, mat_mod
-from .errors import InputError
+from .errors import InputError, check_index
 from .grouptheory import GroupContext, parabolic_data, positive_roots
 from .reps import Weight
 
@@ -80,8 +80,7 @@ def torus_element(d: int, ts, c, n: int):
 def s_cochar_matrix(d: int, s: int, lam: int):
     """The point S_s(lam) as an exact integer matrix: diag(lam^2 I_{d-s},
     lam I_{2s}, I_{d-s}), similitude lam^2."""
-    if not 0 <= s <= d - 1:
-        raise InputError(f"parabolic index {s} out of range")
+    check_index(s, d)
     diag = [lam ** 2] * (d - s) + [lam] * (2 * s) + [1] * (d - s)
     size = 2 * d
     return tuple(
@@ -161,7 +160,7 @@ def parabolic_generators(ctx: GroupContext, S):
     """
     d, n = ctx.d, ctx.n
     pd = parabolic_data(ctx, S)
-    r = pd.sympRank
+    r = pd.r
     gens = []
     for lo, hi in pd.blockRanges:
         for i in range(lo, hi):

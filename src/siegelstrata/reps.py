@@ -84,6 +84,11 @@ def torus_pairing(mu: Weight, s: int) -> int:
     return 2 * sum(mu.a[:cut]) + sum(mu.a[cut:]) + 2 * mu.m0
 
 
+def pairings(mu: Weight) -> tuple[int, ...]:
+    """The S_s-pairings of mu for every parabolic index s = 0..d-1."""
+    return tuple(torus_pairing(mu, s) for s in range(mu.d))
+
+
 def is_dominant(mu: Weight) -> bool:
     """Dominance for GSp_2d: a_1 >= a_2 >= ... >= a_d >= 0 (m0 unconstrained)."""
     a = mu.a
@@ -192,28 +197,17 @@ def weyl_dim(mu: LeviWeight) -> int:
 
 
 class Summand(NamedTuple):
-    """One graded piece: a Levi irreducible with a degree and bookkeeping.
+    """One graded piece: the Levi irreducible of highest weight ``levi`` in
+    degree ``degree``, ``mult`` times.
 
-    ``pairings[s]`` is the S_s-pairing of the underlying torus weight and
-    ``central`` its central weight; ``sheaf_weight`` (-central) is carried
-    as purity bookkeeping only and never used in arithmetic.
+    Its S_s-pairings and central weight are functions of the Levi weight,
+    read where needed as ``pairings(levi.as_weight())`` and
+    ``central_weight(levi.as_weight())``.
     """
 
     degree: int
     levi: LeviWeight
-    mult: int
-    pairings: tuple[int, ...]
-    central: int
-
-    @property
-    def sheaf_weight(self) -> int:
-        return -self.central
-
-
-def make_summand(degree: int, levi: LeviWeight, mult: int = 1) -> Summand:
-    w = levi.as_weight()
-    pairings = tuple(torus_pairing(w, s) for s in range(w.d))
-    return Summand(degree, levi, mult, pairings, central_weight(w))
+    mult: int = 1
 
 
 class GradedVirtualRep(NamedTuple):
@@ -223,16 +217,12 @@ class GradedVirtualRep(NamedTuple):
 
     @staticmethod
     def build(summands: Iterable[Summand]) -> "GradedVirtualRep":
-        merged: dict[tuple, Summand] = {}
+        merged: dict[tuple[int, LeviWeight], int] = {}
         for s in summands:
             key = (s.degree, s.levi)
-            if key in merged:
-                old = merged[key]
-                merged[key] = Summand(s.degree, s.levi, old.mult + s.mult,
-                                      s.pairings, s.central)
-            else:
-                merged[key] = s
-        kept = [s for s in merged.values() if s.mult != 0]
+            merged[key] = merged.get(key, 0) + s.mult
+        kept = [Summand(degree, levi, mult)
+                for (degree, levi), mult in merged.items() if mult != 0]
         kept.sort(key=lambda s: (s.degree, s.levi.avector, s.levi.m0))
         return GradedVirtualRep(tuple(kept))
 
@@ -247,8 +237,7 @@ class GradedVirtualRep(NamedTuple):
 
     def scaled(self, k: int) -> "GradedVirtualRep":
         return GradedVirtualRep.build(
-            Summand(s.degree, s.levi, k * s.mult, s.pairings, s.central)
-            for s in self.summands)
+            Summand(s.degree, s.levi, k * s.mult) for s in self.summands)
 
     def plus(self, other: "GradedVirtualRep") -> "GradedVirtualRep":
         return GradedVirtualRep.build(self.summands + other.summands)
@@ -263,7 +252,8 @@ def truncate(module: GradedVirtualRep,
 
     Each condition is (s, bound, mode) with mode "<" or ">=".  S_s is
     central in the Levi of any parabolic containing index s, so the pairing
-    of the highest weight decides the whole irreducible.
+    of the highest weight decides the whole irreducible.  ``torus_pairing``
+    rejects an index s outside 0..d-1.
     """
     conds = list(conds)
     for s, bound, mode in conds:
@@ -272,11 +262,10 @@ def truncate(module: GradedVirtualRep,
             raise InputError(f"truncation mode must be one of {_MODES}, got {mode!r}")
     kept = []
     for summand in module.summands:
+        mu = summand.levi.as_weight()
         ok = True
         for s, bound, mode in conds:
-            if not (0 <= s < len(summand.pairings)):
-                raise InputError(f"parabolic index {s} out of range")
-            p = summand.pairings[s]
+            p = torus_pairing(mu, s)
             if mode == "<":
                 ok = p < bound
             else:

@@ -17,7 +17,7 @@ from siegelstrata import (Chain, ClassTerm, InputError, LeviWeight,
                           ic_profiles, lie_n_cohomology, parabolic_data,
                           restrict_ic, restrict_weighted,
                           restrict_weighted_via_expansion, truncate, weyl_dim)
-from siegelstrata.reps import GradedVirtualRep, make_summand
+from siegelstrata.reps import GradedVirtualRep, Summand
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +361,7 @@ def test_euler_evaluate_matches_per_summand_sum_d5(a, m0):
 
 def test_euler_single_gl2_term(ctx2):
     # one degree-0 summand of GL_2-dimension 5 at level 3: 5 * e_2(3) = -10
-    module = GradedVirtualRep.build([make_summand(0, LeviWeight(((1, -3),), (), 2))])
+    module = GradedVirtualRep.build([Summand(0, LeviWeight(((1, -3),), (), 2))])
     cls = SymbolicClass.build([ClassTerm(1, (0,), module)])
     assert euler_evaluate(cls, ctx2) == Fraction(-10)
 
@@ -369,13 +369,13 @@ def test_euler_single_gl2_term(ctx2):
 def test_euler_gsp_factor_counts_dimension_only(ctx2):
     # S = (1,): Levi GL_1 x GSp_2; a GSp-block weight of dimension 3 scales
     # the term by 3 and the GL_1 factor contributes e_1 = 1
-    module = GradedVirtualRep.build([make_summand(0, LeviWeight(((0,),), (2,), 0))])
+    module = GradedVirtualRep.build([Summand(0, LeviWeight(((0,),), (2,), 0))])
     cls = SymbolicClass.build([ClassTerm(2, (1,), module)])
     assert euler_evaluate(cls, ctx2) == Fraction(6)
 
 
 def test_euler_degree_sign(ctx1):
-    module = GradedVirtualRep.build([make_summand(1, LeviWeight(((3,),), (), 0))])
+    module = GradedVirtualRep.build([Summand(1, LeviWeight(((3,),), (), 0))])
     cls = SymbolicClass.build([ClassTerm(1, (0,), module)])
     assert euler_evaluate(cls, ctx1) == Fraction(-1)
 

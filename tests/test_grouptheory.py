@@ -100,13 +100,13 @@ def test_normalize_parabolic_set():
 
 def test_parabolic_data_d2(ctx2):
     p0 = parabolic_data(ctx2, (0,))
-    assert p0.leviBlocks == (2,) and p0.sympRank == 0
+    assert p0.leviBlocks == (2,) and p0.r == 0
     assert p0.dimN == 3 and p0.dimU == 3
     p1 = parabolic_data(ctx2, (1,))
-    assert p1.leviBlocks == (1,) and p1.sympRank == 1
+    assert p1.leviBlocks == (1,) and p1.r == 1
     assert p1.dimN == 3 and p1.dimU == 1
     pb = parabolic_data(ctx2, (0, 1))
-    assert pb.leviBlocks == (1, 1) and pb.sympRank == 0
+    assert pb.leviBlocks == (1, 1) and pb.r == 0
     assert pb.dimN == 4
     assert len(pb.nRoots) == 4 and len(pb.leviRoots) == 0
 

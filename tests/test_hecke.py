@@ -5,7 +5,7 @@ import pytest
 
 from siegelstrata import build_context, strata_count
 from siegelstrata.arith import (GSp, ScopeError, brute_force_group, euler_phi,
-                                left_orbits, mat_mod, mat_mul, orbit_canonical,
+                                left_orbits, mat_mod, orbit_canonical,
                                 subgroup_closure)
 from siegelstrata.errors import InputError
 from siegelstrata.hecke import (HeckeDatum, boundary_fiber_count,

@@ -1,5 +1,5 @@
-"""The package's imports: every name a module imports is used in it, and
-importing the CLI stays cheap.
+"""The package's imports: every name a module, demo or test imports is used
+in it, and importing the CLI stays cheap.
 
 No linter is part of the toolchain, so the stdlib ``ast`` check stands in
 for one.  ``__init__.py`` is skipped: its imports are the public re-exports.
@@ -16,7 +16,10 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "siegelstrata"
-MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+# Package modules by file name, demos and tests as "demos/..." and "tests/...".
+CHECKED = {p.name: p for p in SRC.glob("*.py") if p.name != "__init__.py"}
+CHECKED.update({f"{folder}/{p.name}": p for folder in ("demos", "tests")
+                for p in (ROOT / folder).glob("*.py")})
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -31,9 +34,9 @@ def _unused_imports(source: str) -> list[str]:
     return sorted(name for name in imported if name not in used)
 
 
-@pytest.mark.parametrize("module", MODULES)
-def test_no_unused_imports(module):
-    assert _unused_imports((SRC / module).read_text()) == []
+@pytest.mark.parametrize("name", sorted(CHECKED))
+def test_no_unused_imports(name):
+    assert _unused_imports(CHECKED[name].read_text()) == []
 
 
 def test_check_flags_an_unused_import():

@@ -18,6 +18,7 @@ from helpers_characters import kostant_euler_identity
 from siegelstrata import (Weight, build_context, central_weight,
                           is_levi_dominant, lie_n_cohomology, parabolic_data,
                           weyl_dim)
+from siegelstrata.reps import pairings
 from siegelstrata.grouptheory import kostant_reps, levi_weyl_order
 
 
@@ -74,8 +75,8 @@ FROZEN_D2_KLINGEN = [         # S = (1,): Levi GL_1 x GSp_2, degrees 0..3
 def test_frozen_d2_borel(ctx2):
     module = lie_n_cohomology(ctx2, (0, 1), Weight((1, 1), 0))
     assert _rows(module) == FROZEN_D2_BOREL
-    pairings0 = [s.pairings[0] for s in module.summands]
-    pairings1 = [s.pairings[1] for s in module.summands]
+    pairings0 = [pairings(s.levi.as_weight())[0] for s in module.summands]
+    pairings1 = [pairings(s.levi.as_weight())[1] for s in module.summands]
     assert pairings0 == [4, 4, 0, 0, -2, -2, -6, -6]
     assert pairings1 == [3, 2, 3, -2, 2, -3, -2, -3]
 

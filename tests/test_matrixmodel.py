@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from siegelstrata import InputError, Weight, build_context, parabolic_data
+from siegelstrata import InputError, build_context, parabolic_data
 from siegelstrata.arith import (identity_matrix, j_form, mat_mod, mat_mul,
                                 similitude, transpose)
 from siegelstrata.matrixmodel import (conjugation_weight, embed_gsp,
@@ -76,6 +76,9 @@ def test_s_cochar_conjugation_is_the_torus_pairing(d):
             x = root_matrix(d, root)
             got = conjugation_weight(g, x)
             assert got == Fraction(lam) ** torus_pairing(root, s), (s, root)
+    for s in (d, -1, 0.5):
+        with pytest.raises(InputError):
+            s_cochar_matrix(d, s, lam)
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -7,7 +7,7 @@ from siegelstrata import (GradedVirtualRep, InputError, LeviWeight, Weight,
                           central_weight, dot_action, is_dominant,
                           is_levi_dominant, longest_element, torus_pairing,
                           truncate, weyl_dim, weyl_group)
-from siegelstrata.reps import Summand, check_dominant, global_weight_split, make_summand
+from siegelstrata.reps import Summand, check_dominant, global_weight_split, pairings
 
 weights = st.builds(
     Weight,
@@ -133,9 +133,9 @@ def test_levi_weight_accessors():
 
 def _module():
     return GradedVirtualRep.build([
-        make_summand(0, LeviWeight(((1, 1),), (), 0)),
-        make_summand(1, LeviWeight(((1, -3),), (), 2)),
-        make_summand(2, LeviWeight(((0, -4),), (), 3)),
+        Summand(0, LeviWeight(((1, 1),), (), 0)),
+        Summand(1, LeviWeight(((1, -3),), (), 2)),
+        Summand(2, LeviWeight(((0, -4),), (), 3)),
     ])
 
 
@@ -150,17 +150,18 @@ def test_graded_rep_merging_and_euler():
 
 
 def test_summand_sheaf_weight():
-    s = make_summand(1, LeviWeight(((1, -3),), (), 2))
-    assert s.central == 2
-    assert s.sheaf_weight == -2
-    assert s.pairings == (0, 3)
+    # pairings and central weight are read from the Levi weight
+    s = Summand(1, LeviWeight(((1, -3),), (), 2))
+    assert Summand._fields == ("degree", "levi", "mult") and s.mult == 1
+    assert central_weight(s.levi.as_weight()) == 2
+    assert pairings(s.levi.as_weight()) == (0, 3)
 
 
 def test_truncate_modes():
     m = _module()
-    pairs0 = [s.pairings[0] for s in m.summands]
+    pairs0 = [pairings(s.levi.as_weight())[0] for s in m.summands]
     assert pairs0 == [4, 0, -2]
-    pairs1 = [s.pairings[1] for s in m.summands]
+    pairs1 = [pairings(s.levi.as_weight())[1] for s in m.summands]
     assert pairs1 == [3, 3, 2]
     assert truncate(m, [(1, 3, ">=")]).degrees() == (0, 1)
     assert truncate(m, [(1, 3, "<")]).degrees() == (2,)
@@ -200,10 +201,11 @@ def test_global_weight_split():
 @given(st.lists(st.tuples(st.integers(0, 3),
                           st.integers(-3, 3),
                           st.integers(-2, 2),
-                          st.integers(-2, 2)), max_size=8))
-def test_build_merges_duplicates(entries):
-    summands = [make_summand(deg, LeviWeight(((a, b),), (), m0))
-                for deg, a, b, m0 in entries if a >= b]
+                          st.integers(-2, 2),
+                          st.integers(-2, 2)), max_size=8), st.data())
+def test_build_merges_duplicates(entries, data):
+    summands = [Summand(deg, LeviWeight(((a, b),), (), m0), mult)
+                for deg, a, b, m0, mult in entries if a >= b]
     m = GradedVirtualRep.build(summands)
     seen = set()
     for s in m.summands:
@@ -211,3 +213,17 @@ def test_build_merges_duplicates(entries):
         assert key not in seen
         seen.add(key)
         assert s.mult != 0
+    # the canonical form does not depend on the input order
+    assert GradedVirtualRep.build(data.draw(st.permutations(summands))) == m
+    # each mult is the input total for its (degree, levi); zero totals drop out
+    totals: dict = {}
+    for s in summands:
+        totals[s.degree, s.levi] = totals.get((s.degree, s.levi), 0) + s.mult
+    assert {(s.degree, s.levi): s.mult for s in m.summands} == {
+        key: mult for key, mult in totals.items() if mult}
+    # plus rebuilds the whole, and euler_dim is additive over it
+    cut = data.draw(st.integers(0, len(summands)))
+    a = GradedVirtualRep.build(summands[:cut])
+    b = GradedVirtualRep.build(summands[cut:])
+    assert a.plus(b) == m
+    assert a.plus(b).euler_dim() == a.euler_dim() + b.euler_dim()

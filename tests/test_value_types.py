@@ -14,13 +14,12 @@ from siegelstrata import (ClassTerm, GradedVirtualRep, GroupContext, GSp,
                           Weight, WeylElt, build_context, parabolic_data)
 from siegelstrata.arith import GroupKind
 from siegelstrata.engine import Chain
-from siegelstrata.reps import make_summand
 
 LEVI = LeviWeight(((2,),), (1,), 0)
-SUMMAND = make_summand(0, LEVI)
+SUMMAND = Summand(0, LEVI)
 MODULE = GradedVirtualRep((SUMMAND,))
 SUMMAND_REPR = ("Summand(degree=0, levi=LeviWeight(blocks=((2,),), gsp=(1,), m0=0), "
-                "mult=1, pairings=(6, 5), central=3)")
+                "mult=1)")
 MODULE_REPR = f"GradedVirtualRep(summands=({SUMMAND_REPR},))"
 TERM_REPR = f"ClassTerm(coefficient=1, S=(0,), module={MODULE_REPR})"
 
@@ -37,7 +36,7 @@ CASES = [
      "GroupContext(d=1, n=3, positiveRoots=(Weight(a=(2,), m0=-1),), "
      "rho=Weight(a=(1,), m0=0), weylOrder=2, dimG=4, c=1, stratumDims=(1, 0))"),
     (ParabolicData, parabolic_data(build_context(1, 3), (0,)),
-     "ParabolicData(S=(0,), r=0, leviBlocks=(1,), sympRank=0, "
+     "ParabolicData(S=(0,), r=0, leviBlocks=(1,), "
      "blockRanges=((0, 1),), gspRange=(1, 1), nRoots=(Weight(a=(2,), m0=-1),), "
      "uRoots=(Weight(a=(2,), m0=-1),), leviRoots=(), leviSimpleRoots=(), "
      "dimN=1, dimU=1)"),
