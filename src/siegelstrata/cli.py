@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Every subcommand parses into an ``argparse.Namespace``, ``run`` maps it to a
-payload ``{"meta": {...}, "result": {...}}`` with all leaf values
+Each subcommand is one row of ``COMMANDS``, and a request builds the parser
+of its own row only.  It parses into an ``argparse.Namespace``, ``run`` maps
+it to a payload ``{"meta": {...}, "result": {...}}`` with all leaf values
 pre-rendered as strings (large integers and exact rationals survive any
 JSON reader), and the payload is serialized as canonical JSON (sorted
 keys, two-space indent) or as TSV.
@@ -17,6 +18,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import __version__, engine, hecke, strata
 from .arith import DEFAULT_CAP, euler_phi
@@ -317,26 +319,85 @@ def _run_oracle(args: argparse.Namespace):
     return {"columns": ["name", "formula", "bruteforce", "ok"], "rows": checks}
 
 
-_HANDLERS = {
-    "context": _run_context,
-    "strata": _run_strata,
-    "kostant": _run_kostant,
-    "chain-term": _run_chain_term,
-    "restrict-weighted": _run_restrict_weighted,
-    "restrict-ic": _run_restrict_ic,
-    "euler": _run_restrict_weighted,
-    "expansion": _run_expansion,
-    "hecke-index": _run_hecke_index,
-    "transfer-degree": _run_transfer_degree,
-    "fiber-count": _run_fiber_count,
-    "hecke-matrix": _run_hecke_matrix,
-    "oracle": _run_oracle,
+def _run_euler(args: argparse.Namespace):
+    """``restrict-weighted`` in Euler mode; the ``euler`` row has no ``--mode``."""
+    return _run_restrict_weighted(
+        argparse.Namespace(**vars(args) | {"mode": "euler"}))
+
+
+# ---------------------------------------------------------------------------
+# the subcommand table
+
+def _arg(*flags: str, **kwargs):
+    return flags, kwargs
+
+
+_STRATUM = _arg("--stratum", "--r", dest="r", type=int, required=True,
+                help="corank of the target stratum")
+_LAM = _arg("--lambda", "--lam", dest="lam", type=parse_weight, required=True,
+            help="dominant weight a1,..,ad[@m0]")
+_MODE = _arg("--mode", choices=("symbolic", "euler"), default="symbolic")
+_S = _arg("--S", type=parse_set, required=True)
+_CAP = _arg("--cap", type=int, default=DEFAULT_CAP)
+
+
+class Command(NamedTuple):
+    """A subcommand's help line, handler, own arguments (added after
+    ``--d``, ``--n``, [``--m``] and ``--format``), and whether it takes ``--m``."""
+
+    help: str
+    handler: Callable[[argparse.Namespace], dict]
+    args: tuple = ()
+    takes_m: bool = False
+
+
+COMMANDS = {
+    "context": Command("root-datum facts", _run_context),
+    "strata": Command("stratum counts, or double cosets with --S", _run_strata, (
+        _arg("--stratum", "--r", dest="r", type=int, default=None),
+        _arg("--S", type=parse_set, default=None))),
+    "kostant": Command("graded Levi decomposition of the nilpotent cohomology",
+                       _run_kostant, (_S, _LAM)),
+    "chain-term": Command("one truncated boundary term", _run_chain_term, (
+        _STRATUM, _LAM,
+        _arg("--chain", type=parse_chain, default=engine.Chain(()),
+             help="threshold chain s:a,s:a (indices decreasing)"),
+        _MODE)),
+    "restrict-weighted": Command(
+        "stratum restriction of the weight-truncated direct image",
+        _run_restrict_weighted, (
+            _STRATUM, _LAM,
+            _arg("--profile", type=parse_profile, required=True,
+                 help="d thresholds, entries integer or inf/-inf"),
+            _MODE)),
+    "restrict-ic": Command("stratum restriction of the intersection complex",
+                           _run_restrict_ic, (_STRATUM, _LAM, _MODE)),
+    "euler": Command("exact Euler evaluation of a restriction", _run_euler, (
+        _STRATUM, _LAM,
+        _arg("--profile", type=parse_profile, default=None,
+             help="defaults to the upper intersection-complex profile"))),
+    "expansion": Command("chain expansion of a restriction", _run_expansion, (
+        _STRATUM, _LAM, _arg("--profile", type=parse_profile, required=True))),
+    "hecke-index": Command("level index along a stratum", _run_hecke_index,
+                           (_S,), takes_m=True),
+    "transfer-degree": Command("index of the deeper principal level",
+                               _run_transfer_degree, takes_m=True),
+    "fiber-count": Command("fiber size of the level map on strata",
+                           _run_fiber_count, (_S,), takes_m=True),
+    "hecke-matrix": Command(
+        "transfer-matrix support between stratum class sets", _run_hecke_matrix,
+        (_S, _arg("--g", type=parse_matrix, default=None,
+                  help='matrix "a,b;c,d" or "identity"'), _CAP),
+        takes_m=True),
+    "oracle": Command("closed forms versus brute-force recounts", _run_oracle, (
+        _arg("--stratum", "--r", dest="r", type=int, default=0),
+        _arg("--S", type=parse_set, default=None), _CAP)),
 }
 
 
 def run(args: argparse.Namespace) -> dict:
     try:
-        handler = _HANDLERS[args.command]
+        handler = COMMANDS[args.command].handler
     except KeyError:
         raise InputError(f"unknown command {args.command!r}")
     meta = {"command": args.command, "d": str(args.d), "n": str(args.n),
@@ -347,116 +408,38 @@ def run(args: argparse.Namespace) -> dict:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for argv: only the subcommand that argv[0] names, or every
+    subcommand when argv[0] names none (help, version, usage errors)."""
     top = argparse.ArgumentParser(
         prog="siegelstrata",
         description="boundary strata, truncated restrictions, and level "
                     "transfers for symplectic similitude groups")
     top.add_argument("--version", action="version", version=__version__)
-    sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p, need_m=False):
+    names, metavar = list(COMMANDS), None
+    if argv and argv[0] in COMMANDS:
+        # A top-level usage error still lists every subcommand.  With every
+        # row built the metavar stays unset: it would rename "argument
+        # command" in the invalid-choice error.
+        names, metavar = argv[:1], "{" + ",".join(COMMANDS) + "}"
+    sub = top.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        cmd = COMMANDS[name]
+        p = sub.add_parser(name, help=cmd.help)
         p.add_argument("--d", type=int, required=True, help="genus")
         p.add_argument("--n", type=int, required=True, help="principal level")
-        if need_m:
+        if cmd.takes_m:
             p.add_argument("--m", type=int, required=True,
                            help="deeper level, a multiple of n")
         p.add_argument("--format", choices=("json", "tsv"), default="json")
-
-    def stratum(p):
-        p.add_argument("--stratum", "--r", dest="r", type=int, required=True,
-                       help="corank of the target stratum")
-
-    def lam(p):
-        p.add_argument("--lambda", "--lam", dest="lam", type=parse_weight,
-                       required=True, help="dominant weight a1,..,ad[@m0]")
-
-    def mode(p):
-        p.add_argument("--mode", choices=("symbolic", "euler"),
-                       default="symbolic")
-
-    common(sub.add_parser("context", help="root-datum facts"))
-
-    p = sub.add_parser("strata", help="stratum counts, or double cosets with --S")
-    common(p)
-    p.add_argument("--stratum", "--r", dest="r", type=int, default=None)
-    p.add_argument("--S", type=parse_set, default=None)
-
-    p = sub.add_parser("kostant", help="graded Levi decomposition of the "
-                                       "nilpotent cohomology")
-    common(p)
-    p.add_argument("--S", type=parse_set, required=True)
-    lam(p)
-
-    p = sub.add_parser("chain-term", help="one truncated boundary term")
-    common(p)
-    stratum(p)
-    lam(p)
-    p.add_argument("--chain", type=parse_chain, default=engine.Chain(()),
-                   help="threshold chain s:a,s:a (indices decreasing)")
-    mode(p)
-
-    p = sub.add_parser("restrict-weighted", help="stratum restriction of the "
-                                                 "weight-truncated direct image")
-    common(p)
-    stratum(p)
-    lam(p)
-    p.add_argument("--profile", type=parse_profile, required=True,
-                   help="d thresholds, entries integer or inf/-inf")
-    mode(p)
-
-    p = sub.add_parser("restrict-ic", help="stratum restriction of the "
-                                           "intersection complex")
-    common(p)
-    stratum(p)
-    lam(p)
-    mode(p)
-
-    p = sub.add_parser("euler", help="exact Euler evaluation of a restriction")
-    common(p)
-    stratum(p)
-    lam(p)
-    p.add_argument("--profile", type=parse_profile, default=None,
-                   help="defaults to the upper intersection-complex profile")
-    p.set_defaults(mode="euler")
-
-    p = sub.add_parser("expansion", help="chain expansion of a restriction")
-    common(p)
-    stratum(p)
-    lam(p)
-    p.add_argument("--profile", type=parse_profile, required=True)
-
-    p = sub.add_parser("hecke-index", help="level index along a stratum")
-    common(p, need_m=True)
-    p.add_argument("--S", type=parse_set, required=True)
-
-    p = sub.add_parser("transfer-degree", help="index of the deeper principal level")
-    common(p, need_m=True)
-
-    p = sub.add_parser("fiber-count", help="fiber size of the level map on strata")
-    common(p, need_m=True)
-    p.add_argument("--S", type=parse_set, required=True)
-
-    p = sub.add_parser("hecke-matrix", help="transfer-matrix support between "
-                                            "stratum class sets")
-    common(p, need_m=True)
-    p.add_argument("--S", type=parse_set, required=True)
-    p.add_argument("--g", type=parse_matrix, default=None,
-                   help='matrix "a,b;c,d" or "identity"')
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-
-    p = sub.add_parser("oracle", help="closed forms versus brute-force recounts")
-    common(p)
-    p.add_argument("--stratum", "--r", dest="r", type=int, default=0)
-    p.add_argument("--S", type=parse_set, default=None)
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-
+        for flags, kwargs in cmd.args:
+            p.add_argument(*flags, **kwargs)
     return top
 
 
-def parse_args(argv=None) -> tuple[argparse.Namespace, str]:
-    args = _build_parser().parse_args(argv)
-    return args, args.format
+def parse_args(argv=None) -> argparse.Namespace:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    return _build_parser(argv).parse_args(argv)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +466,7 @@ def render(payload: dict, fmt: str) -> str:
 
 def main(argv=None) -> int:
     try:
-        args, fmt = parse_args(argv)
+        args = parse_args(argv)
     except SystemExit as e:
         # argparse already reported; --help/--version exit 0, bad args exit 2
         return 0 if e.code in (0, None) else 2
@@ -495,7 +478,7 @@ def main(argv=None) -> int:
     except ScopeError as e:
         print(f"out of range: {e}", file=sys.stderr)
         return 3
-    sys.stdout.write(render(payload, fmt))
+    sys.stdout.write(render(payload, args.format))
     return 0
 
 

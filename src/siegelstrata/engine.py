@@ -70,7 +70,7 @@ class ClassTerm(NamedTuple):
 
 def _term_key(t: ClassTerm):
     return (t.S,
-            tuple((s.degree, s.levi.avector, s.levi.m0, s.mult)
+            tuple((s.degree, s.levi.avector, s.levi.m0, s.mult, s.levi.shape)
                   for s in t.module.summands),
             t.coefficient)
 
@@ -322,5 +322,6 @@ def graded_report(cls: SymbolicClass):
         w = levi.as_weight()
         central = central_weight(w)
         rows.append((S, degree, levi, mult, central, -central, pairings(w)))
-    rows.sort(key=lambda row: (row[0], row[1], row[2].avector, row[2].m0))
+    rows.sort(key=lambda row: (row[0], row[1], row[2].avector, row[2].m0,
+                               row[2].shape))
     return tuple(rows)

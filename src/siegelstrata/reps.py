@@ -136,7 +136,7 @@ class LeviWeight(NamedTuple):
 
     @property
     def shape(self) -> tuple[tuple[int, ...], int]:
-        return tuple(len(b) for b in self.blocks), len(self.gsp)
+        return tuple(map(len, self.blocks)), len(self.gsp)
 
     @property
     def avector(self) -> tuple[int, ...]:
@@ -223,7 +223,7 @@ class GradedVirtualRep(NamedTuple):
             merged[key] = merged.get(key, 0) + s.mult
         kept = [Summand(degree, levi, mult)
                 for (degree, levi), mult in merged.items() if mult != 0]
-        kept.sort(key=lambda s: (s.degree, s.levi.avector, s.levi.m0))
+        kept.sort(key=lambda s: (s.degree, s.levi.avector, s.levi.m0, s.levi.shape))
         return GradedVirtualRep(tuple(kept))
 
     def is_zero(self) -> bool:

@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from siegelstrata import __version__
-from siegelstrata.cli import REPORT_COLUMNS, main
+from siegelstrata import __version__, ic_profiles
+from siegelstrata.cli import COMMANDS, REPORT_COLUMNS, main
 
 
 def run_cli(capsys, *argv):
@@ -173,6 +173,70 @@ def test_exit_codes(capsys, argv, code):
     capsys.readouterr()
 
 
+# ---------------------------------------------------------------------------
+# the subcommand table: help and usage errors
+#
+# Substrings only: argparse words its help differently across versions.
+
+NAMES = ("context", "strata", "kostant", "chain-term", "restrict-weighted",
+         "restrict-ic", "euler", "expansion", "hecke-index", "transfer-degree",
+         "fiber-count", "hecke-matrix", "oracle")
+
+
+def run_err(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_top_level_help_lists_every_subcommand(capsys):
+    assert tuple(COMMANDS) == NAMES
+    code, out, _ = run_err(capsys, "-h")
+    assert code == 0
+    words = " ".join(out.split())  # help lines may wrap
+    for name in NAMES:
+        assert f"{name} {' '.join(COMMANDS[name].help.split())}" in words
+
+
+def test_top_level_usage_error_lists_every_subcommand(capsys):
+    code, out, err = run_err(capsys, "context", "--d", "2", "--n", "3", "--bogus")
+    assert code == 2 and out == ""
+    assert "{" + ",".join(NAMES) + "}" in err
+    assert "unrecognized arguments: --bogus" in err
+
+
+def test_unknown_subcommand_names_the_command_argument(capsys):
+    code, out, err = run_err(capsys, "bogus")
+    assert code == 2 and out == ""
+    assert "argument command: invalid choice" in err
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_subcommand_help(capsys, name):
+    code, out, _ = run_err(capsys, name, "-h")
+    assert code == 0
+    assert out.startswith(f"usage: siegelstrata {name} ")
+
+
+@pytest.mark.parametrize("d,lam,r", [(1, "4", 0), (2, "1,1", 0),
+                                     (2, "2,1@1", 1), (3, "1,1,0", 1)])
+def test_euler_is_restrict_weighted_at_the_upper_ic_profile(capsys, d, lam, r):
+    common = ["--d", str(d), "--n", "3", "--lambda", lam, "--stratum", str(r)]
+    upper = ",".join(map(str, ic_profiles(d)[0]))
+    euler = run_json(capsys, "euler", *common)["result"]
+    weighted = run_json(capsys, "restrict-weighted", *common,
+                        f"--profile={upper}", "--mode", "euler")["result"]
+    assert "euler" in euler and euler == weighted
+
+
+def test_euler_takes_no_mode_flag(capsys):
+    code, out, err = run_err(capsys, "euler", "--d", "1", "--n", "3",
+                             "--lambda", "2", "--stratum", "0",
+                             "--mode", "euler")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --mode euler" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("strata", "--d", "1", "--n", "1000000000000000003"),
     ("transfer-degree", "--d", "1", "--n", "3", "--m", "3000000000000000009"),
@@ -217,6 +281,19 @@ def _run_subprocess(cmd, seed):
 def test_byte_determinism_across_hash_seeds(args):
     cmd = [sys.executable, "-m", "siegelstrata"] + args
     assert _run_subprocess(cmd, 0) == _run_subprocess(cmd, 1)
+
+
+@pytest.mark.parametrize("args", [
+    ["oracle", "--d", "1", "--n", "5", "--S", "0"],
+    ["restrict-ic", "--d", "3", "--n", "4", "--lambda", "2,1,0", "--stratum", "0",
+     "--mode", "euler"],
+])
+def test_optimized_interpreter_gives_the_same_answer(args):
+    # python -O strips assert statements; the answer must not depend on them
+    plain = _run([sys.executable, "-m", "siegelstrata"] + args, 0)
+    optimized = _run([sys.executable, "-O", "-m", "siegelstrata"] + args, 0)
+    assert plain.returncode == 0, plain.stderr
+    assert (optimized.returncode, optimized.stdout) == (0, plain.stdout)
 
 
 def _console_script_command():

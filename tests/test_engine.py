@@ -399,6 +399,26 @@ def test_flatten_is_order_independent(ctx2):
         assert SymbolicClass.build(perm).flatten() == cls.flatten()
 
 
+# the same coordinates in four Levi shapes
+MIXED_SHAPES = [Summand(0, LeviWeight(((1,),), (0,), 0)),
+                Summand(0, LeviWeight(((1, 0),), (), 0)),
+                Summand(0, LeviWeight(((1,), (0,)), (), 0)),
+                Summand(0, LeviWeight((), (1, 0), 0))]
+mixed_terms = st.lists(st.builds(
+    ClassTerm, st.integers(-2, 2), st.sampled_from([(0,), (0, 1)]),
+    st.lists(st.sampled_from(MIXED_SHAPES), min_size=1, max_size=3)
+    .map(GradedVirtualRep.build)), max_size=6)
+
+
+@given(mixed_terms.flatmap(lambda ts: st.tuples(st.just(ts), st.permutations(ts))))
+def test_build_is_order_independent_across_levi_shapes(pair):
+    terms, permuted = pair
+    assert SymbolicClass.build(permuted) == SymbolicClass.build(terms)
+    # the report sorts rows itself, whatever the order of the terms
+    assert (graded_report(SymbolicClass(tuple(permuted)))
+            == graded_report(SymbolicClass(tuple(terms))))
+
+
 def test_graded_report_rows(ctx2):
     cls = restrict_weighted(ctx2, ic_profiles(2)[0], Weight((1, 1), 0), 0)
     rows = graded_report(cls)

@@ -227,3 +227,41 @@ def test_build_merges_duplicates(entries, data):
     b = GradedVirtualRep.build(summands[cut:])
     assert a.plus(b) == m
     assert a.plus(b).euler_dim() == a.euler_dim() + b.euler_dim()
+
+
+def _levi(blocks, a, m0):
+    """LeviWeight with GL blocks of the given sizes; the rest of a is the GSp block."""
+    out, i = [], 0
+    for k in blocks:
+        out.append(tuple(a[i:i + k]))
+        i += k
+    return LeviWeight(tuple(out), tuple(a[i:]), m0)
+
+
+# the same two coordinates as GL_2, GL_1 x GL_1, GL_1 x GSp_2 or GSp_4
+mixed_shape_summands = st.lists(st.builds(
+    lambda deg, blocks, a, m0, mult: Summand(deg, _levi(blocks, a, m0), mult),
+    st.integers(0, 2), st.sampled_from([(2,), (1, 1), (1,), ()]),
+    st.tuples(st.integers(-1, 1), st.integers(-1, 1)), st.integers(-1, 1),
+    st.integers(-2, 2)), max_size=8)
+
+
+def test_build_tells_levi_shapes_apart():
+    a = Summand(0, LeviWeight(((1,),), (0,), 0))
+    b = Summand(0, LeviWeight(((1, 0),), (), 0))
+    assert a.levi.avector == b.levi.avector and a.levi.m0 == b.levi.m0
+    assert GradedVirtualRep.build([a, b]) == GradedVirtualRep.build([b, a])
+    assert len(GradedVirtualRep.build([a, b]).summands) == 2
+
+
+@given(mixed_shape_summands.flatmap(
+    lambda xs: st.tuples(st.just(xs), st.permutations(xs))))
+def test_build_is_canonical_across_levi_shapes(pair):
+    summands, permuted = pair
+    m = GradedVirtualRep.build(summands)
+    assert GradedVirtualRep.build(permuted) == m
+    totals: dict = {}
+    for s in summands:
+        totals[s.degree, s.levi] = totals.get((s.degree, s.levi), 0) + s.mult
+    assert {(s.degree, s.levi): s.mult for s in m.summands} == {
+        key: mult for key, mult in totals.items() if mult}

@@ -6,7 +6,9 @@ reported by any traced request of a workload.  The ``oracle`` workload
 reaches the restriction layers through just two requests, a symbolic
 ``restrict-ic`` and an Euler-mode ``chain-term`` at d = 2; this test traces
 those two and checks that every restriction-layer metric is still reported,
-so a refactor that stops calling a traced function fails here first.
+so a refactor that stops calling a traced function fails here first.  A
+seed-0 ``lookup`` request is traced too, for the ``cli.`` names
+(``parse_args``, ``run`` and ``render``), which the CLI front end must keep.
 """
 
 import importlib.util
@@ -55,3 +57,13 @@ def test_oracle_restriction_requests_report_every_restriction_layer(tmp_path):
     wanted = {m["name"] for m in spec["per_layer"]
               if m["name"].startswith(RESTRICTION_LAYERS)} - DERIVED
     assert wanted and not wanted - reported, sorted(wanted - reported)
+
+
+def test_lookup_request_reports_the_cli_layers(tmp_path):
+    tracer, workloads = _load("tracer"), _load("workloads")
+    argv = next(req.argv for req in workloads.requests("lookup", 0)
+                if req.expect == 0)
+    reported = _traced_stats(tracer, argv, tmp_path)
+    wanted = {"cli.parse_args.self_s", "cli.run.self_s", "cli.render.self_s",
+              "cli.render.bytes"}
+    assert not wanted - reported, sorted(wanted - reported)
