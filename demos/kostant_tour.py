@@ -40,7 +40,7 @@ def main() -> None:
     reps = kostant_reps(ctx, S)
     print(f"\nparabolic set S = {S}: Levi GL blocks {pd.leviBlocks}, "
           f"symplectic rank {pd.r}")
-    print(f"dim N_S = {pd.dimN}, dim U_S = {pd.dimU}, "
+    print(f"dim N_S = {pd.dimN}, dim U_S = {(d - pd.r) * (d - pd.r + 1) // 2}, "
           f"{len(reps)} minimal-length coset representatives")
 
     module = lie_n_cohomology(ctx, S, lam)

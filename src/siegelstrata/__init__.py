@@ -18,24 +18,22 @@ The package computes, over principal congruence levels n >= 3 of GSp_2d:
 All arithmetic is exact: Python integers and fractions throughout.
 """
 
-from .arith import (GL, GSp, SL, Sp, Unipotent, brute_force_group,
-                    congruence_index, euler_char_congruence, euler_phi,
-                    group_order, integral_image_order, zeta_negative)
+from .arith import (GL, GSp, SL, Sp, brute_force_group, congruence_index,
+                    euler_char_congruence, euler_phi, group_order,
+                    integral_image_order, zeta_negative)
 from .engine import (Chain, ClassTerm, SymbolicClass, chain_bounds_for_profile,
                      chain_term, euler_evaluate, expansion_terms, graded_report,
-                     restrict_ic, restrict_weighted,
-                     restrict_weighted_via_expansion)
+                     restrict_ic, restrict_weighted)
 from .errors import InputError, LevelError, ScopeError
 from .grouptheory import (GroupContext, ParabolicData, WeylElt, build_context,
-                          kostant_reps, longest_element, parabolic_data,
-                          weyl_group)
+                          kostant_reps, parabolic_data, weyl_group)
 from .hecke import (HeckeDatum, HeckeMatrixStructure, boundary_fiber_count,
                     hecke_index, hecke_matrix_structure, reduction_fiber_count,
                     transfer_degree)
 from .kostant import levi_split, lie_n_cohomology
 from .reps import (GradedVirtualRep, LeviWeight, Summand, Weight,
-                   central_weight, dot_action, global_weight_split, is_dominant,
-                   is_levi_dominant, torus_pairing, truncate, weyl_dim)
+                   central_weight, dot_action, is_dominant, is_levi_dominant,
+                   torus_pairing, truncate, weyl_dim)
 from .strata import (double_coset_count, double_coset_count_bruteforce,
                      ic_profiles, strata_count, strata_count_bruteforce,
                      stratum_dims)
@@ -43,21 +41,21 @@ from .strata import (double_coset_count, double_coset_count_bruteforce,
 __version__ = "0.1.0"
 
 __all__ = [
-    "GL", "GSp", "SL", "Sp", "Unipotent",
+    "GL", "GSp", "SL", "Sp",
     "brute_force_group", "congruence_index", "euler_char_congruence",
     "euler_phi", "group_order", "integral_image_order", "zeta_negative",
     "Chain", "ClassTerm", "SymbolicClass", "chain_bounds_for_profile",
     "chain_term", "euler_evaluate", "expansion_terms", "graded_report",
-    "restrict_ic", "restrict_weighted", "restrict_weighted_via_expansion",
+    "restrict_ic", "restrict_weighted",
     "InputError", "LevelError", "ScopeError",
     "GroupContext", "ParabolicData", "WeylElt", "build_context",
-    "kostant_reps", "longest_element", "parabolic_data", "weyl_group",
+    "kostant_reps", "parabolic_data", "weyl_group",
     "HeckeDatum", "HeckeMatrixStructure", "boundary_fiber_count",
     "hecke_index", "hecke_matrix_structure", "reduction_fiber_count",
     "transfer_degree",
     "levi_split", "lie_n_cohomology",
     "GradedVirtualRep", "LeviWeight", "Summand", "Weight", "central_weight",
-    "dot_action", "global_weight_split", "is_dominant", "is_levi_dominant",
+    "dot_action", "is_dominant", "is_levi_dominant",
     "torus_pairing", "truncate", "weyl_dim",
     "double_coset_count", "double_coset_count_bruteforce", "ic_profiles",
     "strata_count", "strata_count_bruteforce", "stratum_dims",

@@ -35,8 +35,8 @@ _SCAN_GUARD = 5_000_000  # raw candidate-space bound for filter-style scans
 # group kinds
 
 class GroupKind(NamedTuple):
-    family: str  # "GL" | "SL" | "Sp" | "GSp" | "N"
-    param: int   # k for GL/SL, 2r for Sp/GSp, D for N
+    family: str  # "GL" | "SL" | "Sp" | "GSp"
+    param: int   # k for GL/SL, 2r for Sp/GSp
 
 
 def GL(k: int) -> GroupKind:
@@ -53,10 +53,6 @@ def Sp(two_r: int) -> GroupKind:
 
 def GSp(two_r: int) -> GroupKind:
     return GroupKind("GSp", _even("GSp", two_r))
-
-
-def Unipotent(dim: int) -> GroupKind:
-    return GroupKind("N", _nonneg(dim))
 
 
 def _nonneg(k) -> int:
@@ -127,8 +123,6 @@ def _sp_pp(two_r: int, p: int, e: int) -> int:
 
 def _order_any_level(kind: GroupKind, n: int) -> int:
     """Order over Z/n with n >= 1 (n = 1 gives the trivial group)."""
-    if kind.family == "N":
-        return n ** kind.param
     if kind.family == "SL" and kind.param == 0:
         return 1  # SL_0 is trivial; phi(p^e) need not divide |GL_0| = 1
     out = 1
@@ -231,9 +225,6 @@ def mat_mul(a, b, n: int):
 def mat_mod(a, n: int):
     return tuple(tuple(x % n for x in row) for row in a)
 
-def transpose(a):
-    return tuple(zip(*a))
-
 def mat_det(a) -> int:
     """Integer determinant by Laplace expansion (sizes here are tiny)."""
     size = len(a)
@@ -269,18 +260,9 @@ def mat_inv_mod(a, n: int):
         tuple((det_inv * cof[j][i]) % n for j in range(size)) for i in range(size))
 
 
-def j_form(d: int):
-    """The antidiagonal symplectic form: +1 upper half, -1 lower half."""
-    size = 2 * d
-    m = [[0] * size for _ in range(size)]
-    for i in range(d):
-        m[i][size - 1 - i] = 1
-        m[size - 1 - i][i] = -1
-    return tuple(tuple(row) for row in m)
-
-
 def symplectic_form(u, v, n: int) -> int:
-    """t(u) J v mod n for the antidiagonal J of ``j_form``."""
+    """t(u) J v mod n for the antidiagonal J: +1 on the upper half of the
+    antidiagonal, -1 on the lower half."""
     size = len(u)
     s = 0
     for i in range(size // 2):
@@ -369,9 +351,7 @@ def _brute_force_cached(kind: GroupKind, n: int, cap: int):
         raise ScopeError(
             f"|{kind.family}({kind.param}) over Z/{n}| = {expected} exceeds cap {cap}")
     fam = kind.family
-    if fam == "N":
-        elems = [ (v,) for v in itertools.product(range(n), repeat=kind.param) ]
-    elif fam in ("GL", "SL"):
+    if fam in ("GL", "SL"):
         if kind.param == 0:
             elems = [()]
         else:

@@ -10,9 +10,9 @@ are the same sums at the two adjacent dimension profiles.
 ``SymbolicClass`` is the value type: a formal integer combination of
 (parabolic set, graded Levi module) terms.  ``flatten`` is its canonical
 form, so two differently-assembled classes compare exactly.  The chain
-expansion (one unsigned truncation per threshold subset) re-derives the
-same class along a different code path; the test suite pins both the
-agreement and frozen Euler evaluations.
+expansion (``expansion_chains``: one unsigned ``chain_term`` per threshold
+subset) re-derives the same class along a different code path; the test
+suite pins both the agreement and frozen Euler evaluations.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .arith import euler_char_congruence
-from .errors import InputError, check_index
+from .errors import InputError, check_index, is_int
 from .grouptheory import (GroupContext, normalize_parabolic_set, parabolic_data,
                           weyl_table)
 from .kostant import check_weight, kostant_summand, lie_n_cohomology
@@ -47,7 +47,9 @@ class Chain(_Chain):
     __slots__ = ()
 
     def __new__(cls, entries):
-        entries = tuple((int(s), _check_bound(a)) for s, a in entries)
+        entries = tuple((s, _check_bound(a)) for s, a in entries)
+        if not all(is_int(s) for s, _ in entries):
+            raise InputError(f"chain indices must be integers, got {entries}")
         for (s1, _), (s2, _) in zip(entries, entries[1:]):
             if s1 <= s2:
                 raise InputError(f"chain indices must strictly decrease, got {entries}")
@@ -105,18 +107,6 @@ class SymbolicClass(NamedTuple):
                     out.pop(key, None)
         return out
 
-    def is_zero(self) -> bool:
-        return not self.flatten()
-
-    def scaled(self, k: int) -> "SymbolicClass":
-        if k == 0:
-            return SymbolicClass(())
-        return SymbolicClass.build(
-            ClassTerm(k * t.coefficient, t.S, t.module) for t in self.terms)
-
-    def plus(self, other: "SymbolicClass") -> "SymbolicClass":
-        return SymbolicClass.build(self.terms + other.terms)
-
 
 def _check_profile(d: int, profile) -> tuple[Bound, ...]:
     profile = tuple(profile)
@@ -146,7 +136,7 @@ def chain_term(ctx: GroupContext, chain: Chain, r: int, lam: Weight) -> Symbolic
             raise InputError(
                 f"stratum {r} exceeds chain index {s}: cuts must sit at or above it")
     S = normalize_parabolic_set(ctx.d, set(chain.indices) | {r})
-    conds = [(s, -a + s * (s + 1) // 2, "<") for s, a in chain.entries]
+    conds = [(s, -a + s * (s + 1) // 2) for s, a in chain.entries]
     module = truncate(lie_n_cohomology(ctx, S, lam), conds)
     return SymbolicClass.build(
         [ClassTerm(double_coset_count(ctx, r, S), S, module)])
@@ -275,15 +265,6 @@ def expansion_chains(ctx: GroupContext, profile, lam: Weight, r: int):
         out.append((subset, -sign,
                     chain_bounds_for_profile(lam, profile, extras + (r,))))
     return tuple(out)
-
-
-def restrict_weighted_via_expansion(ctx: GroupContext, profile, lam: Weight,
-                                    r: int) -> SymbolicClass:
-    """Same class as ``restrict_weighted``, assembled from chain terms only."""
-    total = SymbolicClass(())
-    for _, sign, chain in expansion_chains(ctx, profile, lam, r):
-        total = total.plus(chain_term(ctx, chain, r, lam).scaled(sign))
-    return total
 
 
 def euler_evaluate(cls: SymbolicClass, ctx: GroupContext) -> Fraction:

@@ -18,9 +18,15 @@ class ScopeError(RuntimeError):
     """Valid input, but beyond an enumeration cap or size guard."""
 
 
+def is_int(x) -> bool:
+    """An int that is not a bool: the only integer input the package takes,
+    so 1.9, 0.5 or True is refused instead of truncated or read as 1."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def check_genus(d, limit: int | None = None) -> None:
     """d must be a positive integer, and at most ``limit`` when one is given."""
-    if not (isinstance(d, int) and d >= 1):
+    if not (is_int(d) and d >= 1):
         raise LevelError(f"genus must be a positive integer, got {d!r}")
     if limit is not None and d > limit:
         raise ScopeError(f"genus {d} exceeds the Weyl-group guard ({limit})")
@@ -41,5 +47,5 @@ def check_levels(n, m) -> None:
 
 def check_index(r, d: int) -> None:
     """Parabolic (stratum) index r in {0..d-1}."""
-    if not (isinstance(r, int) and 0 <= r <= d - 1):
+    if not (is_int(r) and 0 <= r <= d - 1):
         raise InputError(f"parabolic index {r!r} out of range for d={d}")

@@ -14,7 +14,7 @@ on flipped coordinates.
 
 Standard parabolic subsets S of {0..d-1} cut the Levi into GL blocks plus a
 GSp_2r tail, r = min(S); this module computes those block shapes and the
-root inventories of the nilpotent radicals.
+roots of the nilpotent radicals.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import math
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import InputError, check_genus, check_index, check_level
+from .errors import InputError, check_genus, check_index, check_level, is_int
 from .reps import Weight
 
 MAX_DEFAULT_GENUS = 6  # 2^d * d! grows fast: |W| = 46,080 at d = 6
@@ -52,26 +52,6 @@ class WeylElt(NamedTuple):
             out[self.perm[i]] = -x if self.signs[i] else x
         return tuple(out)
 
-    def inverse(self) -> "WeylElt":
-        d = self.d
-        perm = [0] * d
-        signs = [False] * d
-        for i in range(d):
-            perm[self.perm[i]] = i
-            signs[self.perm[i]] = self.signs[i]
-        return WeylElt(tuple(perm), tuple(signs), self.length)
-
-    def compose(self, other: "WeylElt") -> "WeylElt":
-        """self o other (apply ``other`` first)."""
-        d = self.d
-        perm = tuple(self.perm[other.perm[i]] for i in range(d))
-        signs = tuple(other.signs[i] ^ self.signs[other.perm[i]] for i in range(d))
-        return _weyl_elt(perm, signs)
-
-    @staticmethod
-    def identity(d: int) -> "WeylElt":
-        return WeylElt(tuple(range(d)), (False,) * d, 0)
-
 
 def _length(v) -> int:
     """Type-C length of the w with w(rho) = v (Bjorner-Brenti, section 8.1):
@@ -88,30 +68,26 @@ def _descents(v) -> int:
     return int(v[-1] < 0) | sum(1 << s for s in range(1, d) if v[d - s - 1] < v[d - s])
 
 
-def _weyl_elt(perm, signs) -> WeylElt:
-    d = len(perm)
-    v = [0] * d  # w(rho)
-    for i in range(d):
-        v[perm[i]] = i - d if signs[i] else d - i
-    return WeylElt(tuple(perm), tuple(signs), _length(v))
-
-
 @lru_cache(maxsize=None)
 def weyl_group(d: int) -> tuple[WeylElt, ...]:
-    """All 2^d * d! signed permutations, sorted by (length, perm, signs)."""
+    """All 2^d * d! signed permutations, sorted by (length, perm, signs).
+
+    The identity comes first and the longest element w0 (-1 on every
+    coordinate, length d^2) last.
+    """
     check_genus(d, MAX_DEFAULT_GENUS)
     # perm and signs tuples are shared between elements, and both loops run
     # in lexicographic order, so a stable sort by length alone suffices.
     all_signs = list(itertools.product((False, True), repeat=d))
-    elems = [_weyl_elt(perm, signs)
-             for perm in itertools.permutations(range(d)) for signs in all_signs]
+    elems = []
+    for perm in itertools.permutations(range(d)):
+        for signs in all_signs:
+            v = [0] * d  # w(rho)
+            for i, p in enumerate(perm):
+                v[p] = i - d if signs[i] else d - i
+            elems.append(WeylElt(perm, signs, _length(v)))
     elems.sort(key=lambda w: w.length)
     return tuple(elems)
-
-
-def longest_element(d: int) -> WeylElt:
-    """-1 on every coordinate; the unique element of length d^2."""
-    return _weyl_elt(tuple(range(d)), (True,) * d)
 
 
 @lru_cache(maxsize=None)
@@ -179,8 +155,10 @@ def build_context(d: int, n: int) -> GroupContext:
 def normalize_parabolic_set(d: int, S) -> tuple[int, ...]:
     """Sorted tuple form of a non-empty subset of {0..d-1}."""
     try:
-        items = sorted(set(int(s) for s in S))
+        items = sorted(set(S))
     except TypeError:
+        items = None
+    if items is None or not all(map(is_int, items)):
         raise InputError(f"parabolic set must be an iterable of integers, got {S!r}")
     if not items:
         raise InputError("parabolic set must be non-empty")
@@ -195,8 +173,7 @@ class ParabolicData(NamedTuple):
     ``leviBlocks`` are the GL block sizes (a composition of d-r), with the
     GSp_2r factor on the last r coordinates, r = min(S).  ``blockRanges``
     gives the half-open coordinate range of each GL block; ``gspRange`` the
-    GSp one.  nRoots are the positive roots outside the Levi, uRoots those
-    of the center U_r of the full radical N_r.
+    GSp one.  nRoots are the positive roots outside the Levi.
     """
 
     S: tuple[int, ...]
@@ -205,11 +182,7 @@ class ParabolicData(NamedTuple):
     blockRanges: tuple[tuple[int, int], ...]
     gspRange: tuple[int, int]
     nRoots: tuple[Weight, ...]
-    uRoots: tuple[Weight, ...]
-    leviRoots: tuple[Weight, ...]
-    leviSimpleRoots: tuple[Weight, ...]
     dimN: int
-    dimU: int
 
 
 @lru_cache(maxsize=None)
@@ -217,51 +190,23 @@ def _parabolic_data(d: int, S: tuple[int, ...]) -> ParabolicData:
     r = S[0]
     # Cut points of the GL part: coordinate d-s for each s in S above r.
     cuts = [0] + [d - s for s in sorted(S, reverse=True)]
-    ranges = [(cuts[i], cuts[i + 1]) for i in range(len(cuts) - 1)
-              if cuts[i + 1] > cuts[i]]
-    blocks = tuple(hi - lo for lo, hi in ranges)
-    gsp_range = (d - r, d)
-    assert sum(blocks) == d - r
-
-    def block_of(i: int):
-        for b, (lo, hi) in enumerate(ranges):
-            if lo <= i < hi:
-                return b
-        return None  # in the GSp range
-
-    levi, nil, uu = [], [], []
+    ranges = list(zip(cuts, cuts[1:]))
+    # The Levi block of each coordinate, the GSp coordinates as one more block.
+    block = [b for b, (lo, hi) in enumerate(ranges + [(d - r, d)])
+             for _ in range(lo, hi)]
+    nil = []
     for root in positive_roots(d):
-        pos = [i for i, x in enumerate(root.a) if x]
-        if root.m0 == 0:
-            i, j = pos if len(pos) == 2 else (pos[0], pos[0])
-            in_levi = (block_of(i) is not None and block_of(i) == block_of(j)) or (
-                i >= d - r and j >= d - r)
-        else:
-            i, j = (pos[0], pos[0]) if len(pos) == 1 else tuple(pos)
-            in_levi = i >= d - r and j >= d - r
-            if i < d - r and j < d - r:
-                uu.append(root)
-        (levi if in_levi else nil).append(root)
-
-    simple = []
-    for lo, hi in ranges + [gsp_range]:
-        for i in range(lo, hi - 1):
-            a = [0] * d
-            a[i], a[i + 1] = 1, -1
-            simple.append(Weight(tuple(a), 0))
-    if r >= 1:
-        a = [0] * d
-        a[d - 1] = 2
-        simple.append(Weight(tuple(a), -1))
-
+        pos = [k for k, x in enumerate(root.a) if x]
+        i, j = pos[0], pos[-1]
+        # e_i - e_j is in the Levi iff i, j share a block; e_i + e_j - e_0
+        # (i <= j) iff both lie in the GSp block.
+        if not (block[i] == block[j] if root.m0 == 0 else i >= d - r):
+            nil.append(root)
     pd = ParabolicData(
-        S=S, r=r, leviBlocks=blocks,
-        blockRanges=tuple(ranges), gspRange=gsp_range,
-        nRoots=tuple(nil), uRoots=tuple(uu),
-        leviRoots=tuple(levi), leviSimpleRoots=tuple(simple),
-        dimN=len(nil), dimU=len(uu),
+        S=S, r=r, leviBlocks=tuple(hi - lo for lo, hi in ranges),
+        blockRanges=tuple(ranges), gspRange=(d - r, d),
+        nRoots=tuple(nil), dimN=len(nil),
     )
-    assert pd.dimU == (d - r) * (d - r + 1) // 2
     if len(S) == 1:
         assert pd.dimN == (d - r) * (d - r + 1) // 2 + 2 * r * (d - r)
     return pd

@@ -15,9 +15,8 @@ control it for a parabolic set S:
 At the level of coset classes (which merge the phi(m)/phi(n) components a
 geometric stratum splits into under the similitude action), the fiber size
 is ``reduction_fiber_count``; the two agree exactly when phi(m) = phi(n).
-``kernel_shadow_count`` recomputes the class-level index literally from
-generated subgroups, and ``hecke_matrix_structure`` tabulates the full
-transfer matrix between the two finite class sets.
+``hecke_matrix_structure`` tabulates the full transfer matrix between the
+two finite class sets.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from typing import NamedTuple
 
 from .arith import (DEFAULT_CAP, GSp, SL, brute_force_group, congruence_index,
                     exact_div, identity_matrix, left_orbits, mat_mod, mat_mul,
-                    orbit_canonical, similitude, subgroup_closure)
+                    orbit_canonical, similitude)
 from .errors import InputError, check_genus, check_levels
 from .grouptheory import (MAX_DEFAULT_GENUS, build_context,
                           normalize_parabolic_set, parabolic_data)
@@ -88,22 +87,6 @@ def reduction_fiber_count(datum: HeckeDatum, S) -> int:
     pd = _pdata(datum, S)
     gsp_idx = congruence_index(GSp(2 * pd.r), datum.n, datum.m)
     return exact_div(transfer_degree(datum), hecke_index(datum, S) * gsp_idx)
-
-
-def kernel_shadow_count(datum: HeckeDatum, S, cap: int = DEFAULT_CAP) -> int:
-    """|H_S(m) intersect ker(mod-n reduction)|, from the literal closure.
-
-    The level-m class-counting subgroup surjects onto the level-n one (the
-    generators reduce onto generators), so this equals |H_S(m)| / |H_S(n)| =
-    hecke_index * [GSp_2r(Z/m) : GSp_2r(Z/n)]; the test suite pins that.
-    """
-    ctx_m = build_context(datum.d, datum.m)
-    gens = parabolic_generators(ctx_m, S)
-    group = subgroup_closure(gens, datum.m, cap)
-    n = datum.n
-    return sum(1 for g in group
-               if all(g[i][j] % n == (1 if i == j else 0)
-                      for i in range(len(g)) for j in range(len(g))))
 
 
 class HeckeMatrixStructure(NamedTuple):

@@ -1,8 +1,8 @@
-"""Explicit 2d x 2d matrix realizations: root vectors, torus cocharacters,
-Levi embeddings, and generators of the parabolic coset-counting subgroups.
+"""Explicit 2d x 2d matrix realizations: root vectors, torus points, Levi
+embeddings, and generators of the parabolic coset-counting subgroups.
 
 Everything here backs the brute-force oracles.  The conventions match the
-antidiagonal form of ``arith.j_form``: for 1-indexed i < j <= d,
+antidiagonal form J of ``arith.symplectic_form``: for 1-indexed i < j <= d,
 
     e_i - e_j        |->  E_{i,j} - E_{2d+1-j, 2d+1-i}
     e_i + e_j - e_0  |->  E_{i,2d+1-j} + E_{j,2d+1-i}
@@ -16,11 +16,10 @@ before anything else trusts them.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from .arith import identity_matrix, mat_inv_mod, mat_mod
-from .errors import InputError, check_index
+from .errors import InputError
 from .grouptheory import GroupContext, parabolic_data, positive_roots
 from .reps import Weight
 
@@ -56,12 +55,12 @@ def root_matrix(d: int, root: Weight):
     return tuple(tuple(row) for row in m)
 
 
-def root_element(d: int, root: Weight, n: int, t: int = 1):
-    """I + t * X_root reduced mod n."""
+def root_element(d: int, root: Weight, n: int):
+    """I + X_root reduced mod n."""
     x = root_matrix(d, root)
     size = 2 * d
     return tuple(
-        tuple((int(i == j) + t * x[i][j]) % n for j in range(size))
+        tuple((int(i == j) + x[i][j]) % n for j in range(size))
         for i in range(size))
 
 
@@ -75,36 +74,6 @@ def torus_element(d: int, ts, c, n: int):
     return tuple(
         tuple((diag[i] % n) if i == j else 0 for j in range(size))
         for i in range(size))
-
-
-def s_cochar_matrix(d: int, s: int, lam: int):
-    """The point S_s(lam) as an exact integer matrix: diag(lam^2 I_{d-s},
-    lam I_{2s}, I_{d-s}), similitude lam^2."""
-    check_index(s, d)
-    diag = [lam ** 2] * (d - s) + [lam] * (2 * s) + [1] * (d - s)
-    size = 2 * d
-    return tuple(
-        tuple(diag[i] if i == j else 0 for j in range(size)) for i in range(size))
-
-
-def conjugation_weight(g_diag, x):
-    """Scalar q with g x g^-1 = q * x for a diagonal integer matrix g.
-
-    Exact over the rationals; returns None if x is not an eigenvector of the
-    conjugation (which would mean the root conventions are wrong).  For
-    g = S_s(lam) and x a root vector, q should be lam**pairing.
-    """
-    size = len(x)
-    diag = [g_diag[i][i] for i in range(size)]
-    ratios = set()
-    for i in range(size):
-        for j in range(size):
-            if x[i][j]:
-                ratios.add(Fraction(diag[i], diag[j]))
-    if len(ratios) != 1:
-        return None
-    # The ratio itself, not its exponent: the caller compares it with lam**pairing.
-    return ratios.pop()
 
 
 def embed_linear(d: int, r: int, a, n: int):

@@ -27,7 +27,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import InputError, check_index
+from .errors import InputError, check_index, is_int
 
 # Truncation bounds live in Z union {-inf, +inf}; CPython compares int
 # with float('inf') exactly, so mixed comparisons below are safe.
@@ -52,7 +52,10 @@ class Weight(_Weight):
     __slots__ = ()
 
     def __new__(cls, a, m0=0):
-        return tuple.__new__(cls, (tuple(int(x) for x in a), m0))
+        a = tuple(a)
+        if not (all(map(is_int, a)) and is_int(m0)):
+            raise InputError(f"weight entries must be integers, got {a!r}@{m0!r}")
+        return tuple.__new__(cls, (a, m0))
 
     @property
     def d(self) -> int:
@@ -226,62 +229,24 @@ class GradedVirtualRep(NamedTuple):
         kept.sort(key=lambda s: (s.degree, s.levi.avector, s.levi.m0, s.levi.shape))
         return GradedVirtualRep(tuple(kept))
 
-    def is_zero(self) -> bool:
-        return not self.summands
-
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(s.degree for s in self.summands)
-
     def euler_dim(self) -> int:
         return sum((-1) ** s.degree * s.mult * weyl_dim(s.levi) for s in self.summands)
 
-    def scaled(self, k: int) -> "GradedVirtualRep":
-        return GradedVirtualRep.build(
-            Summand(s.degree, s.levi, k * s.mult) for s in self.summands)
-
-    def plus(self, other: "GradedVirtualRep") -> "GradedVirtualRep":
-        return GradedVirtualRep.build(self.summands + other.summands)
-
-
-_MODES = ("<", ">=")
-
 
 def truncate(module: GradedVirtualRep,
-             conds: Iterable[tuple[int, Bound, str]]) -> GradedVirtualRep:
-    """Keep the summands whose S_s-pairings satisfy every condition.
+             conds: Iterable[tuple[int, Bound]]) -> GradedVirtualRep:
+    """Keep the summands whose S_s-pairing is < bound for every (s, bound).
 
-    Each condition is (s, bound, mode) with mode "<" or ">=".  S_s is
-    central in the Levi of any parabolic containing index s, so the pairing
-    of the highest weight decides the whole irreducible.  ``torus_pairing``
-    rejects an index s outside 0..d-1.
+    S_s is central in the Levi of any parabolic containing index s, so the
+    pairing of the highest weight decides the whole irreducible.
+    ``torus_pairing`` rejects an index s outside 0..d-1.
     """
     conds = list(conds)
-    for s, bound, mode in conds:
+    for _, bound in conds:
         _check_bound(bound)
-        if mode not in _MODES:
-            raise InputError(f"truncation mode must be one of {_MODES}, got {mode!r}")
     kept = []
     for summand in module.summands:
         mu = summand.levi.as_weight()
-        ok = True
-        for s, bound, mode in conds:
-            p = torus_pairing(mu, s)
-            if mode == "<":
-                ok = p < bound
-            else:
-                ok = p >= bound
-            if not ok:
-                break
-        if ok:
+        if all(torus_pairing(mu, s) < bound for s, bound in conds):
             kept.append(summand)
     return GradedVirtualRep(tuple(kept))
-
-
-def global_weight_split(v: Iterable[tuple[Weight, int]], t: Bound):
-    """Split (weight, multiplicity) pairs by central weight < t versus >= t."""
-    _check_bound(t)
-    lower, upper = [], []
-    for lam, mult in v:
-        check_dominant(lam)
-        (lower if central_weight(lam) < t else upper).append((lam, mult))
-    return lower, upper

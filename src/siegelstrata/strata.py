@@ -70,15 +70,6 @@ def double_coset_count(ctx: GroupContext, r: int, S) -> int:
     return exact_div(num, den)
 
 
-def subgroup_order_formula(ctx: GroupContext, S) -> int:
-    """Order of the finite shadow H_S(n): |GSp_2r| * n^{dim N_S} * prod |GL_k(Z)-image|."""
-    pd = parabolic_data(ctx, normalize_parabolic_set(ctx.d, S))
-    out = _order_any_level(GSp(2 * pd.r), ctx.n) * ctx.n ** pd.dimN
-    for b in pd.leviBlocks:
-        out *= integral_image_order(b, ctx.n)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # brute-force companions
 

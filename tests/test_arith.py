@@ -12,15 +12,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from siegelstrata import (GL, GSp, SL, ScopeError, Sp, Unipotent,
-                          brute_force_group, congruence_index,
-                          euler_char_congruence, euler_phi, group_order,
-                          integral_image_order, zeta_negative)
+from oracles import j_form, transpose
+from siegelstrata import (GL, GSp, SL, ScopeError, Sp, brute_force_group,
+                          congruence_index, euler_char_congruence, euler_phi,
+                          group_order, integral_image_order, zeta_negative)
 from siegelstrata.arith import (FACTOR_LIMIT, bernoulli, factorint,
-                                identity_matrix, j_form, left_orbits, mat_det,
+                                identity_matrix, left_orbits, mat_det,
                                 mat_inv_mod, mat_mod, mat_mul, orbit_canonical,
-                                similitude, subgroup_closure, symplectic_form,
-                                transpose)
+                                similitude, subgroup_closure, symplectic_form)
 
 
 def test_factorint_and_phi():
@@ -67,7 +66,6 @@ KNOWN_ORDERS = {
     (GSp(2), 6): 288,
     (GSp(4), 3): 103680,
     (GSp(0), 5): 4,          # similitude torus alone
-    (Unipotent(3), 5): 125,
 }
 
 
@@ -272,10 +270,6 @@ def test_mat_det():
     assert mat_det(identity_matrix(3)) == 1
     assert mat_det(((0, 1), (1, 0))) == -1
     assert mat_det(((1, 2, 3), (4, 5, 6), (7, 8, 10))) == -3
-
-
-def test_transpose():
-    assert transpose(((1, 2), (3, 4))) == ((1, 3), (2, 4))
 
 
 def test_scope_errors():

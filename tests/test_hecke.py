@@ -8,10 +8,10 @@ from siegelstrata.arith import (GSp, ScopeError, brute_force_group, euler_phi,
                                 left_orbits, mat_mod, orbit_canonical,
                                 subgroup_closure)
 from siegelstrata.errors import InputError
+from oracles import kernel_shadow_count
 from siegelstrata.hecke import (HeckeDatum, boundary_fiber_count,
                                 hecke_index, hecke_matrix_structure,
-                                kernel_shadow_count, reduction_fiber_count,
-                                transfer_degree)
+                                reduction_fiber_count, transfer_degree)
 from siegelstrata.matrixmodel import parabolic_generators
 
 PAIRS = [(3, 6), (3, 9), (4, 8)]

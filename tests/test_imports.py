@@ -1,7 +1,8 @@
 """The package's imports: every name a module, demo or test imports is used
-in it, and importing the CLI stays cheap.
+in it, every public name of the package is used by the calculator, and
+importing the CLI stays cheap.
 
-No linter is part of the toolchain, so the stdlib ``ast`` check stands in
+No linter is part of the toolchain, so the stdlib ``ast`` checks stand in
 for one.  ``__init__.py`` is skipped: its imports are the public re-exports.
 """
 
@@ -10,6 +11,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -41,6 +43,63 @@ def test_no_unused_imports(name):
 
 def test_check_flags_an_unused_import():
     assert _unused_imports("import os\nfrom math import gcd, pi\nx = pi\n") == ["gcd", "os"]
+
+
+def _references(tree: ast.AST, strings: bool = False) -> Counter:
+    """Names and attribute names in tree, and its string constants if asked
+    (the tracer names the functions it wraps as strings)."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else
+        node.attr if isinstance(node, ast.Attribute) else node.value
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) or (
+            strings and isinstance(node, ast.Constant) and isinstance(node.value, str)))
+
+
+def _unreferenced(modules: dict[str, str], refs: Counter) -> list[str]:
+    """The public top-level functions and classes, and public methods, of
+    ``modules`` (name -> source) that ``refs`` holds no reference to outside
+    the definition itself.  ``refs`` must count the modules' own references."""
+    out = []
+    for module, source in modules.items():
+        body = ast.parse(source).body
+        defs = [(n.name, n) for n in body if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+        defs += [(f"{c.name}.{m.name}", m) for c in body if isinstance(c, ast.ClassDef)
+                 for m in c.body if isinstance(m, ast.FunctionDef)]
+        out += [f"{module}:{qualname}" for qualname, item in defs
+                if not item.name.startswith("_")
+                and refs[item.name] == _references(item)[item.name]]
+    return out
+
+
+# The README documents GL/SL/Sp/GSp as the families whose orders the package
+# computes; GL and Sp are that public API although no calculator path uses them.
+API_ONLY = {"arith.py:GL", "arith.py:Sp"}
+
+
+def test_every_public_name_is_used_by_the_calculator():
+    # Used means referenced from a package module, a demo or the tracer; a
+    # name that only tests call belongs in the tests (tests/oracles.py).
+    modules = {name: path.read_text() for name, path in CHECKED.items()
+               if "/" not in name}
+    demos = [p.read_text() for p in (ROOT / "demos").glob("*.py")]
+    refs = _references(ast.parse((ROOT / "bench" / "tracer.py").read_text()), True)
+    for source in [*modules.values(), *demos]:
+        refs += _references(ast.parse(source))
+    assert sorted(set(_unreferenced(modules, refs)) - API_ONLY) == []
+
+
+def test_check_flags_a_public_name_only_its_own_body_uses():
+    source = ("def used(): pass\n"
+              "def dead(n): return dead(n - 1) if n else used()\n"
+              "class C:\n    def live(self): pass\n"
+              "    def gone(self): return self.live()\n"
+              "    def _private(self): return C\n")
+    refs = _references(ast.parse(source)) + _references(ast.parse("C().x"))
+    assert _unreferenced({"m.py": source}, refs) == ["m.py:dead", "m.py:C.gone"]
+    # the tracer's strings count: a LAYERS entry keeps dead
+    refs += _references(ast.parse("LAYERS = [('m', 'dead')]"), strings=True)
+    assert _unreferenced({"m.py": source}, refs) == ["m.py:C.gone"]
 
 
 def _traced_modules() -> set[str]:

@@ -11,9 +11,10 @@ from siegelstrata import (InputError, build_context, double_coset_count,
                           double_coset_count_bruteforce, euler_phi,
                           ic_profiles, strata_count, strata_count_bruteforce,
                           stratum_dims)
+from oracles import subgroup_order_formula
 from siegelstrata.strata import (_strata_count_raw, refinement_check_bruteforce,
                                  similitude_image_bruteforce,
-                                 strata_orbit_partition, subgroup_order_formula)
+                                 strata_orbit_partition)
 
 
 def test_stratum_dims():
@@ -57,6 +58,9 @@ def test_strata_count_validates(ctx2):
         strata_count(ctx2, 2)
     with pytest.raises(InputError):
         strata_count(ctx2, -1)
+    for r in (True, 1.0, 0.5):      # not read as r = 1 or truncated to 0
+        with pytest.raises(InputError):
+            strata_count(ctx2, r)
 
 
 def test_double_coset_counts(ctx2):

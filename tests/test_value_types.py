@@ -9,7 +9,7 @@ import math
 import pytest
 
 from siegelstrata import (ClassTerm, GradedVirtualRep, GroupContext, GSp,
-                          HeckeDatum, HeckeMatrixStructure,
+                          HeckeDatum, HeckeMatrixStructure, InputError,
                           LeviWeight, ParabolicData, Summand, SymbolicClass,
                           Weight, WeylElt, build_context, parabolic_data)
 from siegelstrata.arith import GroupKind
@@ -38,8 +38,7 @@ CASES = [
     (ParabolicData, parabolic_data(build_context(1, 3), (0,)),
      "ParabolicData(S=(0,), r=0, leviBlocks=(1,), "
      "blockRanges=((0, 1),), gspRange=(1, 1), nRoots=(Weight(a=(2,), m0=-1),), "
-     "uRoots=(Weight(a=(2,), m0=-1),), leviRoots=(), leviSimpleRoots=(), "
-     "dimN=1, dimU=1)"),
+     "dimN=1)"),
     (HeckeDatum, HeckeDatum(1, 3, 6), "HeckeDatum(d=1, n=3, m=6)"),
     (HeckeMatrixStructure, HeckeMatrixStructure(((((1, 0), (0, 1)),),), ((0, 0, 1),)),
      "HeckeMatrixStructure(classes=((((1, 0), (0, 1)),),), entries=((0, 0, 1),))"),
@@ -64,8 +63,12 @@ def test_every_value_type_is_covered():
 
 
 def test_weight_coerces_entries_to_int():
-    w = Weight([2, True], 1)
+    w = Weight([2, 1], 1)
     assert w.a == (2, 1)
     assert all(type(x) is int for x in w.a)
     assert Weight([1]) == Weight((1,), 0)
+    # a float or a bool is refused, not truncated (1.7 -> 1) or read as 0/1
+    for a, m0 in [((1.7, 0.2), 0), ((1,), 0.5), ((2, True), 1), ((1,), False)]:
+        with pytest.raises(InputError):
+            Weight(a, m0)
 
