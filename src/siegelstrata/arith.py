@@ -23,9 +23,11 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import lt
 from typing import NamedTuple
 
-from .errors import InputError, ScopeError, check_level, check_levels
+from .errors import (InputError, ScopeError, check_level, check_levels,
+                     is_int)
 
 DEFAULT_CAP = 200_000
 _SCAN_GUARD = 5_000_000  # raw candidate-space bound for filter-style scans
@@ -56,15 +58,15 @@ def GSp(two_r: int) -> GroupKind:
 
 
 def _nonneg(k) -> int:
-    if not (isinstance(k, int) and k >= 0):
+    if not (is_int(k) and k >= 0):
         raise InputError(f"parameter must be a non-negative integer, got {k!r}")
     return k
 
 
 def _even(family: str, two_r) -> int:
-    if two_r % 2:
+    if _nonneg(two_r) % 2:
         raise InputError(f"{family} parameter must be even, got {two_r}")
-    return _nonneg(two_r)
+    return two_r
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +85,7 @@ FACTOR_LIMIT = 10 ** 12  # trial division up to 10^6: a fraction of a second
 
 def factorint(n: int) -> dict[int, int]:
     """Prime factorization by trial division, refused above FACTOR_LIMIT."""
-    if not (isinstance(n, int) and n >= 1):
+    if not (is_int(n) and n >= 1):
         raise InputError(f"cannot factor {n!r}")
     if n > FACTOR_LIMIT:
         raise ScopeError(f"{n} exceeds the factoring bound {FACTOR_LIMIT}")
@@ -143,7 +145,7 @@ def _order_any_level(kind: GroupKind, n: int) -> int:
 
 def group_order(kind: GroupKind, n: int) -> int:
     """|kind(Z/n)| for n >= 2, multiplicative over coprime factors."""
-    if not (isinstance(n, int) and n >= 2):
+    if not (is_int(n) and n >= 2):
         raise InputError(f"modulus must be an integer >= 2, got {n!r}")
     return _order_any_level(kind, n)
 
@@ -156,7 +158,7 @@ def integral_image_order(k: int, n: int) -> int:
     k = 0.
     """
     _nonneg(k)
-    if not (isinstance(n, int) and n >= 1):
+    if not (is_int(n) and n >= 1):
         raise InputError(f"modulus must be a positive integer, got {n!r}")
     if k == 0 or n == 1:
         return 1
@@ -186,7 +188,7 @@ def bernoulli(j: int) -> Fraction:
 
 def zeta_negative(i: int) -> Fraction:
     """zeta(1 - i) = -B_i / i for i >= 2 (vanishes for odd i >= 3)."""
-    if not (isinstance(i, int) and i >= 2):
+    if not (is_int(i) and i >= 2):
         raise InputError(f"need i >= 2, got {i!r}")
     return -bernoulli(i) / i
 
@@ -198,7 +200,7 @@ def euler_char_congruence(k: int, n: int) -> Fraction:
     for n >= 3, which the formula needs.  Equals 1 for k = 1, an integer
     for k = 2, and 0 for k >= 3 (zeta(-2) = 0 kills it).
     """
-    if not (isinstance(k, int) and k >= 1):
+    if not (is_int(k) and k >= 1):
         raise InputError(f"block size must be >= 1, got {k!r}")
     check_level(n)
     out = Fraction(group_order(SL(k), n))
@@ -260,9 +262,14 @@ def mat_inv_mod(a, n: int):
         tuple((det_inv * cof[j][i]) % n for j in range(size)) for i in range(size))
 
 
+@lru_cache(maxsize=None)
 def symplectic_form(u, v, n: int) -> int:
     """t(u) J v mod n for the antidiagonal J: +1 on the upper half of the
-    antidiagonal, -1 on the lower half."""
+    antidiagonal, -1 on the lower half.
+
+    Memoized: the oracles evaluate it on the same column pairs over and
+    over, and reduced vectors of length 2d give at most n^{4d} keys
+    (6,561 at d = 2, n = 3)."""
     size = len(u)
     s = 0
     for i in range(size // 2):
@@ -278,14 +285,18 @@ def similitude(g, n: int):
     (i, 2d-1-i) must pair to c = form(col_0, col_{2d-1}), all others to 0.
     """
     cols = tuple(zip(*g))
-    size = len(cols)
-    c = symplectic_form(cols[0], cols[size - 1], n)
-    for i in range(size):
-        for j in range(i + 1, size):
-            want = c if j == size - 1 - i else 0
-            if symplectic_form(cols[i], cols[j], n) != want:
-                return None
+    c = symplectic_form(cols[0], cols[-1], n)
+    for i, j, partner in _column_pairs(len(cols)):
+        if symplectic_form(cols[i], cols[j], n) != (c if partner else 0):
+            return None
     return c
+
+
+@lru_cache(maxsize=None)
+def _column_pairs(size: int):
+    """(i, j, whether j is i's partner 2d-1-i) for the column pairs i < j."""
+    return tuple((i, j, j == size - 1 - i)
+                 for i in range(size) for j in range(i + 1, size))
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +379,13 @@ def _brute_force_cached(kind: GroupKind, n: int, cap: int):
                                           1 if fam == "Sp" else None)
     else:
         raise InputError(f"unknown group family {fam!r}")
-    elems = sorted(set(elems))
-    assert len(elems) == expected, (kind, n, len(elems), expected)
+    # In place, so timsort keeps the runs the enumeration produced; strictly
+    # increasing then means duplicate-free, and the count must be the order.
+    elems.sort()
+    if len(elems) != expected or not all(map(lt, elems, elems[1:])):
+        raise ArithmeticError(
+            f"enumerating {kind.family}({kind.param}) over Z/{n} gave "
+            f"{len(elems)} elements, not {expected} distinct ones")
     return tuple(elems)
 
 
@@ -377,11 +393,11 @@ def brute_force_group(kind: GroupKind, n: int, cap: int = DEFAULT_CAP):
     """Exhaustive, duplicate-free, canonically sorted enumeration.
 
     The enumeration uses only the defining equations (unit determinant,
-    respectively the symplectic-similitude identity); its cardinality is
-    asserted against the closed-form order, so a discrepancy in either
-    direction fails loudly.
+    respectively the symplectic-similitude identity); it is checked to be
+    duplicate-free and its cardinality to be the closed-form order, also
+    under ``python -O``, so a discrepancy in either direction fails loudly.
     """
-    if not (isinstance(n, int) and n >= 2):
+    if not (is_int(n) and n >= 2):
         raise InputError(f"modulus must be an integer >= 2, got {n!r}")
     return _brute_force_cached(kind, n, cap)
 
@@ -389,20 +405,58 @@ def brute_force_group(kind: GroupKind, n: int, cap: int = DEFAULT_CAP):
 # ---------------------------------------------------------------------------
 # subgroup closures and orbits
 
+def _row_recipes(g, n: int):
+    """Left multiplication by g, as recipes for the rows of g x that differ
+    from the rows of x: ``moves`` (i, k) copy row k of x, ``scales``
+    (i, k, a) take a times row k, and ``sums`` (i, ((k, a), ...)) any other
+    linear combination of rows.  Rows of g that are rows of the identity
+    get no recipe, so g x shares x's row tuple there."""
+    moves, scales, sums = [], [], []
+    for i, row in enumerate(g):
+        terms = tuple((k, a % n) for k, a in enumerate(row) if a % n)
+        if terms == ((i, 1),):
+            continue
+        if len(terms) != 1:
+            sums.append((i, terms))
+        elif terms[0][1] == 1:
+            moves.append((i, terms[0][0]))
+        else:
+            scales.append((i, *terms[0]))
+    return tuple(moves), tuple(scales), tuple(sums)
+
+
+def _left_mul(recipes, x, n: int):
+    """g x mod n from ``_row_recipes(g, n)``, for x with entries in [0, n)."""
+    moves, scales, sums = recipes
+    y = list(x)
+    for i, k in moves:
+        y[i] = x[k]
+    for i, k, a in scales:
+        y[i] = tuple([a * v % n for v in x[k]])
+    for i, terms in sums:
+        acc = [0] * len(x[0])
+        for k, a in terms:
+            acc = [s + a * v for s, v in zip(acc, x[k])]
+        y[i] = tuple([s % n for s in acc])
+    return tuple(y)
+
+
 def _orbit(seed, gens, n: int, cap: int | None = None) -> set:
     """Breadth-first closure of {seed} under left multiplication by gens mod n.
 
-    Raises ScopeError once the orbit would pass ``cap`` elements (no cap if
-    None).  The visiting order is fixed by the generator order, so the set is
-    built the same way on every run.
+    The seed's entries must lie in [0, n).  Raises ScopeError once the orbit
+    would pass ``cap`` elements (no cap if None).  The visiting order is
+    fixed by the generator order, so the set is built the same way on every
+    run.
     """
+    actions = [_row_recipes(g, n) for g in gens]
     orbit = {seed}
     frontier = [seed]
     while frontier:
         nxt = []
         for x in frontier:
-            for g in gens:
-                y = mat_mul(g, x, n)
+            for recipes in actions:
+                y = _left_mul(recipes, x, n)
                 if y not in orbit:
                     if cap is not None and len(orbit) >= cap:
                         raise ScopeError(f"orbit exceeded cap {cap}")

@@ -4,8 +4,9 @@ Each is written from its definition and shares no code path with the
 function it checks: the symplectic form and the cocharacter points as
 explicit matrices, conjugation scalars by literal division, root
 inventories by block membership, the subgroup orders by their product
-formula, the congruence kernel by counting a literal closure, and the
-weighted restriction as a sum of chain terms.
+formula, the congruence kernel by counting a literal closure, a subgroup
+closure by dense matrix products, and the weighted restriction as a sum of
+chain terms.
 """
 
 from fractions import Fraction
@@ -13,7 +14,8 @@ from fractions import Fraction
 from siegelstrata import (ClassTerm, GSp, SymbolicClass, build_context,
                           chain_term, group_order, integral_image_order,
                           parabolic_data)
-from siegelstrata.arith import DEFAULT_CAP, subgroup_closure
+from siegelstrata.arith import (DEFAULT_CAP, identity_matrix, mat_mod,
+                                mat_mul, subgroup_closure)
 from siegelstrata.engine import expansion_chains
 from siegelstrata.grouptheory import positive_roots
 from siegelstrata.matrixmodel import parabolic_generators
@@ -111,6 +113,24 @@ def kernel_shadow_count(datum, S, cap: int = DEFAULT_CAP) -> int:
     return sum(1 for g in subgroup_closure(gens, datum.m, cap)
                if all(x % n == (i == j) for i, row in enumerate(g)
                       for j, x in enumerate(row)))
+
+
+def mat_mul_closure(gens, n: int) -> frozenset:
+    """The subgroup generated by ``gens`` mod n, closed breadth-first with
+    the dense product ``mat_mul`` on every element and generator."""
+    gens = [mat_mod(g, n) for g in gens]
+    seen = {identity_matrix(len(gens[0]))}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = mat_mul(g, x, n)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return frozenset(seen)
 
 
 def restrict_weighted_via_expansion(ctx, profile, lam, r) -> SymbolicClass:

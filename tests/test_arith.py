@@ -12,14 +12,17 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import j_form, transpose
-from siegelstrata import (GL, GSp, SL, ScopeError, Sp, brute_force_group,
+from oracles import j_form, mat_mul_closure, transpose
+from siegelstrata import (GL, GSp, SL, InputError, ScopeError, Sp,
+                          brute_force_group, build_context,
                           congruence_index, euler_char_congruence, euler_phi,
                           group_order, integral_image_order, zeta_negative)
-from siegelstrata.arith import (FACTOR_LIMIT, bernoulli, factorint,
-                                identity_matrix, left_orbits, mat_det,
-                                mat_inv_mod, mat_mod, mat_mul, orbit_canonical,
-                                similitude, subgroup_closure, symplectic_form)
+from siegelstrata.arith import (FACTOR_LIMIT, _left_mul, _row_recipes,
+                                bernoulli, factorint, identity_matrix,
+                                left_orbits, mat_det, mat_inv_mod, mat_mod,
+                                mat_mul, orbit_canonical, similitude,
+                                subgroup_closure, symplectic_form)
+from siegelstrata.matrixmodel import parabolic_generators
 
 
 def test_factorint_and_phi():
@@ -98,6 +101,16 @@ def test_group_order_matches_bruteforce_small():
     for kind, n in cases:
         elems = brute_force_group(kind, n)
         assert len(elems) == group_order(kind, n)
+
+
+def test_brute_force_group_is_strictly_increasing():
+    # sorted and duplicate-free, for every kind enumerated in this file
+    cases = list(KNOWN_ORDERS) + [(Sp(2), 5), (GL(2), 9), (GSp(4), 2)]
+    cases += [(SL(0), n) for n in range(2, 6)]
+    cases += [(kind, n) for n in range(3, 9) for kind in (GSp(2), Sp(2))]
+    for kind, n in cases:
+        elems = brute_force_group(kind, n)
+        assert all(a < b for a, b in zip(elems, elems[1:])), (kind, n)
 
 
 def test_bruteforce_closure_matches_formula_at_prime_power():
@@ -277,6 +290,53 @@ def test_scope_errors():
         brute_force_group(GSp(4), 4)        # 1.4m elements > default cap
     with pytest.raises(ScopeError):
         brute_force_group(GL(3), 16)
+
+
+def test_bool_is_not_an_integer():
+    calls = [(GL, (True,)), (SL, (False,)), (Sp, (True,)), (GSp, (False,)),
+             (factorint, (True,)), (group_order, (GL(2), True)),
+             (integral_image_order, (True, 3)), (integral_image_order, (2, True)),
+             (zeta_negative, (True,)), (euler_char_congruence, (True, 3)),
+             (brute_force_group, (GL(1), True))]
+    for fn, args in calls:
+        with pytest.raises(InputError):
+            fn(*args)
+
+
+def _recipe_row(size, n, i):
+    """Row i of a generator: an identity row, a permutation row, a scaled
+    unit row or a dense row, with entries not necessarily reduced mod n."""
+    def unit(k, a):
+        return tuple(a if j == k else 0 for j in range(size))
+    index, entry = st.integers(0, size - 1), st.integers(-n, 2 * n)
+    return st.one_of(st.just(unit(i, 1)),
+                     index.map(lambda k: unit(k, 1)),
+                     st.tuples(index, entry).map(lambda ka: unit(*ka)),
+                     st.tuples(*[entry] * size))
+
+
+@st.composite
+def _action_case(draw):
+    size, n = draw(st.integers(1, 6)), draw(st.integers(2, 12))
+    g = tuple(draw(_recipe_row(size, n, i)) for i in range(size))
+    row = st.tuples(*[st.integers(0, n - 1)] * size)
+    return g, draw(st.tuples(*[row] * size)), n
+
+
+@given(_action_case())
+@settings(max_examples=300)
+def test_row_recipes_act_as_the_matrix_product(case):
+    g, x, n = case
+    y = _left_mul(_row_recipes(g, n), x, n)
+    assert y == mat_mul(g, x, n)
+    ident = identity_matrix(len(g))
+    assert all(y[i] is x[i] for i in range(len(g)) if mat_mod(g, n)[i] == ident[i])
+
+
+@pytest.mark.parametrize("S", [(0,), (1,), (0, 1)])
+def test_subgroup_closure_matches_the_dense_product_closure(S):
+    gens = parabolic_generators(build_context(2, 3), S)
+    assert subgroup_closure(gens, 3) == mat_mul_closure(gens, 3)
 
 
 def test_subgroup_closure_and_orbits():
