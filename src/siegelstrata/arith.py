@@ -206,8 +206,8 @@ def euler_char_congruence(k: int, n: int) -> Fraction:
     out = Fraction(group_order(SL(k), n))
     for i in range(2, k + 1):
         out *= zeta_negative(i)
-    if k == 2:
-        assert out.denominator == 1
+    if k == 2 and out.denominator != 1:
+        raise ArithmeticError(f"e_2 at level {n} is not an integer: {out}")
     return out
 
 

@@ -127,9 +127,8 @@ REPORT_COLUMNS = ["S", "degree", "weight", "mult", "central_weight",
 def _report_rows(cls: engine.SymbolicClass, label: str | None = None):
     rows = []
     for S, degree, levi, mult, central, sheaf, pairs in engine.graded_report(cls):
-        w = levi.as_weight()
         row = {"S": _fmt_set(S), "degree": str(degree),
-               "weight": _fmt_weight(w.a, w.m0), "mult": str(mult),
+               "weight": _fmt_weight(levi.avector, levi.m0), "mult": str(mult),
                "central_weight": str(central), "sheaf_weight": str(sheaf),
                "pairings": ",".join(str(p) for p in pairs)}
         if label is not None:
@@ -294,28 +293,26 @@ def _run_hecke_matrix(args: argparse.Namespace):
 def _run_oracle(args: argparse.Namespace):
     d, n, r, cap = args.d, args.n, args.r, args.cap
     ctx = build_context(d, n)
+    tag = f"d={d} n={n}"
     checks = []
-    formula = strata.strata_count(ctx, r)
-    brute = strata.strata_count_bruteforce(d, n, r, cap=cap)
-    checks.append({"name": f"strata d={d} n={n} r={r}",
-                   "formula": str(formula), "bruteforce": str(brute),
-                   "ok": "PASS" if formula == brute else "FAIL"})
+
+    def check(name: str, formula, brute) -> None:
+        formula, brute = str(formula), str(brute)
+        checks.append({"name": name, "formula": formula, "bruteforce": brute,
+                       "ok": "PASS" if formula == brute else "FAIL"})
+
+    check(f"strata {tag} r={r}", strata.strata_count(ctx, r),
+          strata.strata_count_bruteforce(d, n, r, cap=cap))
     if args.S is not None:
         S = args.S
         formula = strata.double_coset_count(ctx, r, S)
-        brute = strata.double_coset_count_bruteforce(d, n, r, S, cap=cap)
-        checks.append({"name": f"doubleCosets d={d} n={n} S={_fmt_set(S)}",
-                       "formula": str(formula), "bruteforce": str(brute),
-                       "ok": "PASS" if formula == brute else "FAIL"})
+        check(f"doubleCosets {tag} S={_fmt_set(S)}", formula,
+              strata.double_coset_count_bruteforce(d, n, r, S, cap=cap))
         refined = strata.refinement_check_bruteforce(d, n, r, S, cap=cap)
-        checks.append({"name": f"refinement d={d} n={n} S={_fmt_set(S)}",
-                       "formula": str(formula),
-                       "bruteforce": str(formula) if refined else "mismatch",
-                       "ok": "PASS" if refined else "FAIL"})
-    image = strata.similitude_image_bruteforce(d, n, cap=cap)
-    checks.append({"name": f"similitudeImage d={d} n={n}",
-                   "formula": str(euler_phi(n)), "bruteforce": str(len(image)),
-                   "ok": "PASS" if len(image) == euler_phi(n) else "FAIL"})
+        check(f"refinement {tag} S={_fmt_set(S)}", formula,
+              formula if refined else "mismatch")
+    check(f"similitudeImage {tag}", euler_phi(n),
+          len(strata.similitude_image_bruteforce(d, n, cap=cap)))
     return {"columns": ["name", "formula", "bruteforce", "ok"], "rows": checks}
 
 

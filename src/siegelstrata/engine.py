@@ -164,25 +164,24 @@ def restrict_weighted(ctx: GroupContext, profile, lam: Weight,
     profile = _check_profile(ctx.d, profile)
     check_weight(ctx, lam)
     d, m = ctx.d, central_weight(lam)
-    bounds = [p + m for p in profile]
     shifted, rho = lam.add(ctx.rho).a, ctx.rho.a
     kept: dict[int, list] = {}  # bit mask of S -> (degree, w.lam) kept for S
     for length, descents, v in weyl_table(d, r):
-        # w.lam = w(lam + rho) - rho: v[p] = +-rho_i puts +-(lam + rho)_i at p,
-        # and each flipped coordinate adds (lam + rho)_i to m0.
+        # w.lam = w(lam + rho) - rho: v[p] = +-rho_i puts +-(lam + rho)_i at p.
         a = [(shifted[d - x] if x > 0 else -shifted[d + x]) - rho[p]
              for p, x in enumerate(v)]
-        m0 = lam.m0 + sum(shifted[d + x] for x in v if x < 0)
-        # S_s-pairing = sum(a) + sum(a[:d - s]) + 2 m0, from one prefix sum.
-        prefix = list(itertools.accumulate(a, initial=2 * m0 + sum(a)))
-        if prefix[d - r] < bounds[r]:
+        # w.lam has central weight m, so its S_s-pairing is m + sum(a[:d - s])
+        # and the cut "pairing < profile[s] + m" reads prefix[d - s] < profile[s].
+        prefix = list(itertools.accumulate(a, initial=0))
+        if prefix[d - r] < profile[r]:
             continue
         allowed = 1 << r | sum(1 << s for s in range(r + 1, d)
-                               if prefix[d - s] < bounds[s])
+                               if prefix[d - s] < profile[s])
         if descents & ~allowed:
             continue
+        # Each flipped coordinate adds (lam + rho)_i to m0.
+        mu = Weight(tuple(a), lam.m0 + sum(shifted[d + x] for x in v if x < 0))
         # The S keeping w.lam lie between its descents plus r and the allowed cuts.
-        mu = Weight(tuple(a), m0)
         low = descents | 1 << r
         free = sub = allowed & ~low
         while True:

@@ -28,8 +28,7 @@ from .arith import (DEFAULT_CAP, GSp, SL, brute_force_group, congruence_index,
                     exact_div, identity_matrix, left_orbits, mat_mod, mat_mul,
                     orbit_canonical, similitude)
 from .errors import InputError, check_genus, check_levels
-from .grouptheory import (MAX_DEFAULT_GENUS, build_context,
-                          normalize_parabolic_set, parabolic_data)
+from .grouptheory import MAX_DEFAULT_GENUS, build_context, parabolic_data
 from .matrixmodel import parabolic_generators
 
 
@@ -53,7 +52,7 @@ class HeckeDatum(_HeckeDatum):
 
 def _pdata(datum: HeckeDatum, S):
     ctx = build_context(datum.d, datum.n)
-    return parabolic_data(ctx, normalize_parabolic_set(datum.d, S))
+    return parabolic_data(ctx, S)
 
 
 def transfer_degree(datum: HeckeDatum) -> int:

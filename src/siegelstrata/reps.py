@@ -24,9 +24,9 @@ truncation calculus used downstream.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
+from .arith import exact_div
 from .errors import InputError, check_index, is_int
 
 # Truncation bounds live in Z union {-inf, +inf}; CPython compares int
@@ -161,42 +161,32 @@ def is_levi_dominant(mu: LeviWeight) -> bool:
     return not (mu.gsp and mu.gsp[-1] < 0)
 
 
-def _gl_dim(b: Sequence[int]) -> Fraction:
-    # prod_{i<j} (b_i - b_j + j - i) / (j - i); translation invariant.
-    out = Fraction(1)
-    k = len(b)
-    for i in range(k):
-        for j in range(i + 1, k):
-            out *= Fraction(b[i] - b[j] + j - i, j - i)
-    return out
-
-def _gsp_dim(g: Sequence[int]) -> Fraction:
-    # Type C_r: with l = g + (r, r-1, ..., 1) and m = (r, ..., 1),
-    # dim = prod_{i<j} (l_i^2 - l_j^2)/(m_i^2 - m_j^2) * prod_i l_i/m_i.
-    r = len(g)
-    l = [g[i] + (r - i) for i in range(r)]
-    m = [r - i for i in range(r)]
-    out = Fraction(1)
-    for i in range(r):
-        out *= Fraction(l[i], m[i])
-        for j in range(i + 1, r):
-            out *= Fraction(l[i] ** 2 - l[j] ** 2, m[i] ** 2 - m[j] ** 2)
-    return out
-
-
 def weyl_dim(mu: LeviWeight) -> int:
     """Dimension of the Levi irreducible with highest weight mu.
 
-    Product of the GL_k hook-style factors per block and the type-C formula
-    for the GSp block; the similitude exponent does not enter.
+    Product of the GL_k factors (b_i - b_j + j - i)/(j - i) per block and,
+    with l = g + (r, r-1, ..., 1) and m = (r, ..., 1), the type-C factors
+    l_i/m_i and (l_i^2 - l_j^2)/(m_i^2 - m_j^2) for the GSp block: one
+    integer numerator over one denominator, divided exactly.  Dominance
+    makes every factor positive; the similitude exponent does not enter.
     """
     if not is_levi_dominant(mu):
         raise InputError(f"{mu} is not dominant for its Levi shape")
-    val = _gsp_dim(mu.gsp)
+    num = den = 1
     for b in mu.blocks:
-        val *= _gl_dim(b)
-    assert val.denominator == 1 and val > 0
-    return int(val)
+        for i in range(len(b)):
+            for j in range(i + 1, len(b)):
+                num *= b[i] - b[j] + j - i
+                den *= j - i
+    r = len(mu.gsp)
+    l = [x + r - i for i, x in enumerate(mu.gsp)]
+    for i in range(r):
+        num *= l[i]
+        den *= r - i
+        for j in range(i + 1, r):
+            num *= l[i] ** 2 - l[j] ** 2
+            den *= (r - i) ** 2 - (r - j) ** 2
+    return exact_div(num, den)
 
 
 class Summand(NamedTuple):

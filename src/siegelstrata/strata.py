@@ -88,8 +88,11 @@ def strata_count_bruteforce(d: int, n: int, r: int,
 
     Orbits of a subgroup acting by left multiplication on the full group are
     its right cosets, so the count is the index; the closure itself is an
-    independent object (it only knows the generator matrices).
+    independent object (it only knows the generator matrices).  (d, n) and
+    r are checked before anything is enumerated.
     """
+    build_context(d, n)
+    check_index(r, d)
     ambient = brute_force_group(GSp(2 * d), n, cap)
     return exact_div(len(ambient), len(_closure_for(d, n, (r,), cap)))
 
@@ -128,18 +131,21 @@ def refinement_check_bruteforce(d: int, n: int, r: int, S,
 
     Verified as [H_r : H_S] = card(I_S) on actual closures (H_S inside H_r),
     which is the fiber-sum identity: summing the I_S fibers over the index-r
-    strata recovers the H_S-coset count.
+    strata recovers the H_S-coset count.  The formula side runs first, so
+    an S with min S != r is refused before any closure is built.
     """
+    formula = double_coset_count(build_context(d, n), r, S)
     S = normalize_parabolic_set(d, S)
     h_r = _closure_for(d, n, (r,), cap)
     h_s = _closure_for(d, n, S, cap)
     assert h_s <= h_r
-    q = exact_div(len(h_r), len(h_s))
-    return q == double_coset_count(build_context(d, n), r, S)
+    return exact_div(len(h_r), len(h_s)) == formula
 
 
 def similitude_image_bruteforce(d: int, n: int, cap: int = DEFAULT_CAP):
-    """The set of similitude factors realized by GSp_2d(Z/n); should be all units."""
+    """The set of similitude factors realized by GSp_2d(Z/n); should be all units.
+    (d, n) are checked first, so a level below 3 is refused as everywhere else."""
+    build_context(d, n)
     ambient = brute_force_group(GSp(2 * d), n, cap)
     values = set()
     for g in ambient:

@@ -5,11 +5,12 @@ function it checks: the symplectic form and the cocharacter points as
 explicit matrices, conjugation scalars by literal division, root
 inventories by block membership, the subgroup orders by their product
 formula, the congruence kernel by counting a literal closure, a subgroup
-closure by dense matrix products, and the weighted restriction as a sum of
-chain terms.
+closure by dense matrix products, the weighted restriction as a sum of
+chain terms, and Levi dimensions as products of Fraction factors.
 """
 
 from fractions import Fraction
+from typing import Sequence
 
 from siegelstrata import (ClassTerm, GSp, SymbolicClass, build_context,
                           chain_term, group_order, integral_image_order,
@@ -139,3 +140,26 @@ def restrict_weighted_via_expansion(ctx, profile, lam, r) -> SymbolicClass:
         ClassTerm(sign * t.coefficient, t.S, t.module)
         for _, sign, chain in expansion_chains(ctx, profile, lam, r)
         for t in chain_term(ctx, chain, r, lam).terms)
+
+
+def _gl_dim(b: Sequence[int]) -> Fraction:
+    # prod_{i<j} (b_i - b_j + j - i) / (j - i); translation invariant.
+    out = Fraction(1)
+    k = len(b)
+    for i in range(k):
+        for j in range(i + 1, k):
+            out *= Fraction(b[i] - b[j] + j - i, j - i)
+    return out
+
+def _gsp_dim(g: Sequence[int]) -> Fraction:
+    # Type C_r: with l = g + (r, r-1, ..., 1) and m = (r, ..., 1),
+    # dim = prod_{i<j} (l_i^2 - l_j^2)/(m_i^2 - m_j^2) * prod_i l_i/m_i.
+    r = len(g)
+    l = [g[i] + (r - i) for i in range(r)]
+    m = [r - i for i in range(r)]
+    out = Fraction(1)
+    for i in range(r):
+        out *= Fraction(l[i], m[i])
+        for j in range(i + 1, r):
+            out *= Fraction(l[i] ** 2 - l[j] ** 2, m[i] ** 2 - m[j] ** 2)
+    return out

@@ -41,16 +41,29 @@ def test_factorint_is_bounded():
         factorint(FACTOR_LIMIT + 1)
 
 
+def _run_optimized(code: str):
+    """Run ``code`` in a fresh ``python -O``, which strips assert statements."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+
+
 def test_exact_div_checks_under_optimize():
     # an assert would be stripped by -O and 7 / 2 would quietly come out as 3
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c",
-         "from siegelstrata.arith import exact_div; print(exact_div(7, 2))"],
-        capture_output=True, text=True, env=env, timeout=60)
+    proc = _run_optimized("from siegelstrata.arith import exact_div; print(exact_div(7, 2))")
     assert proc.returncode != 0 and proc.stdout == ""
     assert "ArithmeticError: 7 is not divisible by 2" in proc.stderr
+
+
+def test_euler_char_congruence_checks_integrality_under_optimize():
+    # e_2 = |SL_2(Z/n)| * zeta(-1) is an integer; with a wrong order of 7 an
+    # assert would be stripped by -O and -7/12 would come out as the answer
+    proc = _run_optimized("from siegelstrata import arith\n"
+                          "arith.group_order = lambda kind, n: 7\n"
+                          "print(arith.euler_char_congruence(2, 3))")
+    assert proc.returncode != 0 and proc.stdout == ""
+    assert "ArithmeticError" in proc.stderr and "-7/12" in proc.stderr
 
 
 KNOWN_ORDERS = {

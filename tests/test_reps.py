@@ -7,6 +7,7 @@ from siegelstrata import (GradedVirtualRep, InputError, LeviWeight, Weight,
                           central_weight, dot_action, is_dominant,
                           is_levi_dominant, torus_pairing, truncate, weyl_dim,
                           weyl_group)
+from oracles import _gl_dim, _gsp_dim
 from siegelstrata.reps import Summand, check_dominant, pairings
 
 weights = st.builds(
@@ -115,6 +116,20 @@ def test_weyl_dim_gsp_blocks():
 def test_weyl_dim_products():
     levi = LeviWeight(((1, -3),), (2,), 5)
     assert weyl_dim(levi) == 5 * 3
+
+
+gl_blocks = st.lists(st.integers(-20, 20), min_size=1, max_size=6).map(
+    lambda b: tuple(sorted(b, reverse=True)))
+gsp_blocks = st.lists(st.integers(0, 20), max_size=6).map(
+    lambda g: tuple(sorted(g, reverse=True)))
+
+
+@given(st.lists(gl_blocks, max_size=3).map(tuple), gsp_blocks, st.integers(-20, 20))
+def test_weyl_dim_matches_fraction_reference(blocks, gsp, m0):
+    expected = _gsp_dim(gsp)
+    for b in blocks:
+        expected *= _gl_dim(b)
+    assert weyl_dim(LeviWeight(blocks, gsp, m0)) == expected
 
 
 def test_levi_dominance():

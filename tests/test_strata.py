@@ -7,12 +7,14 @@ the contract.
 
 import pytest
 
-from siegelstrata import (InputError, build_context, double_coset_count,
-                          double_coset_count_bruteforce, euler_phi,
-                          ic_profiles, strata_count, strata_count_bruteforce,
-                          stratum_dims)
+from siegelstrata import (InputError, LevelError, build_context,
+                          double_coset_count, double_coset_count_bruteforce,
+                          euler_phi, ic_profiles, strata_count,
+                          strata_count_bruteforce, stratum_dims)
 from oracles import subgroup_order_formula
-from siegelstrata.strata import (_strata_count_raw, refinement_check_bruteforce,
+from siegelstrata.arith import _brute_force_cached
+from siegelstrata.strata import (_closure_for, _strata_count_raw,
+                                 refinement_check_bruteforce,
                                  similitude_image_bruteforce,
                                  strata_orbit_partition)
 
@@ -127,3 +129,19 @@ def test_similitude_image():
         assert len(image) == euler_phi(n)
         assert all(x % n == x for x in image)
     assert len(similitude_image_bruteforce(2, 3)) == 2
+
+
+@pytest.mark.parametrize("call, args, error", [
+    (strata_count_bruteforce, (2, 3, 5), InputError),              # r outside 0..d-1
+    (refinement_check_bruteforce, (2, 3, 1, (0, 1)), InputError),  # min S != r
+    (similitude_image_bruteforce, (1, 2), LevelError),             # level below 3
+], ids=["strata-r", "refinement-min-S", "similitude-level"])
+def test_bruteforce_refuses_before_enumerating(call, args, error):
+    # hits and misses both: a warm cache would hide a call as a hit
+    def calls():
+        return _brute_force_cached.cache_info(), _closure_for.cache_info()
+
+    before = calls()
+    with pytest.raises(error):
+        call(*args)
+    assert calls() == before
