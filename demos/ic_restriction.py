@@ -7,7 +7,6 @@ without the central-weight shift to show why the shift matters.
 """
 
 import argparse
-from fractions import Fraction
 
 from siegelstrata import (Weight, build_context, central_weight,
                           euler_evaluate, graded_report, ic_profiles,
@@ -18,7 +17,7 @@ def wstr(w) -> str:
     return ",".join(str(x) for x in w.a) + f"@{w.m0}"
 
 
-def show(tag: str, cls, ctx) -> Fraction:
+def show(tag: str, cls, ctx) -> int:
     value = euler_evaluate(cls, ctx)
     print(f"\n{tag}: {len(cls.terms)} class terms, euler = {value}")
     print("  S        degree  weight     mult  pairings")

@@ -8,8 +8,7 @@ with the stratum pairings that the truncation thresholds cut against.
 import argparse
 
 from siegelstrata import (Weight, build_context, central_weight, kostant_reps,
-                          lie_n_cohomology, parabolic_data, weyl_dim,
-                          weyl_group)
+                          lie_n_cohomology, parabolic_data, weyl_dim)
 from siegelstrata.grouptheory import normalize_parabolic_set
 from siegelstrata.reps import pairings
 
@@ -31,9 +30,8 @@ def main() -> None:
     S = normalize_parabolic_set(d, [int(x) for x in args.S.split(",")])
     ctx = build_context(d, 3)
 
-    w = weyl_group(d)
-    print(f"genus {d}: Weyl group has {len(w)} signed permutations,")
-    print(f"longest element length {max(e.length for e in w)},")
+    print(f"genus {d}: Weyl group has {ctx.weylOrder} signed permutations,")
+    print(f"longest element length {d * d},")  # w0 = -1 sends every root negative
     print(f"{len(ctx.positiveRoots)} positive roots, rho = {wstr(ctx.rho)}")
 
     pd = parabolic_data(ctx, S)

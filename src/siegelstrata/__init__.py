@@ -25,7 +25,7 @@ from .engine import (Chain, ClassTerm, SymbolicClass, chain_bounds_for_profile,
                      chain_term, euler_evaluate, expansion_terms, graded_report,
                      restrict_ic, restrict_weighted)
 from .errors import InputError, LevelError, ScopeError
-from .grouptheory import (GroupContext, ParabolicData, WeylElt, build_context,
+from .grouptheory import (GroupContext, ParabolicData, build_context,
                           kostant_reps, parabolic_data, weyl_group)
 from .hecke import (HeckeDatum, HeckeMatrixStructure, boundary_fiber_count,
                     hecke_index, hecke_matrix_structure, reduction_fiber_count,
@@ -48,7 +48,7 @@ __all__ = [
     "chain_term", "euler_evaluate", "expansion_terms", "graded_report",
     "restrict_ic", "restrict_weighted",
     "InputError", "LevelError", "ScopeError",
-    "GroupContext", "ParabolicData", "WeylElt", "build_context",
+    "GroupContext", "ParabolicData", "build_context",
     "kostant_reps", "parabolic_data", "weyl_group",
     "HeckeDatum", "HeckeMatrixStructure", "boundary_fiber_count",
     "hecke_index", "hecke_matrix_structure", "reduction_fiber_count",

@@ -193,12 +193,13 @@ def zeta_negative(i: int) -> Fraction:
     return -bernoulli(i) / i
 
 
-def euler_char_congruence(k: int, n: int) -> Fraction:
+def euler_char_congruence(k: int, n: int) -> int:
     """Euler characteristic of the principal level-n congruence subgroup of SL_k(Z).
 
     e = |SL_k(Z/n)| * prod_{i=2..k} zeta(1-i); the subgroup is torsion-free
     for n >= 3, which the formula needs.  Equals 1 for k = 1, an integer
-    for k = 2, and 0 for k >= 3 (zeta(-2) = 0 kills it).
+    for k = 2, and 0 for k >= 3 (zeta(-2) = 0 kills it); a non-integral
+    value raises ArithmeticError.
     """
     if not (is_int(k) and k >= 1):
         raise InputError(f"block size must be >= 1, got {k!r}")
@@ -206,9 +207,9 @@ def euler_char_congruence(k: int, n: int) -> Fraction:
     out = Fraction(group_order(SL(k), n))
     for i in range(2, k + 1):
         out *= zeta_negative(i)
-    if k == 2 and out.denominator != 1:
-        raise ArithmeticError(f"e_2 at level {n} is not an integer: {out}")
-    return out
+    if out.denominator != 1:
+        raise ArithmeticError(f"e_{k} at level {n} is not an integer: {out}")
+    return out.numerator
 
 
 # ---------------------------------------------------------------------------

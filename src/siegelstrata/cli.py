@@ -3,9 +3,9 @@
 Each subcommand is one row of ``COMMANDS``, and a request builds the parser
 of its own row only.  It parses into an ``argparse.Namespace``, ``run`` maps
 it to a payload ``{"meta": {...}, "result": {...}}`` with all leaf values
-pre-rendered as strings (large integers and exact rationals survive any
-JSON reader), and the payload is serialized as canonical JSON (sorted
-keys, two-space indent) or as TSV.
+pre-rendered as strings (large integers survive any JSON reader), and the
+payload is serialized as canonical JSON (sorted keys, two-space indent) or
+as TSV.
 
 Exit codes: 0 success, 2 malformed input, 3 request outside the supported
 computational range.
@@ -17,7 +17,6 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import __version__, engine, hecke, strata
@@ -112,10 +111,6 @@ def _fmt_set(S) -> str:
     return ",".join(str(s) for s in S)
 
 
-def _fmt_fraction(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def _fmt_matrix(g) -> str:
     return ";".join(",".join(str(x) for x in row) for row in g)
 
@@ -195,7 +190,7 @@ def _class_result(args: argparse.Namespace, ctx, cls: engine.SymbolicClass,
     """The Euler value of cls in euler mode, its report rows otherwise."""
     out = {"r": str(args.r), "lam": _fmt_weight(args.lam.a, args.lam.m0), **extra}
     if args.mode == "euler":
-        out["euler"] = _fmt_fraction(engine.euler_evaluate(cls, ctx))
+        out["euler"] = str(engine.euler_evaluate(cls, ctx))
     else:
         out.update(columns=list(REPORT_COLUMNS), rows=_report_rows(cls))
     return out
@@ -230,8 +225,8 @@ def _run_restrict_ic(args: argparse.Namespace):
     if args.mode == "euler":
         eu = engine.euler_evaluate(upper_cls, ctx)
         el = engine.euler_evaluate(lower_cls, ctx)
-        base.update({"eulerUpper": _fmt_fraction(eu),
-                     "eulerLower": _fmt_fraction(el),
+        base.update({"eulerUpper": str(eu),
+                     "eulerLower": str(el),
                      "agree": "true" if eu == el else "false"})
         return base
     base.update({"columns": ["profile"] + REPORT_COLUMNS,

@@ -19,16 +19,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
 from .arith import euler_char_congruence
 from .errors import InputError, check_index, is_int
 from .grouptheory import (GroupContext, normalize_parabolic_set, parabolic_data,
-                          weyl_table)
+                          weyl_group)
 from .kostant import check_weight, kostant_summand, lie_n_cohomology
 from .reps import (Bound, GradedVirtualRep, LeviWeight, Weight, _check_bound,
-                   central_weight, pairings, truncate)
+                   central_weight, dot_action, pairings, truncate)
 from .strata import double_coset_count, ic_profiles
 
 
@@ -155,7 +154,7 @@ def restrict_weighted(ctx: GroupContext, profile, lam: Weight,
     trivial-central-character slice).
 
     Every H*(Lie N_S, V_lam) is a slice of the one dot-action orbit of lam,
-    so a single pass over ``weyl_table(d, r)`` (the w that can lie in a W^S
+    so a single pass over ``weyl_group(d, r)`` (the w that can lie in a W^S
     with min S = r) serves all S: each w.lam is computed and cut on its
     integer pairings first, and a summand is built only for the S whose W^S
     holds w and whose cuts it passes.
@@ -164,12 +163,10 @@ def restrict_weighted(ctx: GroupContext, profile, lam: Weight,
     profile = _check_profile(ctx.d, profile)
     check_weight(ctx, lam)
     d, m = ctx.d, central_weight(lam)
-    shifted, rho = lam.add(ctx.rho).a, ctx.rho.a
+    shifted = lam.add(ctx.rho)
     kept: dict[int, list] = {}  # bit mask of S -> (degree, w.lam) kept for S
-    for length, descents, v in weyl_table(d, r):
-        # w.lam = w(lam + rho) - rho: v[p] = +-rho_i puts +-(lam + rho)_i at p.
-        a = [(shifted[d - x] if x > 0 else -shifted[d + x]) - rho[p]
-             for p, x in enumerate(v)]
+    for length, descents, v in weyl_group(d, r):
+        a, m0 = dot_action(v, shifted)
         # w.lam has central weight m, so its S_s-pairing is m + sum(a[:d - s])
         # and the cut "pairing < profile[s] + m" reads prefix[d - s] < profile[s].
         prefix = list(itertools.accumulate(a, initial=0))
@@ -179,8 +176,7 @@ def restrict_weighted(ctx: GroupContext, profile, lam: Weight,
                                if prefix[d - s] < profile[s])
         if descents & ~allowed:
             continue
-        # Each flipped coordinate adds (lam + rho)_i to m0.
-        mu = Weight(tuple(a), lam.m0 + sum(shifted[d + x] for x in v if x < 0))
+        mu = Weight(a, m0)
         # The S keeping w.lam lie between its descents plus r and the allowed cuts.
         low = descents | 1 << r
         free = sub = allowed & ~low
@@ -266,7 +262,7 @@ def expansion_chains(ctx: GroupContext, profile, lam: Weight, r: int):
     return tuple(out)
 
 
-def euler_evaluate(cls: SymbolicClass, ctx: GroupContext) -> Fraction:
+def euler_evaluate(cls: SymbolicClass, ctx: GroupContext) -> int:
     """Exact Euler evaluation against the level-n congruence subgroups.
 
     Each (S, degree, Levi weight) entry contributes
@@ -280,9 +276,9 @@ def euler_evaluate(cls: SymbolicClass, ctx: GroupContext) -> Fraction:
     congruence Euler characteristic vanishes.  The value is linear, so it is
     summed per class term: coefficient * euler_dim(module) * prod e_k.
     """
-    total = Fraction(0)
+    total = 0
     for t in cls.terms:
-        factor = Fraction(1)
+        factor = 1
         for k in parabolic_data(ctx, t.S).leviBlocks:
             factor *= euler_char_congruence(k, ctx.n)
         if factor:  # a GL block of size >= 3 makes it 0: skip the dimensions

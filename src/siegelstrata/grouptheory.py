@@ -29,28 +29,8 @@ from .reps import Weight
 
 MAX_DEFAULT_GENUS = 6  # 2^d * d! grows fast: |W| = 46,080 at d = 6
 
-
-class WeylElt(NamedTuple):
-    """Signed permutation: e_i -> e_{perm[i]}, negated where signs[i] is True.
-
-    Coordinates are 0-indexed internally; ``length`` is the type-C Coxeter
-    length, i.e. the number of positive roots sent to negative ones.
-    """
-
-    perm: tuple[int, ...]
-    signs: tuple[bool, ...]
-    length: int
-
-    @property
-    def d(self) -> int:
-        return len(self.perm)
-
-    def apply_vector(self, v):
-        """Image of a vector in symplectic coordinates (no e_0 bookkeeping)."""
-        out = [0] * len(v)
-        for i, x in enumerate(v):
-            out[self.perm[i]] = -x if self.signs[i] else x
-        return tuple(out)
+# (length, descent mask, w(rho)) per Weyl-group element w; see ``weyl_group``.
+WeylTable = tuple[tuple[int, int, tuple[int, ...]], ...]
 
 
 def _length(v) -> int:
@@ -63,31 +43,37 @@ def _length(v) -> int:
 
 
 def _descents(v) -> int:
-    """Descent mask of the w with w(rho) = v; see ``descent_mask``."""
+    """Where v = w(rho) fails to be Levi-dominant, as a bit mask of parabolic indices.
+
+    Bit s >= 1 marks a rise of v across the cut at coordinate d-s, bit 0 a
+    negative last entry.  A parabolic set S cuts exactly at those places
+    (and drops the last-entry rule when 0 is in S), so w lies in W^S exactly
+    when every set bit is in S.
+    """
     d = len(v)
     return int(v[-1] < 0) | sum(1 << s for s in range(1, d) if v[d - s - 1] < v[d - s])
 
 
 @lru_cache(maxsize=None)
-def weyl_group(d: int) -> tuple[WeylElt, ...]:
-    """All 2^d * d! signed permutations, sorted by (length, perm, signs).
+def weyl_group(d: int, r: int = 0) -> WeylTable:
+    """(length, descent mask, w(rho)) for each w with no descent below r.
 
-    The identity comes first and the longest element w0 (-1 on every
-    coordinate, length d^2) last.
+    w(rho) determines w, with rho = (d, ..., 1): w sends e_i to +-e_p where
+    w(rho)[p] = +-rho_i.  r = 0 gives all 2^d * d! signed permutations; in
+    general these are the w that can lie in a W^S with min S = r,
+    2^(d-r) * d!/r! of them: w(rho) ends in r positive decreasing entries,
+    after a signed arrangement of the other d - r values.
     """
     check_genus(d, MAX_DEFAULT_GENUS)
-    # perm and signs tuples are shared between elements, and both loops run
-    # in lexicographic order, so a stable sort by length alone suffices.
-    all_signs = list(itertools.product((False, True), repeat=d))
-    elems = []
-    for perm in itertools.permutations(range(d)):
-        for signs in all_signs:
-            v = [0] * d  # w(rho)
-            for i, p in enumerate(perm):
-                v[p] = i - d if signs[i] else d - i
-            elems.append(WeylElt(perm, signs, _length(v)))
-    elems.sort(key=lambda w: w.length)
-    return tuple(elems)
+    check_index(r, d)
+    out = []
+    for tail in itertools.combinations(range(d, 0, -1), r):
+        head = [x for x in range(d, 0, -1) if x not in tail]
+        for perm in itertools.permutations(head):
+            for signed in itertools.product(*((x, -x) for x in perm)):
+                v = signed + tail
+                out.append((_length(v), _descents(v), v))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -223,48 +209,19 @@ def levi_weyl_order(pd: ParabolicData) -> int:
     return out
 
 
-def descent_mask(w: WeylElt) -> int:
-    """Where w(rho) fails to be Levi-dominant, as a bit mask of parabolic indices.
-
-    Bit s >= 1 marks a rise of w(rho) across the cut at coordinate d-s, bit 0
-    a negative last entry.  A parabolic set S cuts exactly at those places
-    (and drops the last-entry rule when 0 is in S), so w lies in W^S exactly
-    when every set bit is in S.
-    """
-    return _descents(w.apply_vector(range(w.d, 0, -1)))
-
-
 @lru_cache(maxsize=None)
-def weyl_table(d: int, r: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-    """(length, descent mask, w(rho)) for each w with no descent below r.
-
-    These are the w that can lie in a W^S with min S = r, 2^(d-r) * d!/r! of
-    them: w(rho) ends in r positive decreasing entries, after a signed
-    arrangement of the other d - r values.  ``weyl_group`` is not built.
-    """
-    check_genus(d, MAX_DEFAULT_GENUS)
-    check_index(r, d)
-    out = []
-    for tail in itertools.combinations(range(d, 0, -1), r):
-        head = [x for x in range(d, 0, -1) if x not in tail]
-        for perm in itertools.permutations(head):
-            for signed in itertools.product(*((x, -x) for x in perm)):
-                v = signed + tail
-                out.append((_length(v), _descents(v), v))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _kostant_reps(d: int, S: tuple[int, ...]) -> tuple[WeylElt, ...]:
+def _kostant_reps(d: int, S: tuple[int, ...]) -> WeylTable:
     outside = ~sum(1 << s for s in S)
-    return tuple(w for w in weyl_group(d) if not descent_mask(w) & outside)
+    return tuple(w for w in weyl_group(d, S[0]) if not w[1] & outside)
 
 
-def kostant_reps(ctx: GroupContext, S) -> tuple[WeylElt, ...]:
-    """Minimal-length representatives w with w^-1(Levi simple roots) positive.
+def kostant_reps(ctx: GroupContext, S) -> WeylTable:
+    """Minimal-length representatives w with w^-1(Levi simple roots) positive,
+    as the (length, descent mask, w(rho)) entries of ``weyl_group``.
 
     For dominant regular mu, these are exactly the w for which w(mu) is
     dominant regular for the Levi of P_S; there is one per coset, so their
-    number is weylOrder / |W_Levi|.
+    number is weylOrder / |W_Levi|.  They are read from the table of
+    r = min S, whose w have no descent below r.
     """
     return _kostant_reps(ctx.d, normalize_parabolic_set(ctx.d, S))

@@ -62,10 +62,10 @@ def lie_n_cohomology(ctx: GroupContext, S, lam: Weight) -> GradedVirtualRep:
     """
     check_weight(ctx, lam)
     pd = parabolic_data(ctx, S)
-    target = central_weight(lam)
+    target, shifted = central_weight(lam), lam.add(ctx.rho)
     module = GradedVirtualRep.build(
-        kostant_summand(w.length, dot_action(w, lam, ctx.rho), pd, target)
-        for w in kostant_reps(ctx, S))
+        kostant_summand(length, Weight(*dot_action(v, shifted)), pd, target)
+        for length, _, v in kostant_reps(ctx, S))
     # Dot-action orbits of a dominant lam are free, so nothing merged.
     assert len(module.summands) == ctx.weylOrder // levi_weyl_order(pd)
     return module

@@ -104,25 +104,21 @@ def check_dominant(mu: Weight) -> Weight:
     return mu
 
 
-def dot_action(w, lam: Weight, rho: Weight) -> Weight:
-    """w(lam + rho) - rho for a signed permutation w.
+def dot_action(v, shifted: Weight) -> tuple[list[int], int]:
+    """w.lam = w(lam + rho) - rho as (a-vector, m0), for the w with w(rho) = v.
 
-    w sends e_i to e_{w.perm[i]} when w.signs[i] is False and to
-    e_0 - e_{w.perm[i]} when True (the similitude-compatible reflection of a
-    torus coordinate t -> c/t).  Everything is integral; the central weight
-    of the result equals that of lam because e_0 is Weyl-invariant and rho
-    is normalized with m0 = 0.
+    ``shifted`` is lam + rho, with rho = (d, ..., 1) and m0 = 0.  An entry
+    v[p] = +-rho_i says that w sends e_i to e_p, or, when negative, to
+    e_0 - e_p (the similitude-compatible reflection t -> c/t of a torus
+    coordinate): that puts +-shifted_i at p, and a flip adds shifted_i to
+    m0.  The flipped shifted_i are the entries whose sign changed, so they
+    sum to (sum(shifted) - sum(a + rho)) / 2.  Everything is integral; the
+    central weight of the result equals that of lam because e_0 is
+    Weyl-invariant.
     """
-    shifted = lam.add(rho)
-    a = [0] * len(shifted.a)
-    m0 = shifted.m0
-    for i, x in enumerate(shifted.a):
-        if w.signs[i]:
-            a[w.perm[i]] = -x
-            m0 += x
-        else:
-            a[w.perm[i]] = x
-    return Weight(tuple(a), m0).sub(rho)
+    d, s = len(v), shifted.a
+    a = [(s[d - x] if x > 0 else -s[d + x]) - d + p for p, x in enumerate(v)]
+    return a, shifted.m0 + (sum(s) - sum(a) - d * (d + 1) // 2) // 2
 
 
 class LeviWeight(NamedTuple):

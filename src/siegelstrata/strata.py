@@ -98,11 +98,14 @@ def strata_count_bruteforce(d: int, n: int, r: int,
 
 
 def strata_orbit_partition(d: int, n: int, r: int, cap: int = DEFAULT_CAP):
-    """Literal orbit partition (canonical rep -> orbit size); small cases only."""
-    ambient = brute_force_group(GSp(2 * d), n, cap)
-    if len(ambient) > 2_000:
-        raise ScopeError("use strata_count_bruteforce for ambient groups this large")
+    """Literal orbit partition (canonical rep -> orbit size); small cases only.
+    (d, n), r and the size of GSp_2d(Z/n) are checked before anything is
+    enumerated."""
     ctx = build_context(d, n)
+    check_index(r, d)
+    if _order_any_level(GSp(2 * d), n) > 2_000:
+        raise ScopeError("use strata_count_bruteforce for ambient groups this large")
+    ambient = brute_force_group(GSp(2 * d), n, cap)
     gens = parabolic_generators(ctx, (r,))
     return left_orbits(ambient, gens, n)
 

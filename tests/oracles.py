@@ -3,14 +3,18 @@
 Each is written from its definition and shares no code path with the
 function it checks: the symplectic form and the cocharacter points as
 explicit matrices, conjugation scalars by literal division, root
-inventories by block membership, the subgroup orders by their product
+inventories by block membership, the Weyl group as signed permutations
+(perm, signs) with lengths and descents counted on the roots, the dot
+action on those permutations, the subgroup orders by their product
 formula, the congruence kernel by counting a literal closure, a subgroup
 closure by dense matrix products, the weighted restriction as a sum of
 chain terms, and Levi dimensions as products of Fraction factors.
 """
 
+import itertools
 from fractions import Fraction
-from typing import Sequence
+from functools import lru_cache
+from typing import NamedTuple, Sequence
 
 from siegelstrata import (ClassTerm, GSp, SymbolicClass, build_context,
                           chain_term, group_order, integral_image_order,
@@ -91,10 +95,76 @@ def levi_simple_roots(d: int, S) -> tuple[Weight, ...]:
     return tuple(out)
 
 
+class WeylElt(NamedTuple):
+    """Signed permutation: e_i -> e_{perm[i]}, negated where signs[i] is True."""
+
+    perm: tuple[int, ...]
+    signs: tuple[bool, ...]
+
+    def apply_vector(self, v):
+        """Image of a vector in symplectic coordinates (no e_0 bookkeeping)."""
+        out = [0] * len(v)
+        for i, x in enumerate(v):
+            out[self.perm[i]] = -x if self.signs[i] else x
+        return tuple(out)
+
+
+def signed_permutations(d: int) -> tuple[WeylElt, ...]:
+    """All 2^d * d! elements of the Weyl group of GSp_2d."""
+    return tuple(WeylElt(perm, signs)
+                 for perm in itertools.permutations(range(d))
+                 for signs in itertools.product((False, True), repeat=d))
+
+
+def _first_sign(v) -> int:
+    return next((1 if x > 0 else -1 for x in v if x), 0)
+
+
+def coxeter_length(w: WeylElt) -> int:
+    """The number of positive roots e_i - e_j, e_i + e_j (i < j) and 2e_i
+    (in a-vector coordinates) that w sends to negative ones.
+
+    w(e_i) = +-e_{perm[i]}, so the first nonzero entry of w(e_i +- e_j)
+    sits at min(perm[i], perm[j]) and carries the sign of that term.
+    """
+    sign = [-1 if flip else 1 for flip in w.signs]
+    out = sum(x < 0 for x in sign)
+    for i, j in itertools.combinations(range(len(sign)), 2):
+        for c in (-1, 1):
+            out += (sign[i] if w.perm[i] < w.perm[j] else c * sign[j]) < 0
+    return out
+
+
 def inverse_apply(w, v):
     """w^-1 applied to v: w sends e_i to +-e_{perm[i]}, so entry i of
     w^-1(v) is +-v[perm[i]]."""
     return tuple(-v[p] if flip else v[p] for p, flip in zip(w.perm, w.signs))
+
+
+@lru_cache(maxsize=None)
+def _simple_roots(d: int):
+    """2e_d for s = 0, e_{d-s} - e_{d-s+1} for s >= 1 (1-indexed coordinates)."""
+    return ((0,) * (d - 1) + (2,),) + tuple(
+        tuple(int(k == d - s - 1) - int(k == d - s) for k in range(d))
+        for s in range(1, d))
+
+
+def descent_mask(w: WeylElt) -> int:
+    """Bit s for each simple root (see ``_simple_roots``) that w^-1 sends negative."""
+    return sum(1 << s for s, root in enumerate(_simple_roots(len(w.perm)))
+               if _first_sign(inverse_apply(w, root)) < 0)
+
+
+def signed_dot_action(w: WeylElt, lam: Weight, rho: Weight) -> Weight:
+    """w(lam + rho) - rho, with w sending e_i to e_{perm[i]} unflipped and to
+    e_0 - e_{perm[i]} flipped."""
+    shifted = lam.add(rho)
+    a = [0] * len(shifted.a)
+    m0 = shifted.m0
+    for i, x in enumerate(shifted.a):
+        a[w.perm[i]] = -x if w.signs[i] else x
+        m0 += x if w.signs[i] else 0
+    return Weight(tuple(a), m0).sub(rho)
 
 
 def subgroup_order_formula(ctx, S) -> int:

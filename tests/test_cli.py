@@ -287,6 +287,8 @@ def test_byte_determinism_across_hash_seeds(args):
     ["oracle", "--d", "1", "--n", "5", "--S", "0"],
     ["restrict-ic", "--d", "3", "--n", "4", "--lambda", "2,1,0", "--stratum", "0",
      "--mode", "euler"],
+    ["kostant", "--d", "4", "--n", "3", "--lambda", "3,2,1,0", "--S", "0,2"],
+    ["strata", "--d", "3", "--n", "4"],
 ])
 def test_optimized_interpreter_gives_the_same_answer(args):
     # python -O strips assert statements; the answer must not depend on them

@@ -2,16 +2,31 @@
 
 import itertools
 import math
+from collections import Counter
+from functools import lru_cache
 
 import pytest
 
-from oracles import inverse_apply, levi_roots, levi_simple_roots, u_roots
+from oracles import (coxeter_length, descent_mask, inverse_apply, levi_roots,
+                     levi_simple_roots, signed_permutations, u_roots)
 from siegelstrata import (InputError, LevelError, ScopeError,
                           Weight, build_context, kostant_reps,
                           parabolic_data, weyl_group)
-from siegelstrata.grouptheory import (descent_mask, levi_weyl_order,
-                                     normalize_parabolic_set, positive_roots,
-                                     weyl_table)
+from siegelstrata import grouptheory
+from siegelstrata.grouptheory import (levi_weyl_order, normalize_parabolic_set,
+                                     positive_roots)
+
+
+def _rho(d):
+    return tuple(range(d, 0, -1))
+
+
+@lru_cache(maxsize=None)
+def _oracle_table(d):
+    """(length, descent mask, w(rho)) of every signed permutation, from the
+    reference in oracles.py."""
+    return tuple((coxeter_length(w), descent_mask(w), w.apply_vector(_rho(d)))
+                 for w in signed_permutations(d))
 
 
 def test_weyl_group_orders():
@@ -21,19 +36,25 @@ def test_weyl_group_orders():
         assert len(set(group)) == order
 
 
-def test_weyl_group_sorted_by_length_perm_signs():
-    for d in range(1, 6):
-        group = weyl_group(d)
-        assert list(group) == sorted(group, key=lambda w: (w.length, w.perm, w.signs))
-
-
 def test_identity_and_longest():
-    # the group starts at the identity and ends at w0 = -1, of length d^2
+    # the identity is w(rho) = rho, of length 0 and no descent; w0 = -1 is
+    # w(rho) = -rho, of length d^2 with every descent; both are unique
     for d in (1, 2, 3):
-        e, w0 = weyl_group(d)[0], weyl_group(d)[-1]
-        assert (e.perm, e.signs, e.length) == (tuple(range(d)), (False,) * d, 0)
-        assert (w0.perm, w0.signs, w0.length) == (tuple(range(d)), (True,) * d, d * d)
-        assert [w.length for w in weyl_group(d)].count(d * d) == 1
+        by_vector = {v: (length, mask) for length, mask, v in weyl_group(d)}
+        assert by_vector[_rho(d)] == (0, 0)
+        assert by_vector[tuple(-x for x in _rho(d))] == (d * d, (1 << d) - 1)
+        lengths = [length for length, _, _ in weyl_group(d)]
+        assert lengths.count(0) == lengths.count(d * d) == 1
+
+
+def _action(v):
+    """The w with w(rho) = v, as a map on a-vectors: v[p] = +-rho_i sends
+    e_i to +-e_p."""
+    d = len(v)
+
+    def apply(a):
+        return tuple(a[d - abs(x)] * (1 if x > 0 else -1) for x in v)
+    return apply
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -41,14 +62,16 @@ def test_length_counts_sent_negatives(d):
     # length = number of positive roots sent negative; the image a-vector of
     # any root is again of root shape, so first-nonzero decides the sign
     ctx = build_context(d, 3)
-    for w in weyl_group(d):
+    for length, _, v in weyl_group(d):
+        w = _action(v)
+        assert w(_rho(d)) == v
         sent = 0
         for root in ctx.positiveRoots:
-            img = w.apply_vector(root.a)
+            img = w(root.a)
             first = next((x for x in img if x != 0), 0)
             if first < 0:
                 sent += 1
-        assert sent == w.length
+        assert sent == length
 
 
 def test_build_context_fields(ctx2):
@@ -142,7 +165,7 @@ def test_kostant_reps_lengths_palindromic(ctx3):
     # w -> w0 * w * w0_L matches degrees k and dimN - k
     for S in [(0,), (1,), (2,), (0, 2), (0, 1, 2)]:
         pd = parabolic_data(ctx3, S)
-        lengths = sorted(w.length for w in kostant_reps(ctx3, S))
+        lengths = sorted(length for length, _, _ in kostant_reps(ctx3, S))
         reflected = sorted(pd.dimN - x for x in lengths)
         assert lengths == reflected
         assert lengths[0] == 0 and lengths[-1] == pd.dimN
@@ -150,36 +173,51 @@ def test_kostant_reps_lengths_palindromic(ctx3):
 
 @pytest.mark.parametrize("ctx_name", ["ctx2", "ctx3", "ctx4"])
 def test_kostant_reps_minimal_length_property(request, ctx_name):
-    # the reps are exactly the w, in Weyl-group order, whose inverse sends
-    # every Levi simple root to a positive root
+    # the reps are exactly the signed permutations w whose inverse sends
+    # every Levi simple root to a positive root, each once
     ctx = request.getfixturevalue(ctx_name)
     for size in range(1, ctx.d + 1):
         for S in itertools.combinations(range(ctx.d), size):
-            pd = parabolic_data(ctx, S)
             expected = []
-            for w in weyl_group(ctx.d):
+            for w in signed_permutations(ctx.d):
                 firsts = [next(x for x in inverse_apply(w, root.a) if x != 0)
                           for root in levi_simple_roots(ctx.d, S)]
                 if all(first > 0 for first in firsts):
-                    expected.append(w)
-            assert kostant_reps(ctx, S) == tuple(expected), S
+                    expected.append((coxeter_length(w), w.apply_vector(_rho(ctx.d))))
+            reps = [(length, v) for length, _, v in kostant_reps(ctx, S)]
+            assert Counter(reps) == Counter(expected), S
 
 
-@pytest.mark.parametrize("d,r", [(d, r) for d in range(1, 6) for r in range(d)]
-                         + [(6, 0), (6, 4), (6, 5)])
+def test_kostant_reps_read_only_the_table_of_min_S(monkeypatch):
+    # W^{5} at d = 6 has 12 elements, all in weyl_group(6, 5) (12 entries);
+    # the 46,080-entry weyl_group(6) is never asked for
+    calls = []
+    original = grouptheory.weyl_group
+
+    def recording(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(grouptheory, "weyl_group", recording)
+    reps = grouptheory._kostant_reps.__wrapped__(6, (5,))
+    assert calls == [(6, 5)]
+    assert len(reps) == 12 == len(original(6, 5))
+
+
+@pytest.mark.parametrize("d,r", [(d, r) for d in range(1, 7) for r in range(d)])
 def test_weyl_table_is_the_weyl_group_filter(d, r):
-    # built without weyl_group: it must hold exactly the w with no descent
-    # below r, each once
-    rho = tuple(range(d, 0, -1))
-    expected = {(w.length, descent_mask(w), w.apply_vector(rho))
-                for w in weyl_group(d) if not descent_mask(w) & ((1 << r) - 1)}
-    table = weyl_table(d, r)
+    # weyl_group(d, r) holds exactly the signed permutations with no descent
+    # below r, each once, with the reference's length and descent mask
+    expected = Counter(w for w in _oracle_table(d) if not w[1] & ((1 << r) - 1))
+    table = weyl_group(d, r)
     assert len(table) == 2 ** (d - r) * math.factorial(d) // math.factorial(r)
-    assert set(table) == expected and len(set(table)) == len(table)
+    assert Counter(table) == expected
 
 
 def test_weyl_table_guards():
     with pytest.raises(ScopeError):
-        weyl_table(7, 6)
+        weyl_group(7)
+    with pytest.raises(ScopeError):
+        weyl_group(7, 6)
     with pytest.raises(InputError):
-        weyl_table(3, 3)
+        weyl_group(3, 3)

@@ -7,7 +7,7 @@ from siegelstrata import (GradedVirtualRep, InputError, LeviWeight, Weight,
                           central_weight, dot_action, is_dominant,
                           is_levi_dominant, torus_pairing, truncate, weyl_dim,
                           weyl_group)
-from oracles import _gl_dim, _gsp_dim
+from oracles import _gl_dim, _gsp_dim, signed_dot_action, signed_permutations
 from siegelstrata.reps import Summand, check_dominant, pairings
 
 weights = st.builds(
@@ -70,28 +70,38 @@ def test_dominance():
 
 def test_dot_action_identity_and_lengths(ctx2):
     lam = Weight((1, 1), 0)
-    for w in weyl_group(2):
-        mu = dot_action(w, lam, ctx2.rho)
+    for length, _, v in weyl_group(2):
+        mu = Weight(*dot_action(v, lam.add(ctx2.rho)))
         assert central_weight(mu) == central_weight(lam)
-        if w.length == 0:
+        if length == 0:
             assert mu == lam
 
 
 def test_dot_action_d1_flip(ctx1):
     # lam = (3;0), flip: (3+1) -> (-4) then -rho gives (-5), m0 picks up 4
-    w0 = weyl_group(1)[-1]
-    assert dot_action(w0, Weight((3,), 0), ctx1.rho) == Weight((-5,), 4)
+    assert dot_action((-1,), Weight((3,), 0).add(ctx1.rho)) == ([-5], 4)
 
 
-@given(weights, st.integers(0, 3))
+@given(weights, st.integers(0, 383))
 def test_dot_action_central_invariance(mu, idx):
+    # any weight, dominant or not: w.mu keeps the central weight of mu
     d = mu.d
-    group = weyl_group(min(d, 3))
-    if d > 3:
-        return
-    w = group[idx % len(group)]
-    out = dot_action(w, mu, Weight((0,) * d, 0))
-    assert central_weight(out) == central_weight(mu)
+    group = weyl_group(d)
+    _, _, v = group[idx % len(group)]
+    rho = Weight(tuple(range(d, 0, -1)), 0)
+    assert central_weight(Weight(*dot_action(v, mu.add(rho)))) == central_weight(mu)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_dot_action_matches_signed_permutations(d):
+    # the w(rho)-vector kernel against the (perm, signs) reference in oracles.py
+    rho = Weight(tuple(range(d, 0, -1)), 0)
+    lams = [Weight((0,) * d, 0), Weight(tuple(range(2 * d, 0, -2)), -1),
+            Weight(tuple((-1) ** i * (i + 1) for i in range(d)), 3)]
+    for w in signed_permutations(d):
+        v = w.apply_vector(rho.a)
+        for lam in lams:
+            assert Weight(*dot_action(v, lam.add(rho))) == signed_dot_action(w, lam, rho)
 
 
 GL2_DIMS = {(1, 0): 2, (1, 1): 1, (2, 0): 3, (1, -3): 5, (0, -4): 5,

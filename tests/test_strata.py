@@ -7,7 +7,7 @@ the contract.
 
 import pytest
 
-from siegelstrata import (InputError, LevelError, build_context,
+from siegelstrata import (InputError, LevelError, ScopeError, build_context,
                           double_coset_count, double_coset_count_bruteforce,
                           euler_phi, ic_profiles, strata_count,
                           strata_count_bruteforce, stratum_dims)
@@ -135,7 +135,10 @@ def test_similitude_image():
     (strata_count_bruteforce, (2, 3, 5), InputError),              # r outside 0..d-1
     (refinement_check_bruteforce, (2, 3, 1, (0, 1)), InputError),  # min S != r
     (similitude_image_bruteforce, (1, 2), LevelError),             # level below 3
-], ids=["strata-r", "refinement-min-S", "similitude-level"])
+    (strata_orbit_partition, (2, 3, 5), InputError),               # r outside 0..d-1
+    (strata_orbit_partition, (2, 3, 0), ScopeError),               # 103,680 elements
+], ids=["strata-r", "refinement-min-S", "similitude-level", "orbit-partition-r",
+        "orbit-partition-size"])
 def test_bruteforce_refuses_before_enumerating(call, args, error):
     # hits and misses both: a warm cache would hide a call as a hit
     def calls():

@@ -11,7 +11,7 @@ import pytest
 from siegelstrata import (ClassTerm, GradedVirtualRep, GroupContext, GSp,
                           HeckeDatum, HeckeMatrixStructure, InputError,
                           LeviWeight, ParabolicData, Summand, SymbolicClass,
-                          Weight, WeylElt, build_context, parabolic_data)
+                          Weight, build_context, parabolic_data)
 from siegelstrata.arith import GroupKind
 from siegelstrata.engine import Chain
 
@@ -30,8 +30,6 @@ CASES = [
     (ClassTerm, ClassTerm(1, (0,), MODULE), TERM_REPR),
     (SymbolicClass, SymbolicClass((ClassTerm(1, (0,), MODULE),)),
      f"SymbolicClass(terms=({TERM_REPR},))"),
-    (WeylElt, WeylElt((1, 0), (False, True), 3),
-     "WeylElt(perm=(1, 0), signs=(False, True), length=3)"),
     (GroupContext, build_context(1, 3),
      "GroupContext(d=1, n=3, positiveRoots=(Weight(a=(2,), m0=-1),), "
      "rho=Weight(a=(1,), m0=0), weylOrder=2, dimG=4, c=1, stratumDims=(1, 0))"),
@@ -59,7 +57,7 @@ def test_value_type_contract(cls, value, text):
 
 
 def test_every_value_type_is_covered():
-    assert len({c[0] for c in CASES}) == 13
+    assert len({c[0] for c in CASES}) == 12
 
 
 def test_weight_coerces_entries_to_int():
