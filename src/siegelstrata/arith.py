@@ -268,9 +268,11 @@ def symplectic_form(u, v, n: int) -> int:
     """t(u) J v mod n for the antidiagonal J: +1 on the upper half of the
     antidiagonal, -1 on the lower half.
 
-    Memoized: the oracles evaluate it on the same column pairs over and
-    over, and reduced vectors of length 2d give at most n^{4d} keys
-    (6,561 at d = 2, n = 3)."""
+    Memoized for ``similitude``, which pairs the columns of each element it
+    checks and so meets the same column pairs over and over; reduced
+    vectors of length 2d give at most n^{4d} keys (6,561 at d = 2, n = 3).
+    The enumeration fills its form rows from the unmemoized definition,
+    ``symplectic_form.__wrapped__``, so it adds nothing to this cache."""
     size = len(u)
     s = 0
     for i in range(size // 2):
@@ -308,51 +310,138 @@ def _unit(x: int, n: int) -> bool:
 
 
 def _scan_linear(k: int, n: int, det_filter) -> list:
+    """Keys of the k x k matrices whose determinant mod n passes
+    ``det_filter``.  Rows are drawn from ``_vectors(k, n)`` in product
+    order, so the i-th matrix scanned has key i."""
     if n ** (k * k) > _SCAN_GUARD:
         raise ScopeError(f"scan space {n}^{k*k} exceeds the guard {_SCAN_GUARD}")
-    out = []
-    rows = list(itertools.product(range(n), repeat=k))
-    for flat in itertools.product(rows, repeat=k):
-        if det_filter(mat_det(flat) % n):
-            out.append(flat)
-    return out
+    return [key for key, flat in enumerate(
+                itertools.product(_vectors(k, n), repeat=k))
+            if det_filter(mat_det(flat) % n)]
+
+
+@lru_cache(maxsize=None)
+def _vectors(size: int, n: int) -> tuple:
+    """The n^size vectors over Z/n in lexicographic order, so that the
+    vector with code c (its base-n digits, first entry most significant)
+    is entry c.  Decoded matrices share these tuples as their rows."""
+    return tuple(itertools.product(range(n), repeat=size))
+
+
+@lru_cache(maxsize=None)
+def _column_spread(size: int, n: int) -> tuple:
+    """spread[j][c]: the share of the key that the vector with code c adds
+    as column j of a size x size matrix.
+
+    A matrix's key is its row-major base-n number: entry (i, j) weighs
+    n^(size^2 - 1 - i*size - j).  With every entry in [0, n), keys order
+    matrices exactly as their tuples of rows do."""
+    top = size * size - 1
+    return tuple(
+        tuple(sum(x * n ** (top - i * size - j) for i, x in enumerate(vec))
+              for vec in _vectors(size, n))
+        for j in range(size))
+
+
+def _decode(keys, size: int, n: int) -> tuple:
+    """The size x size matrices with these keys, as tuples of row tuples;
+    the rows are the shared tuples of ``_vectors(size, n)``.
+
+    A key is read as its top and bottom halves of rows.  Each half is
+    looked up in a list of every such half when there are no more of them
+    than keys, else in the halves the keys use, so the work stays bounded
+    by the number of keys."""
+    vecs = _vectors(size, n)
+    base = len(vecs)
+    low = size // 2
+    split = base ** low
+
+    def halves(count: int, codes):
+        if base ** count <= len(keys):
+            return tuple(itertools.product(vecs, repeat=count))
+        return {c: tuple([vecs[c // base ** (count - 1 - i) % base]
+                          for i in range(count)]) for c in set(codes)}
+
+    top = halves(size - low, (key // split for key in keys))
+    bottom = halves(low, (key % split for key in keys))
+    return tuple([top[key // split] + bottom[key % split] for key in keys])
+
+
+def _form_row(u, vecs, n: int) -> tuple:
+    form = symplectic_form.__wrapped__
+    return tuple([form(u, v, n) for v in vecs])
+
+
+@lru_cache(maxsize=None)
+def _form_table(size: int, n: int) -> tuple:
+    """The form on column codes: entry [u][v] is t(u) J v for the vectors
+    with codes u and v."""
+    vecs = _vectors(size, n)
+    return tuple(_form_row(u, vecs, n) for u in vecs)
 
 
 def _enumerate_symplectic(d: int, n: int, sim: int | None) -> list:
-    """All g with t(g) J g = c J; c = sim if given, else any unit.
+    """Keys of all g with t(g) J g = c J; c = sim if given, else any unit.
 
     Columns are filled in partner pairs (i, 2d-1-i): inside a pair the
     form must be c, across pairs it must vanish; everything else is free.
     Each pair is drawn from the vectors orthogonal to every column placed
-    before it.
+    before it, the intersection of their orthogonal sets.  The choices for
+    the last pair depend only on those vectors and c, so they are listed
+    once for each.
+
+    A column is its code in [0, N), N = n^{2d} (its index in
+    ``_vectors``), and a matrix is its row-major key, the sum of the
+    ``_column_spread`` values of its columns.  At d >= 2 the form is read
+    from ``_form_table``, whose N^2 = n^{4d} entries are far fewer than
+    the group's elements.  At d = 1, N^2 is about |GSp_2(Z/n)|, so the
+    form row of each first column is computed when it is placed and no
+    table is kept.
     """
     size = 2 * d
     if n ** size > _SCAN_GUARD // 10:
         raise ScopeError(f"column space {n}^{size} too large for backtracking")
     if sim is not None and not _unit(sim, n):
         return []
-    out = []
-    cols: list = [None] * size
+    vecs = _vectors(size, n)
+    spread = _column_spread(size, n)
+    units = frozenset(c for c in range(n) if _unit(c, n)) if sim is None else (
+        frozenset([sim % n]))
 
-    def place_pair(k: int, c, candidates):
-        if k == d:
-            out.append(tuple(zip(*cols)))  # columns -> matrix
-            return
+    def pair_sums(k: int, values, candidates, form_row) -> list:
+        """Key shares of the pairs (u, v) of candidates as columns
+        (k, 2d-1-k) whose form value is in values."""
+        first, partner = spread[k], spread[size - 1 - k]
+        sums = []
         for u in candidates:
-            for v in candidates:
-                cc = symplectic_form(u, v, n)
-                if not (cc == c or (c is None and _unit(cc, n))):
-                    continue
-                cols[k], cols[size - 1 - k] = u, v
-                rest = None
-                if k + 1 < d:
-                    rest = [w for w in candidates
-                            if not symplectic_form(u, w, n)
-                            and not symplectic_form(v, w, n)]
-                place_pair(k + 1, cc, rest)
+            row, head = form_row(u), first[u]
+            sums.extend([head + partner[v] for v in candidates
+                         if row[v] in values])
+        return sums
 
-    place_pair(0, None if sim is None else sim % n,
-               list(itertools.product(range(n), repeat=size)))
+    if d == 1:
+        return pair_sums(0, units, range(len(vecs)),
+                         lambda u: _form_row(vecs[u], vecs, n))
+    table = _form_table(size, n)
+    orth = [{v for v, f in enumerate(row) if not f} for row in table]
+    out, last = [], {}
+
+    def place_pair(k: int, values, candidates, key: int):
+        if k + 1 == d:
+            memo = (frozenset(candidates), values)
+            if memo not in last:
+                last[memo] = pair_sums(k, values, candidates, table.__getitem__)
+            out.extend([key + s for s in last[memo]])
+            return
+        first, partner = spread[k], spread[size - 1 - k]
+        for u in candidates:
+            row, head = table[u], key + first[u]
+            for v in candidates:
+                if row[v] in values:
+                    place_pair(k + 1, (row[v],), candidates & orth[u] & orth[v],
+                               head + partner[v])
+
+    place_pair(0, units, set(range(len(vecs))), 0)
     return out
 
 
@@ -362,32 +451,33 @@ def _brute_force_cached(kind: GroupKind, n: int, cap: int):
     if expected > cap:
         raise ScopeError(
             f"|{kind.family}({kind.param}) over Z/{n}| = {expected} exceeds cap {cap}")
-    fam = kind.family
+    fam, size = kind.family, kind.param
     if fam in ("GL", "SL"):
-        if kind.param == 0:
-            elems = [()]
+        if size == 0:
+            keys = [0]  # the empty matrix
         else:
             want = (lambda det: _unit(det, n)) if fam == "GL" else (
                 lambda det: det % n == 1)
-            elems = _scan_linear(kind.param, n, want)
+            keys = _scan_linear(size, n, want)
     elif fam in ("Sp", "GSp"):
-        if kind.param == 0:
-            # GSp_0 is the similitude torus GL_1; Sp_0 is trivial.
-            elems = ([ ((u,),) for u in range(1, n) if _unit(u, n) ]
-                     if fam == "GSp" else [()])
+        if size == 0:
+            # GSp_0 is the similitude torus GL_1 (1 x 1 matrices); Sp_0 is trivial.
+            size, keys = ((1, [u for u in range(1, n) if _unit(u, n)])
+                          if fam == "GSp" else (0, [0]))
         else:
-            elems = _enumerate_symplectic(kind.param // 2, n,
-                                          1 if fam == "Sp" else None)
+            keys = _enumerate_symplectic(size // 2, n,
+                                         1 if fam == "Sp" else None)
     else:
         raise InputError(f"unknown group family {fam!r}")
-    # In place, so timsort keeps the runs the enumeration produced; strictly
-    # increasing then means duplicate-free, and the count must be the order.
-    elems.sort()
-    if len(elems) != expected or not all(map(lt, elems, elems[1:])):
+    # Keys order matrices as their tuples of rows do, so strictly increasing
+    # sorted keys mean a duplicate-free enumeration, whose count must be the
+    # order; both are checked before any matrix is built.
+    keys.sort()
+    if len(keys) != expected or not all(map(lt, keys, keys[1:])):
         raise ArithmeticError(
             f"enumerating {kind.family}({kind.param}) over Z/{n} gave "
-            f"{len(elems)} elements, not {expected} distinct ones")
-    return tuple(elems)
+            f"{len(keys)} elements, not {expected} distinct ones")
+    return _decode(keys, size, n)
 
 
 def brute_force_group(kind: GroupKind, n: int, cap: int = DEFAULT_CAP):

@@ -78,7 +78,8 @@ def _closure_for(d: int, n: int, S: tuple[int, ...], cap: int):
     ctx = build_context(d, n)
     gens = parabolic_generators(ctx, S)
     group = subgroup_closure(gens, n, cap)
-    assert all(similitude(g, n) is not None for g in gens)
+    if any(similitude(g, n) is None for g in gens):
+        raise ArithmeticError(f"a generator for S = {S} is not in GSp_{2 * d}(Z/{n})")
     return group
 
 
@@ -121,10 +122,14 @@ def double_coset_count_bruteforce(d: int, n: int, r: int, S,
     blocks = parabolic_data(build_context(d, n), S).leviBlocks
     gens = linear_parabolic_generators(k, blocks, n)
     sub = subgroup_closure(gens, n, cap)
-    assert sub <= ambient
+    if not sub <= ambient:
+        raise ArithmeticError(f"the S = {S} closure leaves the index-{r} image")
     orbits = left_orbits(ambient, gens, n)
-    assert sum(orbits.values()) == len(ambient)
-    assert all(size == len(sub) for size in orbits.values())
+    if (sum(orbits.values()) != len(ambient)
+            or any(size != len(sub) for size in orbits.values())):
+        raise ArithmeticError(
+            f"the orbits of the S = {S} closure do not partition the index-{r} "
+            f"image into {len(orbits)} cosets of size {len(sub)}")
     return len(orbits)
 
 
@@ -141,7 +146,8 @@ def refinement_check_bruteforce(d: int, n: int, r: int, S,
     S = normalize_parabolic_set(d, S)
     h_r = _closure_for(d, n, (r,), cap)
     h_s = _closure_for(d, n, S, cap)
-    assert h_s <= h_r
+    if not h_s <= h_r:
+        raise ArithmeticError(f"H_S for S = {S} is not inside H_{r}")
     return exact_div(len(h_r), len(h_s)) == formula
 
 
@@ -153,7 +159,11 @@ def similitude_image_bruteforce(d: int, n: int, cap: int = DEFAULT_CAP):
     values = set()
     for g in ambient:
         c = similitude(g, n)
-        assert c is not None
+        if c is None:
+            raise ArithmeticError(f"{g} fails the similitude identity mod {n}")
         values.add(c)
-    assert len(values) == euler_phi(n)
+    if len(values) != euler_phi(n):
+        raise ArithmeticError(
+            f"GSp_{2 * d}(Z/{n}) realizes {len(values)} similitude factors, "
+            f"not the {euler_phi(n)} units")
     return values

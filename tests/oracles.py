@@ -7,8 +7,9 @@ inventories by block membership, the Weyl group as signed permutations
 (perm, signs) with lengths and descents counted on the roots, the dot
 action on those permutations, the subgroup orders by their product
 formula, the congruence kernel by counting a literal closure, a subgroup
-closure by dense matrix products, the weighted restriction as a sum of
-chain terms, and Levi dimensions as products of Fraction factors.
+closure by dense matrix products, the symplectic groups by column-pair
+backtracking over tuples, the weighted restriction as a sum of chain
+terms, and Levi dimensions as products of Fraction factors.
 """
 
 import itertools
@@ -19,9 +20,11 @@ from typing import NamedTuple, Sequence
 from siegelstrata import (ClassTerm, GSp, SymbolicClass, build_context,
                           chain_term, group_order, integral_image_order,
                           parabolic_data)
-from siegelstrata.arith import (DEFAULT_CAP, identity_matrix, mat_mod,
-                                mat_mul, subgroup_closure)
+from siegelstrata.arith import (_SCAN_GUARD, DEFAULT_CAP, _unit,
+                                identity_matrix, mat_mod, mat_mul,
+                                subgroup_closure, symplectic_form)
 from siegelstrata.engine import expansion_chains
+from siegelstrata.errors import ScopeError
 from siegelstrata.grouptheory import positive_roots
 from siegelstrata.matrixmodel import parabolic_generators
 from siegelstrata.reps import Weight
@@ -202,6 +205,44 @@ def mat_mul_closure(gens, n: int) -> frozenset:
                     nxt.append(y)
         frontier = nxt
     return frozenset(seen)
+
+
+def enumerate_symplectic(d: int, n: int, sim: int | None) -> list:
+    """All g with t(g) J g = c J; c = sim if given, else any unit.
+
+    Columns are filled in partner pairs (i, 2d-1-i): inside a pair the
+    form must be c, across pairs it must vanish; everything else is free.
+    Each pair is drawn from the vectors orthogonal to every column placed
+    before it.
+    """
+    size = 2 * d
+    if n ** size > _SCAN_GUARD // 10:
+        raise ScopeError(f"column space {n}^{size} too large for backtracking")
+    if sim is not None and not _unit(sim, n):
+        return []
+    out = []
+    cols: list = [None] * size
+
+    def place_pair(k: int, c, candidates):
+        if k == d:
+            out.append(tuple(zip(*cols)))  # columns -> matrix
+            return
+        for u in candidates:
+            for v in candidates:
+                cc = symplectic_form(u, v, n)
+                if not (cc == c or (c is None and _unit(cc, n))):
+                    continue
+                cols[k], cols[size - 1 - k] = u, v
+                rest = None
+                if k + 1 < d:
+                    rest = [w for w in candidates
+                            if not symplectic_form(u, w, n)
+                            and not symplectic_form(v, w, n)]
+                place_pair(k + 1, cc, rest)
+
+    place_pair(0, None if sim is None else sim % n,
+               list(itertools.product(range(n), repeat=size)))
+    return out
 
 
 def restrict_weighted_via_expansion(ctx, profile, lam, r) -> SymbolicClass:

@@ -12,12 +12,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import j_form, mat_mul_closure, transpose
+from oracles import enumerate_symplectic, j_form, mat_mul_closure, transpose
 from siegelstrata import (GL, GSp, SL, InputError, ScopeError, Sp,
                           brute_force_group, build_context,
                           congruence_index, euler_char_congruence, euler_phi,
                           group_order, integral_image_order, zeta_negative)
-from siegelstrata.arith import (FACTOR_LIMIT, _left_mul, _row_recipes,
+from siegelstrata.arith import (FACTOR_LIMIT, _column_spread, _decode,
+                                _left_mul, _row_recipes, _vectors,
                                 bernoulli, factorint, identity_matrix,
                                 left_orbits, mat_det, mat_inv_mod, mat_mod,
                                 mat_mul, orbit_canonical, similitude,
@@ -64,6 +65,23 @@ def test_euler_char_congruence_checks_integrality_under_optimize():
                           "print(arith.euler_char_congruence(2, 3))")
     assert proc.returncode != 0 and proc.stdout == ""
     assert "ArithmeticError" in proc.stderr and "-7/12" in proc.stderr
+
+
+@pytest.mark.parametrize("tamper", ["keys[-1] = keys[0]", "keys.pop()"],
+                         ids=["duplicate", "missing"])
+def test_enumeration_checks_under_optimize(tamper):
+    # a repeated or a missing element must stop brute_force_group, not
+    # only under asserts
+    proc = _run_optimized("from siegelstrata import arith\n"
+                          "real = arith._enumerate_symplectic\n"
+                          "def tampered(d, n, sim):\n"
+                          "    keys = real(d, n, sim)\n"
+                          f"    {tamper}\n"
+                          "    return keys\n"
+                          "arith._enumerate_symplectic = tampered\n"
+                          "print(len(arith.brute_force_group(arith.GSp(2), 3)))")
+    assert proc.returncode != 0 and proc.stdout == ""
+    assert "ArithmeticError" in proc.stderr and "not 48 distinct ones" in proc.stderr
 
 
 KNOWN_ORDERS = {
@@ -207,7 +225,7 @@ def test_euler_char_congruence():
 def test_euler_char_is_integral():
     for n in range(3, 12):
         v = euler_char_congruence(2, n)
-        assert v.denominator == 1 and v < 0
+        assert type(v) is int and v < 0
 
 
 def test_j_form_and_similitude():
@@ -274,6 +292,42 @@ def test_two_pair_enumeration_satisfies_the_identity():
     group = brute_force_group(GSp(4), 2)
     assert len(group) == 720
     assert all(_similitude_reference(g, 2) == 1 for g in group)
+
+
+def test_brute_force_group_is_the_reference_enumeration():
+    # the integer-coded walk against column-pair backtracking over tuples
+    cases = [(1, n) for n in range(3, 13)] + [(2, 2), (2, 3)]
+    for d, n in cases:
+        for kind, sim in ((GSp(2 * d), None), (Sp(2 * d), 1)):
+            assert brute_force_group(kind, n) == tuple(
+                sorted(enumerate_symplectic(d, n, sim))), (kind, n)
+
+
+def test_enumerated_rows_are_shared():
+    # every row is one of the 81 vectors of (Z/3)^4, held once
+    group = brute_force_group(GSp(4), 3)
+    assert len({id(row) for g in group for row in g}) <= 81
+
+
+def _row_major_key(g, n: int) -> int:
+    key = 0
+    for x in itertools.chain.from_iterable(g):
+        key = key * n + x
+    return key
+
+
+@given(st.integers(1, 4), st.integers(2, 6), st.data())
+@settings(max_examples=100, deadline=None)
+def test_matrix_keys_decode_and_order_as_tuples(size, n, data):
+    entry = st.integers(0, n - 1)
+    matrix = st.tuples(*[st.tuples(*[entry] * size)] * size)
+    g, h = data.draw(matrix), data.draw(matrix)
+    vecs, spread = _vectors(size, n), _column_spread(size, n)
+    for m in (g, h):
+        assert _row_major_key(m, n) == sum(
+            spread[j][vecs.index(col)] for j, col in enumerate(zip(*m)))
+    assert _decode([_row_major_key(g, n), _row_major_key(h, n)], size, n) == (g, h)
+    assert (_row_major_key(g, n) < _row_major_key(h, n)) == (g < h)
 
 
 @given(st.integers(2, 40), st.lists(st.integers(0, 39), min_size=4, max_size=4))

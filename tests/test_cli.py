@@ -289,6 +289,7 @@ def test_byte_determinism_across_hash_seeds(args):
      "--mode", "euler"],
     ["kostant", "--d", "4", "--n", "3", "--lambda", "3,2,1,0", "--S", "0,2"],
     ["strata", "--d", "3", "--n", "4"],
+    ["hecke-matrix", "--d", "1", "--n", "3", "--m", "6", "--S", "0"],
 ])
 def test_optimized_interpreter_gives_the_same_answer(args):
     # python -O strips assert statements; the answer must not depend on them

@@ -5,6 +5,11 @@ the same quotients out of actual matrices over Z/n.  Where the two meet is
 the contract.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from siegelstrata import (InputError, LevelError, ScopeError, build_context,
@@ -148,3 +153,26 @@ def test_bruteforce_refuses_before_enumerating(call, args, error):
     with pytest.raises(error):
         call(*args)
     assert calls() == before
+
+
+@pytest.mark.parametrize("call, message", [
+    ("similitude_image_bruteforce(1, 3)", "fails the similitude identity"),
+    ("strata_count_bruteforce(1, 3, 0)", "is not in GSp_2(Z/3)"),
+], ids=["ambient-element", "closure-generator"])
+def test_similitude_checks_survive_optimize(call, message):
+    # python -O strips asserts; a matrix that fails the identity must still
+    # stop the oracle, whether it is an element of the group or a generator
+    code = ("from siegelstrata import strata\n"
+            "real = strata.similitude\n"
+            "seen = []\n"
+            "def flaky(g, n):\n"
+            "    seen.append(g)\n"
+            "    return None if len(seen) == 2 else real(g, n)\n"
+            "strata.similitude = flaky\n"
+            f"print(strata.{call})")
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode != 0 and proc.stdout == ""
+    assert "ArithmeticError" in proc.stderr and message in proc.stderr
