@@ -20,14 +20,16 @@ tuples with entries reduced mod n; all arithmetic is exact.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from operator import lt
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (InputError, ScopeError, check_level, check_levels,
                      is_int)
+
+if TYPE_CHECKING:  # at run time only the Bernoulli-number functions load it
+    from fractions import Fraction
 
 DEFAULT_CAP = 200_000
 _SCAN_GUARD = 5_000_000  # raw candidate-space bound for filter-style scans
@@ -175,6 +177,7 @@ def congruence_index(kind: GroupKind, n: int, m: int) -> int:
 @lru_cache(maxsize=None)
 def bernoulli(j: int) -> Fraction:
     """Bernoulli number B_j (B_1 = -1/2), exact."""
+    from fractions import Fraction
     if j == 0:
         return Fraction(1)
     # sum_{k=0}^{j} C(j+1, k) B_k = 0
@@ -204,6 +207,7 @@ def euler_char_congruence(k: int, n: int) -> int:
     if not (is_int(k) and k >= 1):
         raise InputError(f"block size must be >= 1, got {k!r}")
     check_level(n)
+    from fractions import Fraction
     out = Fraction(group_order(SL(k), n))
     for i in range(2, k + 1):
         out *= zeta_negative(i)
@@ -263,16 +267,13 @@ def mat_inv_mod(a, n: int):
         tuple((det_inv * cof[j][i]) % n for j in range(size)) for i in range(size))
 
 
-@lru_cache(maxsize=None)
 def symplectic_form(u, v, n: int) -> int:
     """t(u) J v mod n for the antidiagonal J: +1 on the upper half of the
     antidiagonal, -1 on the lower half.
 
-    Memoized for ``similitude``, which pairs the columns of each element it
-    checks and so meets the same column pairs over and over; reduced
-    vectors of length 2d give at most n^{4d} keys (6,561 at d = 2, n = 3).
-    The enumeration fills its form rows from the unmemoized definition,
-    ``symplectic_form.__wrapped__``, so it adds nothing to this cache."""
+    The one definition of the form.  ``similitude`` evaluates it on the
+    column pairs of the one matrix it checks; ``_form_table`` tabulates it
+    on column codes for the enumeration and for ``similitudes``."""
     size = len(u)
     s = 0
     for i in range(size // 2):
@@ -284,8 +285,10 @@ def similitude(g, n: int):
     """Similitude factor c with t(g) J g = c J, or None if g fails the identity.
 
     Entry (i, j) of t(g) J g is the form on columns i and j.  The form is
-    alternating, so the pairs i < j decide the identity: partner columns
-    (i, 2d-1-i) must pair to c = form(col_0, col_{2d-1}), all others to 0.
+    alternating, so the pairs i < j decide the identity: c is the form on
+    (col_0, col_{2d-1}), the other partner pairs (i, 2d-1-i) must give c
+    too, and all other pairs 0.  Takes any size and any integer entries,
+    and builds no table: this is the check for a single matrix.
     """
     cols = tuple(zip(*g))
     c = symplectic_form(cols[0], cols[-1], n)
@@ -295,11 +298,39 @@ def similitude(g, n: int):
     return c
 
 
+def similitudes(group, n: int) -> list:
+    """``similitude`` of each matrix of ``group`` (one size 2d, entries in
+    [0, n), as ``brute_force_group`` gives them), element for element.
+
+    At d = 1 the partner pair is the whole check, so each matrix goes
+    through ``similitude``.  At d >= 2 each column is read as its code and
+    the form from ``_form_table``, which the enumeration already built.
+    """
+    size = len(group[0])
+    if size == 2:
+        return [similitude(g, n) for g in group]
+    code = {v: c for c, v in enumerate(_vectors(size, n))}.__getitem__
+    table = _form_table(size, n)
+    pairs = _column_pairs(size)
+    out = []
+    for g in group:
+        cols = tuple(map(code, zip(*g)))
+        c = table[cols[0]][cols[-1]]
+        for i, j, partner in pairs:
+            if table[cols[i]][cols[j]] != (c if partner else 0):
+                c = None
+                break
+        out.append(c)
+    return out
+
+
 @lru_cache(maxsize=None)
 def _column_pairs(size: int):
-    """(i, j, whether j is i's partner 2d-1-i) for the column pairs i < j."""
+    """(i, j, whether j is i's partner 2d-1-i) for the column pairs i < j
+    other than (0, 2d-1), whose form is the factor c itself."""
     return tuple((i, j, j == size - 1 - i)
-                 for i in range(size) for j in range(i + 1, size))
+                 for i in range(size) for j in range(i + 1, size)
+                 if (i, j) != (0, size - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -368,14 +399,18 @@ def _decode(keys, size: int, n: int) -> tuple:
 
 
 def _form_row(u, vecs, n: int) -> tuple:
-    form = symplectic_form.__wrapped__
-    return tuple([form(u, v, n) for v in vecs])
+    """The form of the vector u against each of ``vecs``: a row of
+    ``_form_table``, or at d = 1, where no table is kept, the row of one
+    first column of the enumeration."""
+    return tuple([symplectic_form(u, v, n) for v in vecs])
 
 
 @lru_cache(maxsize=None)
 def _form_table(size: int, n: int) -> tuple:
     """The form on column codes: entry [u][v] is t(u) J v for the vectors
-    with codes u and v."""
+    with codes u and v, n^{4d} entries (6,561 at d = 2, n = 3).  Cached,
+    so the enumeration of GSp_2d(Z/n) at d >= 2 and ``similitudes`` on the
+    group it gives read one table."""
     vecs = _vectors(size, n)
     return tuple(_form_row(u, vecs, n) for u in vecs)
 

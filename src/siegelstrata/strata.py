@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from .arith import (DEFAULT_CAP, GSp, _order_any_level, brute_force_group,
                     euler_phi, exact_div, integral_image_order, left_orbits,
-                    similitude, subgroup_closure)
+                    similitude, similitudes, subgroup_closure)
 from .errors import InputError, ScopeError, check_index
 from .grouptheory import (GroupContext, build_context, normalize_parabolic_set,
                           parabolic_data, stratum_dims)
@@ -153,15 +153,15 @@ def refinement_check_bruteforce(d: int, n: int, r: int, S,
 
 def similitude_image_bruteforce(d: int, n: int, cap: int = DEFAULT_CAP):
     """The set of similitude factors realized by GSp_2d(Z/n); should be all units.
-    (d, n) are checked first, so a level below 3 is refused as everywhere else."""
+    (d, n) are checked first, so a level below 3 is refused as everywhere else.
+    Every element is checked against the identity t(g) J g = c J."""
     build_context(d, n)
     ambient = brute_force_group(GSp(2 * d), n, cap)
-    values = set()
-    for g in ambient:
-        c = similitude(g, n)
-        if c is None:
-            raise ArithmeticError(f"{g} fails the similitude identity mod {n}")
-        values.add(c)
+    factors = similitudes(ambient, n)
+    values = set(factors)
+    if None in values:
+        g = ambient[factors.index(None)]
+        raise ArithmeticError(f"{g} fails the similitude identity mod {n}")
     if len(values) != euler_phi(n):
         raise ArithmeticError(
             f"GSp_{2 * d}(Z/{n}) realizes {len(values)} similitude factors, "

@@ -222,6 +222,7 @@ def enumerate_symplectic(d: int, n: int, sim: int | None) -> list:
         return []
     out = []
     cols: list = [None] * size
+    form = lru_cache(maxsize=None)(symplectic_form)  # pairs recur across branches
 
     def place_pair(k: int, c, candidates):
         if k == d:
@@ -229,15 +230,14 @@ def enumerate_symplectic(d: int, n: int, sim: int | None) -> list:
             return
         for u in candidates:
             for v in candidates:
-                cc = symplectic_form(u, v, n)
+                cc = form(u, v, n)
                 if not (cc == c or (c is None and _unit(cc, n))):
                     continue
                 cols[k], cols[size - 1 - k] = u, v
                 rest = None
                 if k + 1 < d:
                     rest = [w for w in candidates
-                            if not symplectic_form(u, w, n)
-                            and not symplectic_form(v, w, n)]
+                            if not form(u, w, n) and not form(v, w, n)]
                 place_pair(k + 1, cc, rest)
 
     place_pair(0, None if sim is None else sim % n,

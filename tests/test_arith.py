@@ -6,7 +6,9 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -22,7 +24,8 @@ from siegelstrata.arith import (FACTOR_LIMIT, _column_spread, _decode,
                                 bernoulli, factorint, identity_matrix,
                                 left_orbits, mat_det, mat_inv_mod, mat_mod,
                                 mat_mul, orbit_canonical, similitude,
-                                subgroup_closure, symplectic_form)
+                                similitudes, subgroup_closure,
+                                symplectic_form)
 from siegelstrata.matrixmodel import parabolic_generators
 
 
@@ -239,13 +242,24 @@ def test_j_form_and_similitude():
     assert similitude(not_gsp, n) is None
 
 
+@lru_cache(maxsize=None)
+def _scaled_j(size: int, c: int, n: int):
+    """c J mod n for the antidiagonal J of ``j_form``."""
+    return mat_mod(tuple(tuple(c * x for x in row) for row in j_form(size // 2)), n)
+
+
+def _product(a, b, n: int):
+    """a b mod n, row by column: the reference's own matrix product."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) % n for col in cols) for row in a)
+
+
 def _similitude_reference(g, n):
     """The defining identity as matrices: c with t(g) J g = c J mod n, else None."""
     size = len(g)
-    j = j_form(size // 2)
-    m = mat_mul(mat_mul(transpose(g), j, n), g, n)
+    m = _product(_product(transpose(g), _scaled_j(size, 1, n), n), g, n)
     c = m[0][size - 1]
-    return c if m == mat_mod(tuple(tuple(c * x for x in row) for row in j), n) else None
+    return c if m == _scaled_j(size, c, n) else None
 
 
 _square_2d = st.integers(1, 3).flatmap(lambda d: st.lists(
@@ -266,7 +280,7 @@ def test_similitude_matches_matrix_identity(g, n):
 @given(st.integers(0, 103_679), st.booleans(), st.integers(0, 15), st.integers(1, 2))
 @settings(max_examples=150, deadline=None)
 def test_similitude_on_gsp4_elements(index, perturb, pos, delta):
-    g = brute_force_group(GSp(4), 3)[index]
+    g = member = brute_force_group(GSp(4), 3)[index]
     if perturb:
         rows = [list(row) for row in g]
         rows[pos // 4][pos % 4] = (rows[pos // 4][pos % 4] + delta) % 3
@@ -274,6 +288,20 @@ def test_similitude_on_gsp4_elements(index, perturb, pos, delta):
     c = similitude(g, 3)
     assert c == _similitude_reference(g, 3)
     assert perturb or c in (1, 2)
+    # the image check on column codes, with a member after g in the batch
+    assert similitudes([g, member], 3) == [c, similitude(member, 3)]
+
+
+def test_image_check_is_similitude_element_for_element():
+    # similitudes reads column codes against the shared form table (d >= 2)
+    # or the one partner pair (d = 1); similitude checks one matrix alone
+    cases = [(1, n) for n in range(3, 13)] + [(2, 2), (2, 3)]
+    for d, n in cases:
+        group = brute_force_group(GSp(2 * d), n)
+        factors = similitudes(group, n)
+        assert factors == [similitude(g, n) for g in group], (d, n)
+        assert factors == [_similitude_reference(g, n) for g in group], (d, n)
+        assert set(factors) == {c for c in range(n) if gcd(c, n) == 1}
 
 
 def test_rank_one_enumeration_is_the_defining_filter():

@@ -4,9 +4,10 @@ of stratum classes, and the transfer-matrix tabulation."""
 import pytest
 
 from siegelstrata import build_context, strata_count
-from siegelstrata.arith import (GSp, ScopeError, brute_force_group, euler_phi,
-                                left_orbits, mat_mod, orbit_canonical,
-                                subgroup_closure)
+from siegelstrata.arith import (GSp, ScopeError, _form_table, brute_force_group,
+                                euler_phi, left_orbits, mat_mod,
+                                orbit_canonical, subgroup_closure)
+from siegelstrata.cli import main
 from siegelstrata.errors import InputError
 from oracles import kernel_shadow_count
 from siegelstrata.hecke import (HeckeDatum, boundary_fiber_count,
@@ -176,3 +177,14 @@ def test_matrix_rejects_bad_g():
 def test_matrix_small_cap_raises():
     with pytest.raises(ScopeError):
         hecke_matrix_structure(HeckeDatum(1, 3, 6), (0,), cap=10)
+
+
+def test_single_matrix_check_builds_no_table(capsys):
+    # g is checked at level m before the cap refuses GSp_4(Z/6); that check
+    # is similitude on one matrix, never the 6^8-entry form table
+    before = _form_table.cache_info().currsize
+    with pytest.raises(ScopeError):
+        hecke_matrix_structure(HeckeDatum(2, 3, 6), (0,))
+    assert _form_table.cache_info().currsize == before
+    assert main(["hecke-matrix", "--d", "3", "--n", "3", "--m", "6", "--S", "0"]) == 3
+    capsys.readouterr()

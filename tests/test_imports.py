@@ -113,6 +113,7 @@ def _traced_modules() -> set[str]:
 def test_cli_import_graph():
     # Every request is a fresh process, so the CLI's import is paid each time:
     # dataclasses (and the inspect, ast, dis and tokenize it pulls in) stays out,
+    # and so do fractions and decimal (only Bernoulli numbers need them),
     # while each module the tracer wraps must already be loaded.
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     proc = subprocess.run(
@@ -121,6 +122,7 @@ def test_cli_import_graph():
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert "dataclasses" not in loaded and "inspect" not in loaded
+    assert "fractions" not in loaded and "decimal" not in loaded
     traced = _traced_modules()
     assert len(traced) == 9
     assert traced <= loaded, sorted(traced - loaded)

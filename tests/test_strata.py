@@ -12,12 +12,13 @@ from pathlib import Path
 
 import pytest
 
-from siegelstrata import (InputError, LevelError, ScopeError, build_context,
+from siegelstrata import (GSp, InputError, LevelError, ScopeError, build_context,
                           double_coset_count, double_coset_count_bruteforce,
                           euler_phi, ic_profiles, strata_count,
                           strata_count_bruteforce, stratum_dims)
 from oracles import subgroup_order_formula
-from siegelstrata.arith import _brute_force_cached
+from siegelstrata import strata
+from siegelstrata.arith import _brute_force_cached, similitude
 from siegelstrata.strata import (_closure_for, _strata_count_raw,
                                  refinement_check_bruteforce,
                                  similitude_image_bruteforce,
@@ -155,24 +156,50 @@ def test_bruteforce_refuses_before_enumerating(call, args, error):
     assert calls() == before
 
 
-@pytest.mark.parametrize("call, message", [
-    ("similitude_image_bruteforce(1, 3)", "fails the similitude identity"),
-    ("strata_count_bruteforce(1, 3, 0)", "is not in GSp_2(Z/3)"),
+def _tampered(group, n: int, index: int = 1000):
+    """group with entry (1, 1) of one element off by one: that element
+    leaves GSp_4(Z/n)."""
+    rows = [list(row) for row in group[index]]
+    rows[1][1] = (rows[1][1] + 1) % n
+    return group[:index] + (tuple(map(tuple, rows)),) + group[index + 1:]
+
+
+def test_image_oracle_raises_on_a_tampered_element(monkeypatch):
+    real = strata.brute_force_group
+    tampered = _tampered(real(GSp(4), 3), 3)
+    assert similitude(tampered[1000], 3) is None
+    monkeypatch.setattr(strata, "brute_force_group", lambda kind, n, cap: tampered)
+    with pytest.raises(ArithmeticError, match="fails the similitude identity mod 3"):
+        similitude_image_bruteforce(2, 3)
+
+
+# a python -O subprocess patches one of these in before its call
+_TAMPER_AMBIENT = (
+    "from test_strata import _tampered\n"
+    "real = strata.brute_force_group\n"
+    "strata.brute_force_group = lambda kind, n, cap: _tampered(real(kind, n, cap), n)\n")
+_FLAKY_GENERATOR = (
+    "real = strata.similitude\n"
+    "seen = []\n"
+    "def flaky(g, n):\n"
+    "    seen.append(g)\n"
+    "    return None if len(seen) == 2 else real(g, n)\n"
+    "strata.similitude = flaky\n")
+
+
+@pytest.mark.parametrize("patch, call, message", [
+    (_TAMPER_AMBIENT, "similitude_image_bruteforce(2, 3)",
+     "fails the similitude identity"),
+    (_FLAKY_GENERATOR, "strata_count_bruteforce(1, 3, 0)", "is not in GSp_2(Z/3)"),
 ], ids=["ambient-element", "closure-generator"])
-def test_similitude_checks_survive_optimize(call, message):
+def test_similitude_checks_survive_optimize(patch, call, message):
     # python -O strips asserts; a matrix that fails the identity must still
     # stop the oracle, whether it is an element of the group or a generator
-    code = ("from siegelstrata import strata\n"
-            "real = strata.similitude\n"
-            "seen = []\n"
-            "def flaky(g, n):\n"
-            "    seen.append(g)\n"
-            "    return None if len(seen) == 2 else real(g, n)\n"
-            "strata.similitude = flaky\n"
-            f"print(strata.{call})")
+    code = f"from siegelstrata import strata\n{patch}print(strata.{call})"
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True, timeout=60,
-                          env=dict(os.environ, PYTHONPATH=str(src)))
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                              [str(src), str(Path(__file__).parent)])))
     assert proc.returncode != 0 and proc.stdout == ""
     assert "ArithmeticError" in proc.stderr and message in proc.stderr
