@@ -13,8 +13,9 @@ Every closed form here is cross-examined in the test suite against
 equations only (determinant a unit; t(g) J g = c J for the antidiagonal J).
 
 The module also carries the generic subgroup-closure and orbit machinery
-the coset-counting oracles are built from.  All matrices are tuples of row
-tuples with entries reduced mod n; all arithmetic is exact.
+the coset-counting oracles are built from.  Matrices are tuples of row
+tuples with entries reduced mod n, and orbits run on their column codes;
+all arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import gcd
-from operator import lt
+from operator import lt, mul
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (InputError, ScopeError, check_level, check_levels,
@@ -300,24 +301,26 @@ def similitude(g, n: int):
 
 def similitudes(group, n: int) -> list:
     """``similitude`` of each matrix of ``group`` (one size 2d, entries in
-    [0, n), as ``brute_force_group`` gives them), element for element.
+    [0, n), as ``brute_force_group`` gives them) wherever its factor is a
+    unit, element for element.
 
-    At d = 1 the partner pair is the whole check, so each matrix goes
-    through ``similitude``.  At d >= 2 each column is read as its code and
-    the form from ``_form_table``, which the enumeration already built.
+    At d = 1 each matrix goes through ``similitude``.  At d >= 2 its row
+    codes are checked for g J t(g) = c J on ``_form_table``, which the
+    enumeration already built; GSp is closed under transpose, so for a unit
+    c this is t(g) J g = c J.  A non-unit factor is the caller's to refuse.
     """
     size = len(group[0])
     if size == 2:
         return [similitude(g, n) for g in group]
-    code = {v: c for c, v in enumerate(_vectors(size, n))}.__getitem__
+    code = _ColumnCodes(size, n).code
     table = _form_table(size, n)
     pairs = _column_pairs(size)
     out = []
     for g in group:
-        cols = tuple(map(code, zip(*g)))
-        c = table[cols[0]][cols[-1]]
+        rows = tuple(map(code, g))
+        c = table[rows[0]][rows[-1]]
         for i, j, partner in pairs:
-            if table[cols[i]][cols[j]] != (c if partner else 0):
+            if table[rows[i]][rows[j]] != (c if partner else 0):
                 c = None
                 break
         out.append(c)
@@ -361,27 +364,18 @@ def _vectors(size: int, n: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _column_spread(size: int, n: int) -> tuple:
-    """spread[j][c]: the share of the key that the vector with code c adds
-    as column j of a size x size matrix.
-
-    A matrix's key is its row-major base-n number: entry (i, j) weighs
-    n^(size^2 - 1 - i*size - j).  With every entry in [0, n), keys order
-    matrices exactly as their tuples of rows do."""
-    top = size * size - 1
-    return tuple(
-        tuple(sum(x * n ** (top - i * size - j) for i, x in enumerate(vec))
-              for vec in _vectors(size, n))
-        for j in range(size))
+    """spread[j][c]: the share of a matrix's key (``_ColumnCodes.key``)
+    that the vector with code c adds as column j."""
+    codes = _ColumnCodes(size, n)
+    return tuple(tuple([codes.spread(c) * p for c in range(n ** size)])
+                 for p in codes.powers)
 
 
 def _decode(keys, size: int, n: int) -> tuple:
-    """The size x size matrices with these keys, as tuples of row tuples;
-    the rows are the shared tuples of ``_vectors(size, n)``.
-
-    A key is read as its top and bottom halves of rows.  Each half is
-    looked up in a list of every such half when there are no more of them
-    than keys, else in the halves the keys use, so the work stays bounded
-    by the number of keys."""
+    """The size x size matrices with these keys, as tuples of row tuples
+    sharing the rows of ``_vectors(size, n)``.  A key is read as its top and
+    bottom halves of rows, each looked up in a list of every such half when
+    there are no more of them than keys, else in the halves the keys use."""
     vecs = _vectors(size, n)
     base = len(vecs)
     low = size // 2
@@ -529,60 +523,65 @@ def brute_force_group(kind: GroupKind, n: int, cap: int = DEFAULT_CAP):
 
 
 # ---------------------------------------------------------------------------
-# subgroup closures and orbits
+# subgroup closures and orbits, on column codes
 
-def _row_recipes(g, n: int):
-    """Left multiplication by g, as recipes for the rows of g x that differ
-    from the rows of x: ``moves`` (i, k) copy row k of x, ``scales``
-    (i, k, a) take a times row k, and ``sums`` (i, ((k, a), ...)) any other
-    linear combination of rows.  Rows of g that are rows of the identity
-    get no recipe, so g x shares x's row tuple there."""
-    moves, scales, sums = [], [], []
-    for i, row in enumerate(g):
-        terms = tuple((k, a % n) for k, a in enumerate(row) if a % n)
-        if terms == ((i, 1),):
-            continue
-        if len(terms) != 1:
-            sums.append((i, terms))
-        elif terms[0][1] == 1:
-            moves.append((i, terms[0][0]))
-        else:
-            scales.append((i, *terms[0]))
-    return tuple(moves), tuple(scales), tuple(sums)
+class _Lazy(dict):
+    """A dict that fills a missing key with ``fill(key)`` when it is read."""
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, key):
+        self[key] = value = self.fill(key)
+        return value
 
 
-def _left_mul(recipes, x, n: int):
-    """g x mod n from ``_row_recipes(g, n)``, for x with entries in [0, n)."""
-    moves, scales, sums = recipes
-    y = list(x)
-    for i, k in moves:
-        y[i] = x[k]
-    for i, k, a in scales:
-        y[i] = tuple([a * v % n for v in x[k]])
-    for i, terms in sums:
-        acc = [0] * len(x[0])
-        for k, a in terms:
-            acc = [s + a * v for s, v in zip(acc, x[k])]
-        y[i] = tuple([s % n for s in acc])
-    return tuple(y)
+class _ColumnCodes:
+    """size x size matrices over Z/n as tuples of column codes; a column's
+    code is its index in ``_vectors(size, n)``.  Each map is filled as it
+    is read, so the work is bounded by the columns met, not by n^size."""
+
+    def __init__(self, size: int, n: int):
+        self.n, self.powers = n, tuple(n ** (size - 1 - i) for i in range(size))
+        rows = tuple(p ** size for p in self.powers)  # weights of column 0 in a key
+        self.code = _Lazy(lambda v: sum(map(mul, v, self.powers))).__getitem__
+        self.column = _Lazy(
+            lambda c: tuple([c // p % n for p in self.powers])).__getitem__
+        self.spread = _Lazy(lambda c: sum(map(mul, self.column(c), rows))).__getitem__
+
+    def encode(self, x) -> tuple:
+        return tuple(map(self.code, zip(*x)))
+
+    def decode(self, x) -> tuple:
+        """The matrix with column codes x; its rows are shared vector tuples."""
+        return tuple(map(self.column, map(self.code, zip(*map(self.column, x)))))
+
+    def key(self, x) -> int:
+        """The matrix's key, its row-major base-n number: entry (i, j)
+        weighs n^(size^2 - 1 - i*size - j).  With every entry in [0, n),
+        keys order matrices exactly as their tuples of rows do."""
+        return sum(map(mul, map(self.spread, x), self.powers))
+
+    def action(self, g):
+        """code(v) -> code(g v mod n), for g with any integer entries."""
+        n, column, code = self.n, self.column, self.code
+        return _Lazy(lambda c: code(tuple(
+            [sum(map(mul, row, column(c))) % n for row in g]))).__getitem__
 
 
-def _orbit(seed, gens, n: int, cap: int | None = None) -> set:
-    """Breadth-first closure of {seed} under left multiplication by gens mod n.
-
-    The seed's entries must lie in [0, n).  Raises ScopeError once the orbit
-    would pass ``cap`` elements (no cap if None).  The visiting order is
-    fixed by the generator order, so the set is built the same way on every
-    run.
-    """
-    actions = [_row_recipes(g, n) for g in gens]
+def _orbit(seed, acts, cap: int | None = None) -> set:
+    """Breadth-first closure of {seed} under left multiplication, on column
+    codes: ``acts`` holds one ``_ColumnCodes.action`` per generator g, so
+    g x is ``tuple(map(act, x))`` and the orbit set hashes int tuples.
+    Raises ScopeError once the orbit would pass ``cap`` elements (no cap if
+    None).  The generator order fixes the visiting order on every run."""
     orbit = {seed}
     frontier = [seed]
     while frontier:
         nxt = []
         for x in frontier:
-            for recipes in actions:
-                y = _left_mul(recipes, x, n)
+            for act in acts:
+                y = tuple(map(act, x))
                 if y not in orbit:
                     if cap is not None and len(orbit) >= cap:
                         raise ScopeError(f"orbit exceeded cap {cap}")
@@ -594,31 +593,33 @@ def _orbit(seed, gens, n: int, cap: int | None = None) -> set:
 
 def subgroup_closure(gens, n: int, cap: int = DEFAULT_CAP):
     """BFS closure of generator matrices under multiplication mod n."""
-    gens = [mat_mod(g, n) for g in gens]
     if not gens:
         raise InputError("need at least one generator")
-    ident = identity_matrix(len(gens[0]))
-    return frozenset(_orbit(ident, gens, n, cap))
+    codes = _ColumnCodes(len(gens[0]), n)  # identity column j has code powers[j]
+    orbit = _orbit(codes.powers, [codes.action(g) for g in gens], cap)
+    return frozenset(map(codes.decode, orbit))
 
 
 def left_orbits(universe, gens, n: int):
-    """Partition of ``universe`` into orbits of left multiplication by <gens>.
-
-    Returns {canonical representative (min of orbit): orbit size}.  Only
-    generators are needed; a generation gap makes orbits split visibly
-    rather than silently merge.
-    """
-    gens = [mat_mod(g, n) for g in gens]
-    remaining = set(universe)
+    """Partition of ``universe`` (entries in [0, n)) into orbits of left
+    multiplication by <gens>: {canonical representative (min of orbit):
+    orbit size}.  The universe is encoded and each generator's action built
+    once.  Only generators are needed; a generation gap makes orbits split
+    visibly rather than silently merge."""
+    codes = _ColumnCodes(len(next(iter(universe), ())), n)
+    acts = [codes.action(g) for g in gens]
+    remaining = set(map(codes.encode, universe))
     reps: dict = {}
     while remaining:
-        orbit = _orbit(remaining.pop(), gens, n)
+        orbit = _orbit(remaining.pop(), acts)
         remaining -= orbit
-        reps[min(orbit)] = len(orbit)
+        reps[codes.decode(min(orbit, key=codes.key))] = len(orbit)
     return reps
 
 
 def orbit_canonical(x, gens, n: int, cap: int = DEFAULT_CAP):
     """Minimal element of the left orbit of x (canonical class label)."""
-    gens = [mat_mod(g, n) for g in gens]
-    return min(_orbit(mat_mod(x, n), gens, n, cap))
+    x = mat_mod(x, n)
+    codes = _ColumnCodes(len(x), n)
+    orbit = _orbit(codes.encode(x), [codes.action(g) for g in gens], cap)
+    return codes.decode(min(orbit, key=codes.key))

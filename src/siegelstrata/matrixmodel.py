@@ -172,26 +172,21 @@ def linear_parabolic_generators(k: int, blocks, n: int):
     """
     if sum(blocks) != k:
         raise InputError(f"blocks {blocks} do not sum to {k}")
-    gens = []
+
+    def elementary(i: int, j: int, x: int):
+        m = [[int(a == b) for b in range(k)] for a in range(k)]
+        m[i][j] = x
+        return tuple(map(tuple, m))
+
     starts = [0]
     for b in blocks:
         starts.append(starts[-1] + b)
-    ranges = [(starts[i], starts[i + 1]) for i in range(len(blocks))]
-    for lo, hi in ranges:
-        for i in range(lo, hi):
-            for j in range(lo, hi):
-                if i != j:
-                    m = [[int(a == b) for b in range(k)] for a in range(k)]
-                    m[i][j] = 1
-                    gens.append(tuple(map(tuple, m)))
-        flip = [[int(a == b) for b in range(k)] for a in range(k)]
-        flip[lo][lo] = n - 1
-        gens.append(tuple(map(tuple, flip)))
+    ranges = [range(starts[i], starts[i + 1]) for i in range(len(blocks))]
+    gens = []
+    for block in ranges:
+        gens += [elementary(i, j, 1) for i in block for j in block if i != j]
+        gens.append(elementary(block.start, block.start, n - 1))
     for bi in range(len(ranges)):
         for bj in range(bi + 1, len(ranges)):
-            for i in range(*ranges[bi]):
-                for j in range(*ranges[bj]):
-                    m = [[int(a == b) for b in range(k)] for a in range(k)]
-                    m[i][j] = 1
-                    gens.append(tuple(map(tuple, m)))
+            gens += [elementary(i, j, 1) for i in ranges[bi] for j in ranges[bj]]
     return gens

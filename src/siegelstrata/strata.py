@@ -11,6 +11,7 @@ companion built from subgroup closures in the matrix model.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd
 
 from .arith import (DEFAULT_CAP, GSp, _order_any_level, brute_force_group,
                     euler_phi, exact_div, integral_image_order, left_orbits,
@@ -73,14 +74,17 @@ def double_coset_count(ctx: GroupContext, r: int, S) -> int:
 # ---------------------------------------------------------------------------
 # brute-force companions
 
+def _units(n: int) -> set:
+    return {c for c in range(n) if gcd(c, n) == 1}
+
+
 @lru_cache(maxsize=None)
 def _closure_for(d: int, n: int, S: tuple[int, ...], cap: int):
-    ctx = build_context(d, n)
-    gens = parabolic_generators(ctx, S)
-    group = subgroup_closure(gens, n, cap)
-    if any(similitude(g, n) is None for g in gens):
+    """Closure of the generators for S, each checked first for a unit similitude."""
+    gens = parabolic_generators(build_context(d, n), S)
+    if any(similitude(g, n) not in _units(n) for g in gens):
         raise ArithmeticError(f"a generator for S = {S} is not in GSp_{2 * d}(Z/{n})")
-    return group
+    return subgroup_closure(gens, n, cap)
 
 
 def strata_count_bruteforce(d: int, n: int, r: int,
@@ -152,9 +156,10 @@ def refinement_check_bruteforce(d: int, n: int, r: int, S,
 
 
 def similitude_image_bruteforce(d: int, n: int, cap: int = DEFAULT_CAP):
-    """The set of similitude factors realized by GSp_2d(Z/n); should be all units.
-    (d, n) are checked first, so a level below 3 is refused as everywhere else.
-    Every element is checked against the identity t(g) J g = c J."""
+    """The set of similitude factors realized by GSp_2d(Z/n), which must be
+    the unit group mod n.  (d, n) are checked first, so a level below 3 is
+    refused as everywhere else.  Every element is checked against the
+    similitude identity (``similitudes``)."""
     build_context(d, n)
     ambient = brute_force_group(GSp(2 * d), n, cap)
     factors = similitudes(ambient, n)
@@ -162,8 +167,7 @@ def similitude_image_bruteforce(d: int, n: int, cap: int = DEFAULT_CAP):
     if None in values:
         g = ambient[factors.index(None)]
         raise ArithmeticError(f"{g} fails the similitude identity mod {n}")
-    if len(values) != euler_phi(n):
-        raise ArithmeticError(
-            f"GSp_{2 * d}(Z/{n}) realizes {len(values)} similitude factors, "
-            f"not the {euler_phi(n)} units")
+    if values != _units(n):
+        raise ArithmeticError(f"GSp_{2 * d}(Z/{n}) realizes the similitude factors "
+                              f"{sorted(values)}, not the {euler_phi(n)} units mod {n}")
     return values

@@ -19,8 +19,8 @@ from siegelstrata import (GL, GSp, SL, InputError, ScopeError, Sp,
                           brute_force_group, build_context,
                           congruence_index, euler_char_congruence, euler_phi,
                           group_order, integral_image_order, zeta_negative)
-from siegelstrata.arith import (FACTOR_LIMIT, _column_spread, _decode,
-                                _left_mul, _row_recipes, _vectors,
+from siegelstrata.arith import (FACTOR_LIMIT, _column_spread, _ColumnCodes,
+                                _decode, _vectors,
                                 bernoulli, factorint, identity_matrix,
                                 left_orbits, mat_det, mat_inv_mod, mat_mod,
                                 mat_mul, orbit_canonical, similitude,
@@ -293,13 +293,15 @@ def test_similitude_on_gsp4_elements(index, perturb, pos, delta):
 
 
 def test_image_check_is_similitude_element_for_element():
-    # similitudes reads column codes against the shared form table (d >= 2)
-    # or the one partner pair (d = 1); similitude checks one matrix alone
+    # similitudes reads row codes against the shared form table (d >= 2),
+    # g J t(g) = c J, or the one partner pair (d = 1); similitude checks the
+    # columns of one matrix alone, t(g) J g = c J: for unit c they agree
     cases = [(1, n) for n in range(3, 13)] + [(2, 2), (2, 3)]
     for d, n in cases:
         group = brute_force_group(GSp(2 * d), n)
         factors = similitudes(group, n)
         assert factors == [similitude(g, n) for g in group], (d, n)
+        assert factors == [similitude(transpose(g), n) for g in group], (d, n)
         assert factors == [_similitude_reference(g, n) for g in group], (d, n)
         assert set(factors) == {c for c in range(n) if gcd(c, n) == 1}
 
@@ -398,7 +400,7 @@ def test_bool_is_not_an_integer():
             fn(*args)
 
 
-def _recipe_row(size, n, i):
+def _generator_row(size, n, i):
     """Row i of a generator: an identity row, a permutation row, a scaled
     unit row or a dense row, with entries not necessarily reduced mod n."""
     def unit(k, a):
@@ -413,25 +415,49 @@ def _recipe_row(size, n, i):
 @st.composite
 def _action_case(draw):
     size, n = draw(st.integers(1, 6)), draw(st.integers(2, 12))
-    g = tuple(draw(_recipe_row(size, n, i)) for i in range(size))
+    g = tuple(draw(_generator_row(size, n, i)) for i in range(size))
     row = st.tuples(*[st.integers(0, n - 1)] * size)
     return g, draw(st.tuples(*[row] * size)), n
 
 
 @given(_action_case())
 @settings(max_examples=300)
-def test_row_recipes_act_as_the_matrix_product(case):
+def test_column_code_action_is_the_matrix_product(case):
     g, x, n = case
-    y = _left_mul(_row_recipes(g, n), x, n)
-    assert y == mat_mul(g, x, n)
-    ident = identity_matrix(len(g))
-    assert all(y[i] is x[i] for i in range(len(g)) if mat_mod(g, n)[i] == ident[i])
+    codes = _ColumnCodes(len(g), n)
+    cx = codes.encode(x)
+    y = tuple(map(codes.action(g), cx))
+    assert codes.decode(y) == mat_mul(g, x, n)
+    assert codes.decode(cx) == x
+    # a code is its column's index in _vectors, and keys order as matrices
+    if n ** len(g) <= 4096:
+        assert cx == tuple(map(_vectors(len(g), n).index, zip(*x)))
+    assert (codes.key(cx) < codes.key(y)) == (x < mat_mul(g, x, n))
 
 
 @pytest.mark.parametrize("S", [(0,), (1,), (0, 1)])
 def test_subgroup_closure_matches_the_dense_product_closure(S):
     gens = parabolic_generators(build_context(2, 3), S)
-    assert subgroup_closure(gens, 3) == mat_mul_closure(gens, 3)
+    group = subgroup_closure(gens, 3)
+    assert group == mat_mul_closure(gens, 3)
+    # decoded rows are shared: one tuple per vector of (Z/3)^4
+    assert len({id(row) for g in group for row in g}) <= 81
+
+
+@pytest.mark.parametrize("d, S", [(1, (0,)), (2, (1,))])
+def test_orbit_cap_is_the_largest_orbit_allowed(d, S):
+    n = 3
+    gens = parabolic_generators(build_context(d, n), S)
+    group = subgroup_closure(gens, n)
+    x = brute_force_group(GSp(2 * d), n)[-1]
+    rep = orbit_canonical(x, gens, n)
+    assert subgroup_closure(gens, n, cap=len(group)) == group
+    assert orbit_canonical(x, gens, n, cap=len(group)) == rep
+    assert rep == min(mat_mul(h, x, n) for h in group)
+    with pytest.raises(ScopeError, match="orbit exceeded cap"):
+        subgroup_closure(gens, n, cap=len(group) - 1)
+    with pytest.raises(ScopeError, match="orbit exceeded cap"):
+        orbit_canonical(x, gens, n, cap=len(group) - 1)
 
 
 def test_subgroup_closure_and_orbits():

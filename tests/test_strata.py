@@ -173,6 +173,30 @@ def test_image_oracle_raises_on_a_tampered_element(monkeypatch):
         similitude_image_bruteforce(2, 3)
 
 
+def test_image_oracle_requires_the_unit_group(monkeypatch):
+    # the c = 2 elements of GSp_2(Z/3) swapped for the zero matrix, whose
+    # factor is 0: as many distinct factors as units, but not the units
+    zero = ((0, 0), (0, 0))
+    fake = tuple(zero if similitude(g, 3) == 2 else g
+                 for g in strata.brute_force_group(GSp(2), 3))
+    monkeypatch.setattr(strata, "brute_force_group", lambda kind, n, cap: fake)
+    with pytest.raises(ArithmeticError, match=r"\[0, 1\], not the 2 units mod 3"):
+        similitude_image_bruteforce(1, 3)
+
+
+@pytest.mark.parametrize("factor", [None, 0])
+def test_closure_refuses_a_generator_without_a_unit_factor(monkeypatch, factor):
+    # the generators are checked before their closure is built
+    def build(*args):
+        raise AssertionError("the closure was built")
+
+    _closure_for.cache_clear()  # a warm entry would answer without checking
+    monkeypatch.setattr(strata, "similitude", lambda g, n: factor)
+    monkeypatch.setattr(strata, "subgroup_closure", build)
+    with pytest.raises(ArithmeticError, match=r"is not in GSp_4\(Z/3\)"):
+        strata_count_bruteforce(2, 3, 1)
+
+
 # a python -O subprocess patches one of these in before its call
 _TAMPER_AMBIENT = (
     "from test_strata import _tampered\n"
