@@ -125,7 +125,7 @@ def _report_rows(cls: engine.SymbolicClass, label: str | None = None):
         row = {"S": _fmt_set(S), "degree": str(degree),
                "weight": _fmt_weight(levi.avector, levi.m0), "mult": str(mult),
                "central_weight": str(central), "sheaf_weight": str(sheaf),
-               "pairings": ",".join(str(p) for p in pairs)}
+               "pairings": ",".join(map(str, pairs))}
         if label is not None:
             row = {"profile": label, **row}
         rows.append(row)

@@ -43,12 +43,16 @@ def kostant_summand(degree: int, mu: Weight, pd: ParabolicData,
                     central: int) -> Summand:
     """The summand of a dot-action image mu = w.lam, w in W^S of degree l(w).
 
-    Asserts that mu is dominant for the Levi of P_S and that its central
-    weight is ``central``, that of lam.
+    Raises ArithmeticError unless mu is dominant for the Levi of P_S and its
+    central weight is ``central``, that of lam; both checks also run under
+    ``python -O``.
     """
     levi = levi_split(mu, pd)
-    assert is_levi_dominant(levi), mu
-    assert central_weight(mu) == central
+    if not is_levi_dominant(levi):
+        raise ArithmeticError(f"{mu} is not dominant for the Levi of P_{pd.S}")
+    if central_weight(mu) != central:
+        raise ArithmeticError(
+            f"{mu} has central weight {central_weight(mu)}, expected {central}")
     return Summand(degree, levi)
 
 
@@ -58,7 +62,7 @@ def lie_n_cohomology(ctx: GroupContext, S, lam: Weight) -> GradedVirtualRep:
     Each summand is (degree, Levi weight, multiplicity 1); its pairings are
     read from the Levi weight by ``torus_pairing``.  Every Levi weight is
     dominant for the Levi shape and has central weight central_weight(lam)
-    (both asserted).
+    (both checked by ``kostant_summand``).
     """
     check_weight(ctx, lam)
     pd = parabolic_data(ctx, S)

@@ -4,6 +4,7 @@ evaluation."""
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,9 @@ from siegelstrata import (Chain, ClassTerm, InputError, LeviWeight,
                           ic_profiles, lie_n_cohomology, parabolic_data,
                           restrict_ic, restrict_weighted, torus_pairing,
                           truncate, weyl_dim)
-from siegelstrata.reps import GradedVirtualRep, Summand
+from siegelstrata.engine import _kept_orbit
+from siegelstrata.grouptheory import weyl_group
+from siegelstrata.reps import GradedVirtualRep, Summand, dot_action, pairings
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +307,48 @@ def test_one_pass_kernel_matches_references_d6(r, profile):
     _check_one_pass_kernel(ctx, profile, Weight((3, 2, 2, 1, 0, 0), -2), r)
 
 
+def _table_filter(d, r, shifted, profile):
+    # weyl_group(d, r) cut literally: the >= cut at r reads prefix[d - r] >=
+    # profile[r], the cut at s > r prefix[d - s] < profile[s], and a w whose
+    # descents fall outside r and the passing cuts is dropped
+    out = []
+    for length, descents, v in weyl_group(d, r):
+        a, m0 = dot_action(v, shifted)
+        prefix = list(itertools.accumulate(a, initial=0))
+        if prefix[d - r] < profile[r]:
+            continue
+        allowed = 1 << r | sum(1 << s for s in range(r + 1, d)
+                               if prefix[d - s] < profile[s])
+        if not descents & ~allowed:
+            out.append((length, descents, allowed, Weight(a, m0)))
+    return Counter(out)
+
+
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("d, r", [(d, r) for d in range(1, 6) for r in range(d)]
+                         + [(6, 0), (6, 4), (6, 5)])
+def test_pruned_walk_is_the_weyl_group_filter(d, r, data):
+    ctx = build_context(d, 3)
+    a = sorted(data.draw(st.lists(st.integers(0, 3), min_size=d, max_size=d)),
+               reverse=True)
+    lam = Weight(tuple(a), data.draw(st.integers(-3, 3)))
+    profile = tuple(data.draw(_BOUNDS) for _ in range(d))
+    shifted = lam.add(ctx.rho)
+    assert Counter(_kept_orbit(d, r, shifted, profile)) == _table_filter(
+        d, r, shifted, profile)
+
+
+def test_restriction_builds_no_weyl_table():
+    # the pruned walk replaces the table: neither a restriction nor an IC
+    # pair may fall back to building weyl_group
+    weyl_group.cache_clear()
+    restrict_ic(build_context(5, 3), Weight((2, 1, 1, 0, 0), -1), 0)
+    restrict_weighted(build_context(6, 3), ic_profiles(6)[0],
+                      Weight((3, 2, 2, 1, 0, 0), -2), 4)
+    assert weyl_group.cache_info().misses == 0
+
+
 def test_chain_bounds_for_profile():
     lam = Weight((1, 1), 0)  # m = 2
     chain = chain_bounds_for_profile(lam, (-2, -1), (0, 1))
@@ -433,7 +478,8 @@ def test_graded_report_rows(ctx2):
     rows = graded_report(cls)
     assert len(rows) == sum(len(t.module.summands) for t in cls.terms)
     assert list(rows) == sorted(rows, key=lambda r: (r[0], r[1], r[2].avector))
-    for S, degree, levi, mult, central, sheaf, pairings in rows:
+    for S, degree, levi, mult, central, sheaf, pairs in rows:
         assert sheaf == -central
-        assert len(pairings) == 2
+        assert len(pairs) == 2
         assert central == sum(levi.avector) + 2 * levi.m0
+        assert pairs == pairings(levi.as_weight())

@@ -10,7 +10,11 @@ evaluated at a generic exact rational point by the self-contained oracle in
 helpers_characters (its own alternants, its own signed permutations).
 """
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -189,3 +193,22 @@ def test_structure_d4_reduced():
 def test_rejects_non_dominant(ctx2):
     with pytest.raises(Exception):
         lie_n_cohomology(ctx2, (0,), Weight((0, 1), 0))
+
+
+@pytest.mark.parametrize("a, m0, central, message", [
+    ((0, 1), 0, 1, "is not dominant for the Levi"),
+    ((1, 0), 0, 2, "has central weight 1, expected 2"),
+], ids=["non-dominant", "central-weight"])
+def test_summand_checks_survive_optimize(a, m0, central, message):
+    # python -O strips asserts; a dot-action image that is not Levi-dominant,
+    # or has the wrong central weight, must still stop the summand
+    code = ("from siegelstrata import Weight, build_context, parabolic_data\n"
+            "from siegelstrata.kostant import kostant_summand\n"
+            "pd = parabolic_data(build_context(2, 3), (0,))\n"
+            f"print(kostant_summand(0, Weight({a!r}, {m0}), pd, {central}))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode != 0 and proc.stdout == ""
+    assert "ArithmeticError" in proc.stderr and message in proc.stderr
