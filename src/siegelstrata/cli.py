@@ -1,11 +1,12 @@
 """Command-line front end.
 
-Each subcommand is one row of ``COMMANDS``, and a request builds the parser
-of its own row only.  It parses into an ``argparse.Namespace``, ``run`` maps
-it to a payload ``{"meta": {...}, "result": {...}}`` with all leaf values
-pre-rendered as strings (large integers survive any JSON reader), and the
-payload is serialized as canonical JSON (sorted keys, two-space indent) or
-as TSV.
+Each subcommand is one row of ``COMMANDS``.  A well-formed request is read
+straight from its row into a ``SimpleNamespace``; argparse is imported only
+for help, ``--version`` with more arguments, and usage errors.  ``run`` maps
+the namespace to a payload ``{"meta": {...}, "result": {...}}`` with all
+leaf values pre-rendered as strings (large integers survive any JSON
+reader), and the payload is serialized as canonical JSON (sorted keys,
+two-space indent) or as TSV.
 
 Exit codes: 0 success, 2 malformed input, 3 request outside the supported
 computational range.
@@ -13,10 +14,10 @@ computational range.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 from . import __version__, engine, hecke, strata
@@ -135,11 +136,11 @@ def _report_rows(cls: engine.SymbolicClass, label: str | None = None):
 # ---------------------------------------------------------------------------
 # job dispatch
 
-def _ctx(args: argparse.Namespace):
+def _ctx(args: SimpleNamespace):
     return build_context(args.d, args.n)
 
 
-def _run_context(args: argparse.Namespace):
+def _run_context(args: SimpleNamespace):
     ctx = _ctx(args)
     return {
         "dimG": str(ctx.dimG),
@@ -151,7 +152,7 @@ def _run_context(args: argparse.Namespace):
     }
 
 
-def _run_strata(args: argparse.Namespace):
+def _run_strata(args: SimpleNamespace):
     ctx = _ctx(args)
     if args.S is not None:
         S = args.S
@@ -167,7 +168,7 @@ def _run_strata(args: argparse.Namespace):
     return {"columns": ["r", "count", "stratumDim"], "rows": rows}
 
 
-def _run_kostant(args: argparse.Namespace):
+def _run_kostant(args: SimpleNamespace):
     ctx = _ctx(args)
     module = lie_n_cohomology(ctx, args.S, args.lam)
     rows = []
@@ -185,7 +186,7 @@ def _run_kostant(args: argparse.Namespace):
             "rows": rows}
 
 
-def _class_result(args: argparse.Namespace, ctx, cls: engine.SymbolicClass,
+def _class_result(args: SimpleNamespace, ctx, cls: engine.SymbolicClass,
                   **extra):
     """The Euler value of cls in euler mode, its report rows otherwise."""
     out = {"r": str(args.r), "lam": _fmt_weight(args.lam.a, args.lam.m0), **extra}
@@ -196,14 +197,14 @@ def _class_result(args: argparse.Namespace, ctx, cls: engine.SymbolicClass,
     return out
 
 
-def _run_chain_term(args: argparse.Namespace):
+def _run_chain_term(args: SimpleNamespace):
     ctx = _ctx(args)
     cls = engine.chain_term(ctx, args.chain, args.r, args.lam)
     chain_s = ",".join(f"{s}:{_fmt_bound(a)}" for s, a in args.chain.entries)
     return _class_result(args, ctx, cls, chain=chain_s)
 
 
-def _run_restrict_weighted(args: argparse.Namespace):
+def _run_restrict_weighted(args: SimpleNamespace):
     """``restrict-weighted``, and ``euler`` (upper IC profile by default)."""
     ctx = _ctx(args)
     profile = args.profile
@@ -214,7 +215,7 @@ def _run_restrict_weighted(args: argparse.Namespace):
                          profile=[_fmt_bound(p) for p in profile])
 
 
-def _run_restrict_ic(args: argparse.Namespace):
+def _run_restrict_ic(args: SimpleNamespace):
     ctx = _ctx(args)
     upper_cls, lower_cls = engine.restrict_ic(ctx, args.lam, args.r)
     upper, lower = strata.ic_profiles(ctx.d)
@@ -235,7 +236,7 @@ def _run_restrict_ic(args: argparse.Namespace):
     return base
 
 
-def _run_expansion(args: argparse.Namespace):
+def _run_expansion(args: SimpleNamespace):
     r = args.r
     rows = []
     for subset, sign, chain in engine.expansion_chains(_ctx(args), args.profile,
@@ -252,28 +253,28 @@ def _run_expansion(args: argparse.Namespace):
             "columns": ["subset", "sign", "chain", "S"], "rows": rows}
 
 
-def _datum(args: argparse.Namespace) -> hecke.HeckeDatum:
+def _datum(args: SimpleNamespace) -> hecke.HeckeDatum:
     return hecke.HeckeDatum(args.d, args.n, args.m)
 
 
-def _run_hecke_index(args: argparse.Namespace):
+def _run_hecke_index(args: SimpleNamespace):
     value = hecke.hecke_index(_datum(args), args.S)
     return {"m": str(args.m), "S": _fmt_set(args.S), "value": str(value)}
 
 
-def _run_transfer_degree(args: argparse.Namespace):
+def _run_transfer_degree(args: SimpleNamespace):
     value = hecke.transfer_degree(_datum(args))
     return {"m": str(args.m), "value": str(value)}
 
 
-def _run_fiber_count(args: argparse.Namespace):
+def _run_fiber_count(args: SimpleNamespace):
     datum = _datum(args)
     return {"m": str(args.m), "S": _fmt_set(args.S),
             "value": str(hecke.boundary_fiber_count(datum, args.S)),
             "cosetValue": str(hecke.reduction_fiber_count(datum, args.S))}
 
 
-def _run_hecke_matrix(args: argparse.Namespace):
+def _run_hecke_matrix(args: SimpleNamespace):
     datum = _datum(args)
     struct = hecke.hecke_matrix_structure(datum, args.S, args.g,
                                           cap=args.cap)
@@ -285,7 +286,7 @@ def _run_hecke_matrix(args: argparse.Namespace):
             "columns": ["to", "from", "count"], "rows": rows}
 
 
-def _run_oracle(args: argparse.Namespace):
+def _run_oracle(args: SimpleNamespace):
     d, n, r, cap = args.d, args.n, args.r, args.cap
     ctx = build_context(d, n)
     tag = f"d={d} n={n}"
@@ -311,10 +312,9 @@ def _run_oracle(args: argparse.Namespace):
     return {"columns": ["name", "formula", "bruteforce", "ok"], "rows": checks}
 
 
-def _run_euler(args: argparse.Namespace):
+def _run_euler(args: SimpleNamespace):
     """``restrict-weighted`` in Euler mode; the ``euler`` row has no ``--mode``."""
-    return _run_restrict_weighted(
-        argparse.Namespace(**vars(args) | {"mode": "euler"}))
+    return _run_restrict_weighted(SimpleNamespace(**vars(args), mode="euler"))
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +331,11 @@ _LAM = _arg("--lambda", "--lam", dest="lam", type=parse_weight, required=True,
 _MODE = _arg("--mode", choices=("symbolic", "euler"), default="symbolic")
 _S = _arg("--S", type=parse_set, required=True)
 _CAP = _arg("--cap", type=int, default=DEFAULT_CAP)
+# every row starts with these, ``--m`` where the row takes it
+_COMMON = (_arg("--d", type=int, required=True, help="genus"),
+           _arg("--n", type=int, required=True, help="principal level"))
+_M = _arg("--m", type=int, required=True, help="deeper level, a multiple of n")
+_FORMAT = _arg("--format", choices=("json", "tsv"), default="json")
 
 
 class Command(NamedTuple):
@@ -338,9 +343,13 @@ class Command(NamedTuple):
     ``--d``, ``--n``, [``--m``] and ``--format``), and whether it takes ``--m``."""
 
     help: str
-    handler: Callable[[argparse.Namespace], dict]
+    handler: Callable[[SimpleNamespace], dict]
     args: tuple = ()
     takes_m: bool = False
+
+    def options(self) -> tuple:
+        """Every (flags, add_argument kwargs) of the row, in parser order."""
+        return (*_COMMON, *((_M,) if self.takes_m else ()), _FORMAT, *self.args)
 
 
 COMMANDS = {
@@ -387,7 +396,7 @@ COMMANDS = {
 }
 
 
-def run(args: argparse.Namespace) -> dict:
+def run(args: SimpleNamespace) -> dict:
     try:
         handler = COMMANDS[args.command].handler
     except KeyError:
@@ -400,38 +409,78 @@ def run(args: argparse.Namespace) -> dict:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The parser for argv: only the subcommand that argv[0] names, or every
-    subcommand when argv[0] names none (help, version, usage errors)."""
+def _read(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace of a well-formed request, read from its ``COMMANDS`` row.
+
+    Accepts a strict subset of what ``_build_parser`` accepts, with the same
+    namespace: the subcommand, then ``--flag=value`` or ``--flag value``
+    pairs, each flag one of the row's option strings spelled out in full.  A
+    separate value may start with "-" only as a negative number.  Returns
+    None for anything else (help, abbreviations, "--", stray tokens, a
+    missing or invalid value, a missing required flag); argparse then parses
+    argv again and reports it.
+    """
+    cmd = COMMANDS.get(argv[0]) if argv else None
+    if cmd is None:
+        return None
+    values, required, by_flag = {"command": argv[0]}, [], {}
+    for flags, kwargs in cmd.options():
+        dest = kwargs.get("dest", flags[0][2:].replace("-", "_"))
+        values[dest] = kwargs.get("default")
+        if kwargs.get("required"):
+            required.append(dest)
+        for flag in flags:
+            by_flag[flag] = dest, kwargs
+    seen, tokens = set(), iter(argv[1:])
+    for tok in tokens:
+        flag, eq, value = tok.partition("=")
+        if flag not in by_flag:
+            return None
+        if not eq:
+            # argparse takes a separate value starting with "-" only as a
+            # negative number ("-" and digits here; "-.5" is left to it)
+            value = next(tokens, None)
+            if value is None or (value[:1] == "-" and not value[1:].isdecimal()):
+                return None
+        dest, kwargs = by_flag[flag]
+        convert, choices = kwargs.get("type"), kwargs.get("choices")
+        try:
+            value = value if convert is None else convert(value)
+        except Exception:  # whatever the error, argparse reports it
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+        seen.add(dest)
+    return SimpleNamespace(**values) if seen.issuperset(required) else None
+
+
+def _build_parser():
+    """The argparse parser of every row, for help, version and usage errors."""
+    import argparse
+
     top = argparse.ArgumentParser(
         prog="siegelstrata",
         description="boundary strata, truncated restrictions, and level "
                     "transfers for symplectic similitude groups")
     top.add_argument("--version", action="version", version=__version__)
-    names, metavar = list(COMMANDS), None
-    if argv and argv[0] in COMMANDS:
-        # A top-level usage error still lists every subcommand.  With every
-        # row built the metavar stays unset: it would rename "argument
-        # command" in the invalid-choice error.
-        names, metavar = argv[:1], "{" + ",".join(COMMANDS) + "}"
-    sub = top.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        cmd = COMMANDS[name]
+    sub = top.add_subparsers(dest="command", required=True)
+    for name, cmd in COMMANDS.items():
         p = sub.add_parser(name, help=cmd.help)
-        p.add_argument("--d", type=int, required=True, help="genus")
-        p.add_argument("--n", type=int, required=True, help="principal level")
-        if cmd.takes_m:
-            p.add_argument("--m", type=int, required=True,
-                           help="deeper level, a multiple of n")
-        p.add_argument("--format", choices=("json", "tsv"), default="json")
-        for flags, kwargs in cmd.args:
+        for flags, kwargs in cmd.options():
             p.add_argument(*flags, **kwargs)
     return top
 
 
-def parse_args(argv=None) -> argparse.Namespace:
+def parse_args(argv=None) -> SimpleNamespace:
     argv = sys.argv[1:] if argv is None else list(argv)
-    return _build_parser(argv).parse_args(argv)
+    if argv == ["--version"]:  # what argparse's version action does
+        sys.stdout.write(__version__ + "\n")
+        raise SystemExit(0)
+    args = _read(argv)
+    if args is None:
+        args = _build_parser().parse_args(argv, namespace=SimpleNamespace())
+    return args
 
 
 # ---------------------------------------------------------------------------

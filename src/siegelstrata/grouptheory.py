@@ -54,7 +54,6 @@ def _descents(v) -> int:
     return int(v[-1] < 0) | sum(1 << s for s in range(1, d) if v[d - s - 1] < v[d - s])
 
 
-@lru_cache(maxsize=None)
 def weyl_group(d: int, r: int = 0) -> WeylTable:
     """(length, descent mask, w(rho)) for each w with no descent below r.
 
@@ -62,8 +61,14 @@ def weyl_group(d: int, r: int = 0) -> WeylTable:
     w(rho)[p] = +-rho_i.  r = 0 gives all 2^d * d! signed permutations; in
     general these are the w that can lie in a W^S with min S = r,
     2^(d-r) * d!/r! of them: w(rho) ends in r positive decreasing entries,
-    after a signed arrangement of the other d - r values.
+    after a signed arrangement of the other d - r values.  However r is
+    passed, one (d, r) is built and cached once.
     """
+    return _weyl_group(d, r)
+
+
+@lru_cache(maxsize=None)
+def _weyl_group(d: int, r: int) -> WeylTable:
     check_genus(d, MAX_DEFAULT_GENUS)
     check_index(r, d)
     out = []
@@ -74,6 +79,10 @@ def weyl_group(d: int, r: int = 0) -> WeylTable:
                 v = signed + tail
                 out.append((_length(v), _descents(v), v))
     return tuple(out)
+
+
+weyl_group.cache_info = _weyl_group.cache_info
+weyl_group.cache_clear = _weyl_group.cache_clear
 
 
 @lru_cache(maxsize=None)
@@ -132,9 +141,12 @@ def build_context(d: int, n: int) -> GroupContext:
         c=d * (d + 1) // 2,
         stratumDims=stratum_dims(d),
     )
-    assert len(ctx.positiveRoots) == d * d
-    assert ctx.dimG == 2 * len(ctx.positiveRoots) + d + 1
-    assert ctx.c == ctx.stratumDims[0]
+    if not (len(ctx.positiveRoots) == d * d
+            and ctx.dimG == 2 * len(ctx.positiveRoots) + d + 1
+            and ctx.c == ctx.stratumDims[0]):
+        raise ArithmeticError(
+            f"inconsistent root datum at d={d}: {len(ctx.positiveRoots)} "
+            f"positive roots, dimG={ctx.dimG}, c={ctx.c}")
     return ctx
 
 
@@ -193,8 +205,8 @@ def _parabolic_data(d: int, S: tuple[int, ...]) -> ParabolicData:
         blockRanges=tuple(ranges), gspRange=(d - r, d),
         nRoots=tuple(nil), dimN=len(nil),
     )
-    if len(S) == 1:
-        assert pd.dimN == (d - r) * (d - r + 1) // 2 + 2 * r * (d - r)
+    if len(S) == 1 and pd.dimN != (d - r) * (d - r + 1) // 2 + 2 * r * (d - r):
+        raise ArithmeticError(f"P_{S} at d={d} has dimN={pd.dimN}")
     return pd
 
 

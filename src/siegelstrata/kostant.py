@@ -62,7 +62,9 @@ def lie_n_cohomology(ctx: GroupContext, S, lam: Weight) -> GradedVirtualRep:
     Each summand is (degree, Levi weight, multiplicity 1); its pairings are
     read from the Levi weight by ``torus_pairing``.  Every Levi weight is
     dominant for the Levi shape and has central weight central_weight(lam)
-    (both checked by ``kostant_summand``).
+    (both checked by ``kostant_summand``).  Raises ArithmeticError unless
+    there is one summand per coset of the Levi's Weyl group, also under
+    ``python -O``.
     """
     check_weight(ctx, lam)
     pd = parabolic_data(ctx, S)
@@ -71,5 +73,8 @@ def lie_n_cohomology(ctx: GroupContext, S, lam: Weight) -> GradedVirtualRep:
         kostant_summand(length, Weight(*dot_action(v, shifted)), pd, target)
         for length, _, v in kostant_reps(ctx, S))
     # Dot-action orbits of a dominant lam are free, so nothing merged.
-    assert len(module.summands) == ctx.weylOrder // levi_weyl_order(pd)
+    expected = ctx.weylOrder // levi_weyl_order(pd)
+    if len(module.summands) != expected:
+        raise ArithmeticError(f"H*(Lie N_{pd.S}) has {len(module.summands)} "
+                              f"summands, expected {expected}")
     return module

@@ -7,10 +7,12 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from siegelstrata import __version__, ic_profiles
+from siegelstrata import __version__, cli, ic_profiles
 from siegelstrata.cli import COMMANDS, REPORT_COLUMNS, main
 
 
@@ -167,6 +169,9 @@ def test_version_has_one_source(capsys):
     (("hecke-matrix", "--d", "1", "--n", "3", "--m", "6", "--S", "0",
       "--cap", "10"), 3),                               # enumeration cap
     (("transfer-degree", "--d", "7", "--n", "3", "--m", "6"), 3),  # genus guard
+    (("restrict-ic", "--d", "2", "--n", "3", "--lambda", "1,1",
+      "--stratum", "-1"), 2),                           # read, then refused
+    (("--version", "context"), 0),                      # argparse's version action
 ])
 def test_exit_codes(capsys, argv, code):
     assert main(list(argv)) == code
@@ -235,6 +240,87 @@ def test_euler_takes_no_mode_flag(capsys):
                              "--mode", "euler")
     assert code == 2 and out == ""
     assert "unrecognized arguments: --mode euler" in err
+
+
+# ---------------------------------------------------------------------------
+# the row reader against argparse
+
+def _argparse(argv):
+    try:
+        return cli._build_parser().parse_args(argv, namespace=SimpleNamespace())
+    except SystemExit as e:  # Hypothesis would not report it as a failure
+        pytest.fail(f"argparse exits {e.code} on {argv}")
+
+
+# flags of no row, abbreviations, help, version and the separator
+_OTHER_FLAGS = ["--lam", "--la", "--lamb", "--str", "--zz", "-h", "--help",
+                "--version", "--"]
+_VALUES = ["3", "2", "-1", "-1,2", "-inf,3", "1,0@-1", "1,1", "", "x", "1:0",
+           "identity", "symbolic", "euler", "eu", "json", "tsv", "xml", "a=b",
+           "--"]
+
+
+def _fits(kwargs, value) -> bool:
+    try:
+        converted = kwargs.get("type", str)(value)
+    except ValueError:
+        return False
+    return converted in kwargs.get("choices", (converted,))
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand (or a bogus one), then most of its required flags and a
+    few others in any order, each with a value attached by "=" or separate.
+    A flag of the row takes a value its type accepts half of the time."""
+    name = draw(st.sampled_from([*COMMANDS, "bogus"]))
+    options = COMMANDS[name].options() if name in COMMANDS else ()
+    own = {flag: kwargs for flags, kwargs in options for flag in flags}
+    required = [flags[0] for flags, kwargs in options
+                if kwargs.get("required") and draw(st.integers(0, 7))]
+    extra = draw(st.lists(st.sampled_from([*own, *_OTHER_FLAGS]), max_size=3))
+    argv = [name]
+    for flag in draw(st.permutations(required + extra)):
+        values = _VALUES
+        if flag in own and draw(st.booleans()):
+            values = [v for v in _VALUES if _fits(own[flag], v)]
+        value = draw(st.sampled_from(values))
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(_argvs())
+def test_reader_agrees_with_argparse(argv):
+    read = cli._read(argv)
+    if read is not None:
+        assert vars(read) == vars(_argparse(argv))
+
+
+@pytest.mark.parametrize("argv, read", [
+    (["restrict-ic", "--d", "2", "--n", "3", "--lambda", "1,1",
+      "--stratum", "-1"], True),
+    (["context", "--d", "5", "--d=2", "--n", "3", "--d", "4"], True),
+    (["context", "--d", "2", "--n", "-1", "--format=tsv"], True),
+    (["euler", "--d", "1", "--n", "3", "--lam", "2", "--r", "0"], True),
+    (["--version", "context"], False),
+    (["euler", "--d", "1", "--n", "3", "--lambda", "2", "--stratum", "0",
+      "--mode", "euler"], False),
+    (["kostant", "--d", "2", "--n", "3", "--S", "0", "--lamb", "1,1"], False),
+    (["restrict-weighted", "--d", "2", "--n", "3", "--lambda", "1,1",
+      "--stratum", "0", "--profile", "-1,2"], False),
+    (["context", "--d", "2", "--n", "3", "--"], False),
+    (["context", "--d", "2", "--n", "3", "--format", "xml"], False),
+    (["restrict-ic", "--d", "2", "--n", "3", "--mode=eu", "--r", "0",
+      "--lam", "1"], False),
+    (["context", "--d", "2", "--format", "tsv"], False),
+])
+def test_reader_fixed_cases(argv, read):
+    # what the reader takes it reads as argparse does; the rest it declines
+    ns = cli._read(argv)
+    assert (ns is not None) == read
+    if read:
+        assert vars(ns) == vars(_argparse(argv))
 
 
 @pytest.mark.parametrize("argv", [

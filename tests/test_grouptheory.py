@@ -214,6 +214,11 @@ def test_weyl_table_is_the_weyl_group_filter(d, r):
     assert Counter(table) == expected
 
 
+def test_weyl_group_is_built_once_per_d_r():
+    # r by default, by position or by keyword is one cache entry
+    assert weyl_group(6) is weyl_group(6, 0) is weyl_group(6, r=0)
+
+
 def test_weyl_table_guards():
     with pytest.raises(ScopeError):
         weyl_group(7)

@@ -1,6 +1,6 @@
 """The package's imports: every name a module, demo or test imports is used
-in it, every public name of the package is used by the calculator, and
-importing the CLI stays cheap.
+in it, every public name of the package is used by the calculator,
+importing the CLI stays cheap, and a well-formed request loads no argparse.
 
 No linter is part of the toolchain, so the stdlib ``ast`` checks stand in
 for one.  ``__init__.py`` is skipped: its imports are the public re-exports.
@@ -8,6 +8,7 @@ for one.  ``__init__.py`` is skipped: its imports are the public re-exports.
 
 import ast
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -126,3 +127,35 @@ def test_cli_import_graph():
     traced = _traced_modules()
     assert len(traced) == 9
     assert traced <= loaded, sorted(traced - loaded)
+
+
+def _modules_after(*argvs: list[str]) -> tuple[list[int], set[str]]:
+    """Exit codes of cli.main on each argv in one fresh process, and the
+    modules loaded after the last."""
+    script = ("import json, sys\n"
+              "from siegelstrata.cli import main\n"
+              "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+              "sys.stderr.write(json.dumps([codes, sorted(sys.modules)]))\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    codes, modules = json.loads(proc.stderr)
+    return codes, set(modules)
+
+
+ARGPARSE_AND_ITS_IMPORTS = {"argparse", "gettext", "locale", "textwrap"}
+
+
+def test_well_formed_requests_do_not_load_argparse():
+    # the request is read from its COMMANDS row; argparse, with the gettext,
+    # locale and textwrap it pulls in, is left for help and usage errors
+    codes, loaded = _modules_after(
+        ["--version"], ["context", "--d", "2", "--n", "3"],
+        # a seed-0 request of the restrict workload (bench/workloads.py)
+        ["restrict-ic", "--d", "3", "--n", "5", "--lambda", "4,3,2@3",
+         "--stratum", "1", "--mode", "euler"])
+    assert codes == [0, 0, 0]
+    unwanted = ARGPARSE_AND_ITS_IMPORTS & loaded
+    assert not unwanted, sorted(unwanted)
+    codes, loaded = _modules_after(["-h"])
+    assert codes == [0] and "argparse" in loaded

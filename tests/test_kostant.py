@@ -195,17 +195,25 @@ def test_rejects_non_dominant(ctx2):
         lie_n_cohomology(ctx2, (0,), Weight((0, 1), 0))
 
 
-@pytest.mark.parametrize("a, m0, central, message", [
-    ((0, 1), 0, 1, "is not dominant for the Levi"),
-    ((1, 0), 0, 2, "has central weight 1, expected 2"),
-], ids=["non-dominant", "central-weight"])
-def test_summand_checks_survive_optimize(a, m0, central, message):
-    # python -O strips asserts; a dot-action image that is not Levi-dominant,
-    # or has the wrong central weight, must still stop the summand
-    code = ("from siegelstrata import Weight, build_context, parabolic_data\n"
+_SUMMAND = ("from siegelstrata import Weight, build_context, parabolic_data\n"
             "from siegelstrata.kostant import kostant_summand\n"
             "pd = parabolic_data(build_context(2, 3), (0,))\n"
-            f"print(kostant_summand(0, Weight({a!r}, {m0}), pd, {central}))")
+            "print(kostant_summand(0, Weight({a!r}, {m0}), pd, {central}))")
+
+
+@pytest.mark.parametrize("code, message", [
+    (_SUMMAND.format(a=(0, 1), m0=0, central=1), "is not dominant for the Levi"),
+    (_SUMMAND.format(a=(1, 0), m0=0, central=2), "has central weight 1, expected 2"),
+    ("import siegelstrata.kostant as k\n"
+     "from siegelstrata import Weight, build_context\n"
+     "k.levi_weyl_order = lambda pd: 1\n"
+     "print(k.lie_n_cohomology(build_context(2, 3), (0,), Weight((1, 1), 0)))",
+     "has 4 summands, expected 8"),
+], ids=["non-dominant", "central-weight", "summand-count"])
+def test_summand_checks_survive_optimize(code, message):
+    # python -O strips asserts; a dot-action image that is not Levi-dominant,
+    # or has the wrong central weight, must still stop the summand, and a
+    # module with the wrong number of summands must still be refused
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True, timeout=60,
