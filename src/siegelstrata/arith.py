@@ -12,10 +12,12 @@ Every closed form here is cross-examined in the test suite against
 ``brute_force_group``, which enumerates the groups from their defining
 equations only (determinant a unit; t(g) J g = c J for the antidiagonal J).
 
-The module also carries the generic subgroup-closure and orbit machinery
-the coset-counting oracles are built from.  Matrices are tuples of row
-tuples with entries reduced mod n, and orbits run on their column codes;
-all arithmetic is exact.
+The enumerations give each group as the sorted integer keys of its
+elements (a matrix's key is its row-major base-n number), and the oracles
+read the keys; matrices, tuples of row tuples with entries reduced mod n,
+are built only where a caller asks for them.  The module also carries the
+generic subgroup-closure and orbit machinery the coset-counting oracles are
+built from; orbits run on column codes.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -273,8 +275,8 @@ def symplectic_form(u, v, n: int) -> int:
     antidiagonal, -1 on the lower half.
 
     The one definition of the form.  ``similitude`` evaluates it on the
-    column pairs of the one matrix it checks; ``_form_table`` tabulates it
-    on column codes for the enumeration and for ``similitudes``."""
+    column pairs of the one matrix it checks; ``_form_row`` evaluates it on
+    unit vectors and fills the rows of ``_form_table`` by linearity."""
     size = len(u)
     s = 0
     for i in range(size // 2):
@@ -299,25 +301,26 @@ def similitude(g, n: int):
     return c
 
 
-def similitudes(group, n: int) -> list:
-    """``similitude`` of each matrix of ``group`` (one size 2d, entries in
-    [0, n), as ``brute_force_group`` gives them) wherever its factor is a
-    unit, element for element.
+def similitudes(keys, size: int, n: int) -> list:
+    """``similitude`` of each size x size matrix given by its key (entries
+    in [0, n), as ``_brute_force_cached`` gives them) wherever its factor is
+    a unit, element for element.
 
-    At d = 1 each matrix goes through ``similitude``.  At d >= 2 its row
-    codes are checked for g J t(g) = c J on ``_form_table``, which the
-    enumeration already built; GSp is closed under transpose, so for a unit
-    c this is t(g) J g = c J.  A non-unit factor is the caller's to refuse.
+    A key's row codes are its base-n^size digits, first row most
+    significant, read as its top and bottom halves of rows: the half with
+    code h is entry h of ``_vectors(rows, n^size)``.  They are checked for
+    g J t(g) = c J on ``_form_table``, which the enumeration already built:
+    c from the first and last rows, then every other pair of
+    ``_column_pairs``.  GSp is closed under transpose, so for a unit c this
+    is t(g) J g = c J.  A non-unit factor is the caller's to refuse.
     """
-    size = len(group[0])
-    if size == 2:
-        return [similitude(g, n) for g in group]
-    code = _ColumnCodes(size, n).code
-    table = _form_table(size, n)
-    pairs = _column_pairs(size)
+    table, pairs = _form_table(size, n), _column_pairs(size)
+    low, base = size // 2, n ** size
+    split = base ** low
+    top, bottom = _vectors(size - low, base), _vectors(low, base)
     out = []
-    for g in group:
-        rows = tuple(map(code, g))
+    for key in keys:
+        rows = top[key // split] + bottom[key % split]
         c = table[rows[0]][rows[-1]]
         for i, j, partner in pairs:
             if table[rows[i]][rows[j]] != (c if partner else 0):
@@ -358,7 +361,8 @@ def _scan_linear(k: int, n: int, det_filter) -> list:
 def _vectors(size: int, n: int) -> tuple:
     """The n^size vectors over Z/n in lexicographic order, so that the
     vector with code c (its base-n digits, first entry most significant)
-    is entry c.  Decoded matrices share these tuples as their rows."""
+    is entry c.  Decoded matrices share these tuples as their rows, and
+    with n = n'^size they are the halves of a key's row codes."""
     return tuple(itertools.product(range(n), repeat=size))
 
 
@@ -366,7 +370,7 @@ def _vectors(size: int, n: int) -> tuple:
 def _column_spread(size: int, n: int) -> tuple:
     """spread[j][c]: the share of a matrix's key (``_ColumnCodes.key``)
     that the vector with code c adds as column j."""
-    codes = _ColumnCodes(size, n)
+    codes = _column_codes(size, n)
     return tuple(tuple([codes.spread(c) * p for c in range(n ** size)])
                  for p in codes.powers)
 
@@ -392,21 +396,26 @@ def _decode(keys, size: int, n: int) -> tuple:
     return tuple([top[key // split] + bottom[key % split] for key in keys])
 
 
-def _form_row(u, vecs, n: int) -> tuple:
-    """The form of the vector u against each of ``vecs``: a row of
-    ``_form_table``, or at d = 1, where no table is kept, the row of one
-    first column of the enumeration."""
-    return tuple([symplectic_form(u, v, n) for v in vecs])
+def _form_row(u, n: int) -> tuple:
+    """The form of the vector u against every vector of ``_vectors``, in
+    code order: a row of ``_form_table``.  v -> t(u) J v is linear, so the
+    row is built one digit of v at a time from the form on the unit
+    vectors, each digit appending n shifted copies of the row so far."""
+    size = len(u)
+    row = [0]
+    for k in range(size):
+        f = symplectic_form(u, tuple(int(i == k) for i in range(size)), n)
+        row = [(s + a * f) % n for s in row for a in range(n)]
+    return tuple(row)
 
 
 @lru_cache(maxsize=None)
 def _form_table(size: int, n: int) -> tuple:
     """The form on column codes: entry [u][v] is t(u) J v for the vectors
     with codes u and v, n^{4d} entries (6,561 at d = 2, n = 3).  Cached,
-    so the enumeration of GSp_2d(Z/n) at d >= 2 and ``similitudes`` on the
-    group it gives read one table."""
-    vecs = _vectors(size, n)
-    return tuple(_form_row(u, vecs, n) for u in vecs)
+    so the enumeration of GSp_2d(Z/n) and ``similitudes`` on the keys it
+    gives read one table."""
+    return tuple(_form_row(u, n) for u in _vectors(size, n))
 
 
 def _enumerate_symplectic(d: int, n: int, sim: int | None) -> list:
@@ -421,45 +430,38 @@ def _enumerate_symplectic(d: int, n: int, sim: int | None) -> list:
 
     A column is its code in [0, N), N = n^{2d} (its index in
     ``_vectors``), and a matrix is its row-major key, the sum of the
-    ``_column_spread`` values of its columns.  At d >= 2 the form is read
-    from ``_form_table``, whose N^2 = n^{4d} entries are far fewer than
-    the group's elements.  At d = 1, N^2 is about |GSp_2(Z/n)|, so the
-    form row of each first column is computed when it is placed and no
-    table is kept.
+    ``_column_spread`` values of its columns.  The form is read from
+    ``_form_table``; its N^2 = n^{4d} entries are far fewer than the
+    group's elements at d >= 2, and about as many at d = 1.
     """
     size = 2 * d
     if n ** size > _SCAN_GUARD // 10:
         raise ScopeError(f"column space {n}^{size} too large for backtracking")
     if sim is not None and not _unit(sim, n):
         return []
-    vecs = _vectors(size, n)
     spread = _column_spread(size, n)
     units = frozenset(c for c in range(n) if _unit(c, n)) if sim is None else (
         frozenset([sim % n]))
+    table = _form_table(size, n)
+    orth = _Lazy(lambda u: {v for v, f in enumerate(table[u]) if not f})
+    out, last = [], {}
 
-    def pair_sums(k: int, values, candidates, form_row) -> list:
+    def pair_sums(k: int, values, candidates) -> list:
         """Key shares of the pairs (u, v) of candidates as columns
         (k, 2d-1-k) whose form value is in values."""
         first, partner = spread[k], spread[size - 1 - k]
         sums = []
         for u in candidates:
-            row, head = form_row(u), first[u]
+            row, head = table[u], first[u]
             sums.extend([head + partner[v] for v in candidates
                          if row[v] in values])
         return sums
-
-    if d == 1:
-        return pair_sums(0, units, range(len(vecs)),
-                         lambda u: _form_row(vecs[u], vecs, n))
-    table = _form_table(size, n)
-    orth = [{v for v, f in enumerate(row) if not f} for row in table]
-    out, last = [], {}
 
     def place_pair(k: int, values, candidates, key: int):
         if k + 1 == d:
             memo = (frozenset(candidates), values)
             if memo not in last:
-                last[memo] = pair_sums(k, values, candidates, table.__getitem__)
+                last[memo] = pair_sums(k, values, candidates)
             out.extend([key + s for s in last[memo]])
             return
         first, partner = spread[k], spread[size - 1 - k]
@@ -470,12 +472,14 @@ def _enumerate_symplectic(d: int, n: int, sim: int | None) -> list:
                     place_pair(k + 1, (row[v],), candidates & orth[u] & orth[v],
                                head + partner[v])
 
-    place_pair(0, units, set(range(len(vecs))), 0)
+    place_pair(0, units, set(range(n ** size)), 0)
     return out
 
 
 @lru_cache(maxsize=None)
-def _brute_force_cached(kind: GroupKind, n: int, cap: int):
+def _brute_force_cached(kind: GroupKind, n: int, cap: int) -> tuple:
+    """(keys, size): the sorted keys of kind over Z/n, checked, and the size
+    of its matrices (1 for GSp_0, the similitude torus)."""
     expected = _order_any_level(kind, n)
     if expected > cap:
         raise ScopeError(
@@ -506,7 +510,7 @@ def _brute_force_cached(kind: GroupKind, n: int, cap: int):
         raise ArithmeticError(
             f"enumerating {kind.family}({kind.param}) over Z/{n} gave "
             f"{len(keys)} elements, not {expected} distinct ones")
-    return _decode(keys, size, n)
+    return tuple(keys), size
 
 
 def brute_force_group(kind: GroupKind, n: int, cap: int = DEFAULT_CAP):
@@ -519,7 +523,14 @@ def brute_force_group(kind: GroupKind, n: int, cap: int = DEFAULT_CAP):
     """
     if not (is_int(n) and n >= 2):
         raise InputError(f"modulus must be an integer >= 2, got {n!r}")
-    return _brute_force_cached(kind, n, cap)
+    return _decoded(kind, n, cap)
+
+
+@lru_cache(maxsize=None)
+def _decoded(kind: GroupKind, n: int, cap: int) -> tuple:
+    """The matrices of ``_brute_force_cached``, decoded once per group."""
+    keys, size = _brute_force_cached(kind, n, cap)
+    return _decode(keys, size, n)
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +550,8 @@ class _Lazy(dict):
 class _ColumnCodes:
     """size x size matrices over Z/n as tuples of column codes; a column's
     code is its index in ``_vectors(size, n)``.  Each map is filled as it
-    is read, so the work is bounded by the columns met, not by n^size."""
+    is read, so the work is bounded by the columns met, not by n^size.
+    ``action(g)`` gives one map per generator g (a tuple of row tuples)."""
 
     def __init__(self, size: int, n: int):
         self.n, self.powers = n, tuple(n ** (size - 1 - i) for i in range(size))
@@ -548,6 +560,7 @@ class _ColumnCodes:
         self.column = _Lazy(
             lambda c: tuple([c // p % n for p in self.powers])).__getitem__
         self.spread = _Lazy(lambda c: sum(map(mul, self.column(c), rows))).__getitem__
+        self.action = _Lazy(self._action).__getitem__
 
     def encode(self, x) -> tuple:
         return tuple(map(self.code, zip(*x)))
@@ -562,11 +575,18 @@ class _ColumnCodes:
         keys order matrices exactly as their tuples of rows do."""
         return sum(map(mul, map(self.spread, x), self.powers))
 
-    def action(self, g):
+    def _action(self, g):
         """code(v) -> code(g v mod n), for g with any integer entries."""
         n, column, code = self.n, self.column, self.code
         return _Lazy(lambda c: code(tuple(
             [sum(map(mul, row, column(c))) % n for row in g]))).__getitem__
+
+
+@lru_cache(maxsize=None)
+def _column_codes(size: int, n: int) -> _ColumnCodes:
+    """The one ``_ColumnCodes`` of (size, n), so closures, orbits and the
+    enumeration share its maps and each generator's action."""
+    return _ColumnCodes(size, n)
 
 
 def _orbit(seed, acts, cap: int | None = None) -> set:
@@ -595,7 +615,7 @@ def subgroup_closure(gens, n: int, cap: int = DEFAULT_CAP):
     """BFS closure of generator matrices under multiplication mod n."""
     if not gens:
         raise InputError("need at least one generator")
-    codes = _ColumnCodes(len(gens[0]), n)  # identity column j has code powers[j]
+    codes = _column_codes(len(gens[0]), n)  # identity column j has code powers[j]
     orbit = _orbit(codes.powers, [codes.action(g) for g in gens], cap)
     return frozenset(map(codes.decode, orbit))
 
@@ -603,10 +623,11 @@ def subgroup_closure(gens, n: int, cap: int = DEFAULT_CAP):
 def left_orbits(universe, gens, n: int):
     """Partition of ``universe`` (entries in [0, n)) into orbits of left
     multiplication by <gens>: {canonical representative (min of orbit):
-    orbit size}.  The universe is encoded and each generator's action built
-    once.  Only generators are needed; a generation gap makes orbits split
-    visibly rather than silently merge."""
-    codes = _ColumnCodes(len(next(iter(universe), ())), n)
+    orbit size}.  The universe is encoded once, and each generator's action
+    is shared with every other closure or orbit at (size, n).  Only
+    generators are needed; a generation gap makes orbits split visibly
+    rather than silently merge."""
+    codes = _column_codes(len(next(iter(universe), ())), n)
     acts = [codes.action(g) for g in gens]
     remaining = set(map(codes.encode, universe))
     reps: dict = {}
@@ -618,8 +639,9 @@ def left_orbits(universe, gens, n: int):
 
 
 def orbit_canonical(x, gens, n: int, cap: int = DEFAULT_CAP):
-    """Minimal element of the left orbit of x (canonical class label)."""
+    """Minimal element of the left orbit of x (canonical class label), on
+    the shared column codes and generator actions of (size, n)."""
     x = mat_mod(x, n)
-    codes = _ColumnCodes(len(x), n)
+    codes = _column_codes(len(x), n)
     orbit = _orbit(codes.encode(x), [codes.action(g) for g in gens], cap)
     return codes.decode(min(orbit, key=codes.key))

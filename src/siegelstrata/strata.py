@@ -13,9 +13,10 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
-from .arith import (DEFAULT_CAP, GSp, _order_any_level, brute_force_group,
-                    euler_phi, exact_div, integral_image_order, left_orbits,
-                    similitude, similitudes, subgroup_closure)
+from .arith import (DEFAULT_CAP, GSp, _brute_force_cached, _decode,
+                    _order_any_level, brute_force_group, euler_phi, exact_div,
+                    integral_image_order, left_orbits, similitude, similitudes,
+                    subgroup_closure)
 from .errors import InputError, ScopeError, check_index
 from .grouptheory import (GroupContext, build_context, normalize_parabolic_set,
                           parabolic_data, stratum_dims)
@@ -93,13 +94,14 @@ def strata_count_bruteforce(d: int, n: int, r: int,
 
     Orbits of a subgroup acting by left multiplication on the full group are
     its right cosets, so the count is the index; the closure itself is an
-    independent object (it only knows the generator matrices).  (d, n) and
-    r are checked before anything is enumerated.
+    independent object (it only knows the generator matrices).  The group
+    is counted on its enumerated keys, no matrix is built.  (d, n) and r
+    are checked before anything is enumerated.
     """
     build_context(d, n)
     check_index(r, d)
-    ambient = brute_force_group(GSp(2 * d), n, cap)
-    return exact_div(len(ambient), len(_closure_for(d, n, (r,), cap)))
+    keys, _ = _brute_force_cached(GSp(2 * d), n, cap)
+    return exact_div(len(keys), len(_closure_for(d, n, (r,), cap)))
 
 
 def strata_orbit_partition(d: int, n: int, r: int, cap: int = DEFAULT_CAP):
@@ -159,13 +161,14 @@ def similitude_image_bruteforce(d: int, n: int, cap: int = DEFAULT_CAP):
     """The set of similitude factors realized by GSp_2d(Z/n), which must be
     the unit group mod n.  (d, n) are checked first, so a level below 3 is
     refused as everywhere else.  Every element is checked against the
-    similitude identity (``similitudes``)."""
+    similitude identity on its enumerated key (``similitudes``); only a
+    failing element is decoded, for the message."""
     build_context(d, n)
-    ambient = brute_force_group(GSp(2 * d), n, cap)
-    factors = similitudes(ambient, n)
+    keys, size = _brute_force_cached(GSp(2 * d), n, cap)
+    factors = similitudes(keys, size, n)
     values = set(factors)
     if None in values:
-        g = ambient[factors.index(None)]
+        g = _decode([keys[factors.index(None)]], size, n)[0]
         raise ArithmeticError(f"{g} fails the similitude identity mod {n}")
     if values != _units(n):
         raise ArithmeticError(f"GSp_{2 * d}(Z/{n}) realizes the similitude factors "

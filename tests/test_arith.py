@@ -20,7 +20,7 @@ from siegelstrata import (GL, GSp, SL, InputError, ScopeError, Sp,
                           congruence_index, euler_char_congruence, euler_phi,
                           group_order, integral_image_order, zeta_negative)
 from siegelstrata.arith import (FACTOR_LIMIT, _column_spread, _ColumnCodes,
-                                _decode, _vectors,
+                                _decode, _form_table, _vectors,
                                 bernoulli, factorint, identity_matrix,
                                 left_orbits, mat_det, mat_inv_mod, mat_mod,
                                 mat_mul, orbit_canonical, similitude,
@@ -288,22 +288,44 @@ def test_similitude_on_gsp4_elements(index, perturb, pos, delta):
     c = similitude(g, 3)
     assert c == _similitude_reference(g, 3)
     assert perturb or c in (1, 2)
-    # the image check on column codes, with a member after g in the batch
-    assert similitudes([g, member], 3) == [c, similitude(member, 3)]
+    # the image check on keys, with a member after g in the batch
+    keys = [_row_major_key(g, 3), _row_major_key(member, 3)]
+    assert similitudes(keys, 4, 3) == [c, similitude(member, 3)]
+
+
+def _off_by_one(g, n: int):
+    """g with entry (1, 1) raised by one mod n."""
+    rows = [list(row) for row in g]
+    rows[1][1] = (rows[1][1] + 1) % n
+    return tuple(map(tuple, rows))
 
 
 def test_image_check_is_similitude_element_for_element():
-    # similitudes reads row codes against the shared form table (d >= 2),
-    # g J t(g) = c J, or the one partner pair (d = 1); similitude checks the
-    # columns of one matrix alone, t(g) J g = c J: for unit c they agree
+    # similitudes reads a key's row codes against the shared form table,
+    # g J t(g) = c J; similitude checks the columns of one matrix alone,
+    # t(g) J g = c J: for unit c they agree
     cases = [(1, n) for n in range(3, 13)] + [(2, 2), (2, 3)]
     for d, n in cases:
         group = brute_force_group(GSp(2 * d), n)
-        factors = similitudes(group, n)
+        factors = similitudes([_row_major_key(g, n) for g in group], 2 * d, n)
         assert factors == [similitude(g, n) for g in group], (d, n)
         assert factors == [similitude(transpose(g), n) for g in group], (d, n)
         assert factors == [_similitude_reference(g, n) for g in group], (d, n)
         assert set(factors) == {c for c in range(n) if gcd(c, n) == 1}
+        # and off the group, one entry of each element changed: at d = 1
+        # both sides read the determinant, and at d = 2 over a field such a
+        # matrix stays in GSp or fails both identities
+        off = [_off_by_one(g, n) for g in group]
+        assert similitudes([_row_major_key(g, n) for g in off], 2 * d, n) == [
+            similitude(g, n) for g in off], (d, n)
+
+
+@pytest.mark.parametrize("size, n", [(2, n) for n in range(2, 13)] + [(4, 2), (4, 3)])
+def test_form_table_rows_are_the_form(size, n):
+    # _form_row builds each row by linearity from the unit vectors
+    vecs = _vectors(size, n)
+    assert _form_table(size, n) == tuple(
+        tuple(symplectic_form(u, v, n) for v in vecs) for u in vecs)
 
 
 def test_rank_one_enumeration_is_the_defining_filter():

@@ -172,6 +172,9 @@ def test_version_has_one_source(capsys):
     (("restrict-ic", "--d", "2", "--n", "3", "--lambda", "1,1",
       "--stratum", "-1"), 2),                           # read, then refused
     (("--version", "context"), 0),                      # argparse's version action
+    (("context", "--d", "2", "--n", "3", "--format=--"), 2),  # "--" is no choice
+    (("restrict-ic", "--d", "2", "--n", "3", "--lambda", "1,1",
+      "--stratum", "0", "--mode=--"), 2),
 ])
 def test_exit_codes(capsys, argv, code):
     assert main(list(argv)) == code
@@ -214,6 +217,18 @@ def test_unknown_subcommand_names_the_command_argument(capsys):
     code, out, err = run_err(capsys, "bogus")
     assert code == 2 and out == ""
     assert "argument command: invalid choice" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("context", "--d", "2", "--n", "3", "--format=--"),
+    ("restrict-ic", "--d", "2", "--n", "3", "--lambda", "1,1", "--stratum", "0",
+     "--mode=--"),
+], ids=["format", "mode"])
+def test_a_dashdash_value_is_not_a_choice(capsys, argv):
+    # argparse drops the "--" of "--flag=--" before its choices check
+    code, out, err = run_err(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"argument {argv[-1][:-3]}: invalid choice: '--'" in err
 
 
 @pytest.mark.parametrize("name", NAMES)

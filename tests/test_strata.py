@@ -8,6 +8,7 @@ the contract.
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -17,8 +18,10 @@ from siegelstrata import (GSp, InputError, LevelError, ScopeError, build_context
                           euler_phi, ic_profiles, strata_count,
                           strata_count_bruteforce, stratum_dims)
 from oracles import subgroup_order_formula
-from siegelstrata import strata
-from siegelstrata.arith import _brute_force_cached, similitude
+from siegelstrata import arith, strata
+from siegelstrata.arith import (DEFAULT_CAP, _brute_force_cached, _decode,
+                                brute_force_group, similitude,
+                                symplectic_form)
 from siegelstrata.strata import (_closure_for, _strata_count_raw,
                                  refinement_check_bruteforce,
                                  similitude_image_bruteforce,
@@ -156,32 +159,59 @@ def test_bruteforce_refuses_before_enumerating(call, args, error):
     assert calls() == before
 
 
-def _tampered(group, n: int, index: int = 1000):
-    """group with entry (1, 1) of one element off by one: that element
-    leaves GSp_4(Z/n)."""
-    rows = [list(row) for row in group[index]]
-    rows[1][1] = (rows[1][1] + 1) % n
-    return group[:index] + (tuple(map(tuple, rows)),) + group[index + 1:]
+def _tampered(kind, n: int, cap: int, index: int = 1000):
+    """The keys cache's (keys, size) for kind over Z/n, with entry (1, 0) of
+    one element off by one: that element leaves GSp_4(Z/n)."""
+    keys, size = _brute_force_cached(kind, n, cap)
+    weight = n ** (size * size - 1 - size)  # of entry (1, 0) in a row-major key
+    entry = keys[index] // weight % n
+    bad = keys[index] + ((entry + 1) % n - entry) * weight
+    return keys[:index] + (bad,) + keys[index + 1:], size
 
 
 def test_image_oracle_raises_on_a_tampered_element(monkeypatch):
-    real = strata.brute_force_group
-    tampered = _tampered(real(GSp(4), 3), 3)
-    assert similitude(tampered[1000], 3) is None
-    monkeypatch.setattr(strata, "brute_force_group", lambda kind, n, cap: tampered)
+    keys, _ = _brute_force_cached(GSp(4), 3, DEFAULT_CAP)
+    tampered, size = _tampered(GSp(4), 3, DEFAULT_CAP)
+    g, member = _decode([tampered[1000], keys[1000]], size, 3)
+    assert similitude(g, 3) is None and g[1][0] == (member[1][0] + 1) % 3
+    # rows 1 and 2 are still partners (member[2][3] is 0): only the other
+    # row pairs show the change
+    assert symplectic_form(g[1], g[2], 3) == symplectic_form(g[0], g[3], 3)
+    monkeypatch.setattr(strata, "_brute_force_cached",
+                        lambda kind, n, cap: (tampered, size))
     with pytest.raises(ArithmeticError, match="fails the similitude identity mod 3"):
         similitude_image_bruteforce(2, 3)
 
 
 def test_image_oracle_requires_the_unit_group(monkeypatch):
-    # the c = 2 elements of GSp_2(Z/3) swapped for the zero matrix, whose
-    # factor is 0: as many distinct factors as units, but not the units
-    zero = ((0, 0), (0, 0))
-    fake = tuple(zero if similitude(g, 3) == 2 else g
-                 for g in strata.brute_force_group(GSp(2), 3))
-    monkeypatch.setattr(strata, "brute_force_group", lambda kind, n, cap: fake)
+    # the c = 2 elements of GSp_2(Z/3) swapped for the zero matrix (key 0),
+    # whose factor is 0: as many distinct factors as units, but not the units
+    keys, size = _brute_force_cached(GSp(2), 3, DEFAULT_CAP)
+    fake = tuple(0 if similitude(g, 3) == 2 else key
+                 for key, g in zip(keys, brute_force_group(GSp(2), 3)))
+    assert 0 in fake and _decode([0], size, 3) == (((0, 0), (0, 0)),)
+    monkeypatch.setattr(strata, "_brute_force_cached",
+                        lambda kind, n, cap: (fake, size))
     with pytest.raises(ArithmeticError, match=r"\[0, 1\], not the 2 units mod 3"):
         similitude_image_bruteforce(1, 3)
+
+
+def test_d2_oracles_read_keys_not_matrices():
+    # cold, the count and the image oracle over GSp_4(Z/3) build no matrix
+    # of the group: under 6 MB at peak, against 13.7 MB with the matrices
+    for cached in (_brute_force_cached, arith._decoded, arith._vectors,
+                   arith._column_spread, arith._form_table, arith._column_codes,
+                   _closure_for):
+        cached.cache_clear()
+    tracemalloc.start()
+    try:
+        assert strata_count_bruteforce(2, 3, 1) == 40
+        assert similitude_image_bruteforce(2, 3) == {1, 2}
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, peak
+    assert arith._decoded.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("factor", [None, 0])
@@ -200,8 +230,7 @@ def test_closure_refuses_a_generator_without_a_unit_factor(monkeypatch, factor):
 # a python -O subprocess patches one of these in before its call
 _TAMPER_AMBIENT = (
     "from test_strata import _tampered\n"
-    "real = strata.brute_force_group\n"
-    "strata.brute_force_group = lambda kind, n, cap: _tampered(real(kind, n, cap), n)\n")
+    "strata._brute_force_cached = _tampered\n")
 _FLAKY_GENERATOR = (
     "real = strata.similitude\n"
     "seen = []\n"
