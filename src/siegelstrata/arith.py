@@ -346,6 +346,11 @@ def _unit(x: int, n: int) -> bool:
     return gcd(x % n, n) == 1
 
 
+def units(n: int) -> tuple:
+    """The units mod n, increasing."""
+    return tuple(u for u in range(1, n) if _unit(u, n))
+
+
 def _scan_linear(k: int, n: int, det_filter) -> list:
     """Keys of the k x k matrices whose determinant mod n passes
     ``det_filter``.  Rows are drawn from ``_vectors(k, n)`` in product
@@ -378,21 +383,13 @@ def _column_spread(size: int, n: int) -> tuple:
 def _decode(keys, size: int, n: int) -> tuple:
     """The size x size matrices with these keys, as tuples of row tuples
     sharing the rows of ``_vectors(size, n)``.  A key is read as its top and
-    bottom halves of rows, each looked up in a list of every such half when
-    there are no more of them than keys, else in the halves the keys use."""
+    bottom halves of rows, each looked up in the list of every such half
+    (at most 81^2 = 6,561 of them under the default cap, at GSp_4(Z/3))."""
     vecs = _vectors(size, n)
-    base = len(vecs)
     low = size // 2
-    split = base ** low
-
-    def halves(count: int, codes):
-        if base ** count <= len(keys):
-            return tuple(itertools.product(vecs, repeat=count))
-        return {c: tuple([vecs[c // base ** (count - 1 - i) % base]
-                          for i in range(count)]) for c in set(codes)}
-
-    top = halves(size - low, (key // split for key in keys))
-    bottom = halves(low, (key % split for key in keys))
+    split = len(vecs) ** low
+    top = tuple(itertools.product(vecs, repeat=size - low))
+    bottom = tuple(itertools.product(vecs, repeat=low))
     return tuple([top[key // split] + bottom[key % split] for key in keys])
 
 
@@ -440,8 +437,7 @@ def _enumerate_symplectic(d: int, n: int, sim: int | None) -> list:
     if sim is not None and not _unit(sim, n):
         return []
     spread = _column_spread(size, n)
-    units = frozenset(c for c in range(n) if _unit(c, n)) if sim is None else (
-        frozenset([sim % n]))
+    factors = frozenset(units(n) if sim is None else [sim % n])
     table = _form_table(size, n)
     orth = _Lazy(lambda u: {v for v, f in enumerate(table[u]) if not f})
     out, last = [], {}
@@ -472,7 +468,7 @@ def _enumerate_symplectic(d: int, n: int, sim: int | None) -> list:
                     place_pair(k + 1, (row[v],), candidates & orth[u] & orth[v],
                                head + partner[v])
 
-    place_pair(0, units, set(range(n ** size)), 0)
+    place_pair(0, factors, set(range(n ** size)), 0)
     return out
 
 
@@ -495,8 +491,7 @@ def _brute_force_cached(kind: GroupKind, n: int, cap: int) -> tuple:
     elif fam in ("Sp", "GSp"):
         if size == 0:
             # GSp_0 is the similitude torus GL_1 (1 x 1 matrices); Sp_0 is trivial.
-            size, keys = ((1, [u for u in range(1, n) if _unit(u, n)])
-                          if fam == "GSp" else (0, [0]))
+            size, keys = (1, list(units(n))) if fam == "GSp" else (0, [0])
         else:
             keys = _enumerate_symplectic(size // 2, n,
                                          1 if fam == "Sp" else None)

@@ -459,15 +459,16 @@ def _build_parser():
     """The argparse parser of every row, for help, version and usage errors."""
     import argparse
 
-    class Choice(argparse.Action):
-        """Stores an option's value if it is one of its choices.  argparse
-        drops the value "--" of "--flag=--" before it checks choices, and
-        would store what is left, an empty list."""
+    class OneValue(argparse.Action):
+        """Stores an option's value.  argparse drops the value "--" of
+        "--flag=--" before it calls ``type`` or checks choices, and would
+        store what is left, an empty list."""
 
         def __call__(self, parser, namespace, values, option_string=None):
-            if values not in self.choices:
-                raise argparse.ArgumentError(self, f"invalid choice: '--' (choose "
-                                             f"from {', '.join(map(repr, self.choices))})")
+            if values == []:
+                raise argparse.ArgumentError(self, "expected one argument" if (
+                    self.choices is None) else f"invalid choice: '--' (choose "
+                    f"from {', '.join(map(repr, self.choices))})")
             setattr(namespace, self.dest, values)
 
     top = argparse.ArgumentParser(
@@ -479,8 +480,7 @@ def _build_parser():
     for name, cmd in COMMANDS.items():
         p = sub.add_parser(name, help=cmd.help)
         for flags, kwargs in cmd.options():
-            p.add_argument(*flags, **kwargs, **(
-                {"action": Choice} if "choices" in kwargs else {}))
+            p.add_argument(*flags, **kwargs, action=OneValue)
     return top
 
 

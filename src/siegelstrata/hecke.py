@@ -16,7 +16,8 @@ At the level of coset classes (which merge the phi(m)/phi(n) components a
 geometric stratum splits into under the similitude action), the fiber size
 is ``reduction_fiber_count``; the two agree exactly when phi(m) = phi(n).
 ``hecke_matrix_structure`` tabulates the full transfer matrix between the
-two finite class sets.
+two finite class sets from the level-m classes alone: each is labelled by
+the level-n class it reduces into.
 """
 
 from __future__ import annotations
@@ -112,10 +113,12 @@ def hecke_matrix_structure(datum: HeckeDatum, S, g=None,
     """Tabulate C' -> (class of C'g at level n, class of C' at level n).
 
     g is an integer matrix whose reduction lies in GSp_2d(Z/m) (identity if
-    omitted); right multiplication by g permutes level-m classes, and both
-    coordinates of the pair are independent of the chosen representative.
-    Row totals and column totals therefore both equal the class-level
-    fiber size, whatever g is.
+    omitted).  Only GSp_2d(Z/m) is enumerated and partitioned: the level-n
+    classes are the labels of the level-m classes' reductions, and every
+    one is hit, because reduction to level n is onto and H_S(m) reduces
+    into H_S(n).  Right multiplication by g permutes level-m classes, so
+    row totals and column totals both equal the class-level fiber size,
+    whatever g is.
     """
     d, n, m = datum.d, datum.n, datum.m
     size = 2 * d
@@ -129,24 +132,19 @@ def hecke_matrix_structure(datum: HeckeDatum, S, g=None,
         raise InputError("g must satisfy the symplectic-similitude identity "
                          "with a unit similitude factor")
 
-    ctx_n = build_context(d, n)
-    ctx_m = build_context(d, m)
-    gens_n = parabolic_generators(ctx_n, S)
-    gens_m = parabolic_generators(ctx_m, S)
-
+    gens_n = parabolic_generators(build_context(d, n), S)
+    gens_m = parabolic_generators(build_context(d, m), S)
     ambient_m = brute_force_group(GSp(size), m, cap)
-    orbits_m = left_orbits(ambient_m, gens_m, m)
-
-    ambient_n = brute_force_group(GSp(size), n, cap)
-    classes = tuple(sorted(left_orbits(ambient_n, gens_n, n)))
+    fibers: dict = {}
+    for rep in left_orbits(ambient_m, gens_m, m):
+        label = orbit_canonical(rep, gens_n, n)  # reduces rep mod n
+        fibers[label] = fibers.get(label, 0) + 1
+    classes = tuple(sorted(fibers))
     index_of = {rep: i for i, rep in enumerate(classes)}
-
-    def class_index(x) -> int:
-        return index_of[orbit_canonical(mat_mod(x, n), gens_n, n)]
-
-    counts: dict[tuple[int, int], int] = {}
-    for rep in orbits_m:
-        key = (class_index(mat_mul(rep, g, m)), class_index(rep))
-        counts[key] = counts.get(key, 0) + 1
-    entries = tuple(sorted((i, j, c) for (i, j), c in counts.items()))
+    # g sends a left coset H x to H x g, so the level-n class of C'g depends
+    # only on the class j of C': every C' over j lands in the class of
+    # (class j) g, and the entry of column j is one triple.
+    entries = tuple(sorted(
+        (index_of[orbit_canonical(mat_mul(rep, g, n), gens_n, n)], j, fibers[rep])
+        for j, rep in enumerate(classes)))
     return HeckeMatrixStructure(classes=classes, entries=entries)

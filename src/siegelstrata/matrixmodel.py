@@ -1,5 +1,5 @@
-"""Explicit 2d x 2d matrix realizations: root vectors, torus points, Levi
-embeddings, and generators of the parabolic coset-counting subgroups.
+"""Explicit 2d x 2d matrix realizations: root vectors, Levi embeddings, and
+generators of the parabolic coset-counting subgroups.
 
 Everything here backs the brute-force oracles.  The conventions match the
 antidiagonal form J of ``arith.symplectic_form``: for 1-indexed i < j <= d,
@@ -16,9 +16,7 @@ before anything else trusts them.
 
 from __future__ import annotations
 
-from math import gcd
-
-from .arith import identity_matrix, mat_inv_mod, mat_mod
+from .arith import identity_matrix, mat_inv_mod, mat_mod, units
 from .errors import InputError
 from .grouptheory import GroupContext, parabolic_data, positive_roots
 from .reps import Weight
@@ -64,18 +62,6 @@ def root_element(d: int, root: Weight, n: int):
         for i in range(size))
 
 
-def torus_element(d: int, ts, c, n: int):
-    """diag(t_1..t_d, c/t_d, ..., c/t_1) mod n; each t_i and c must be units."""
-    size = 2 * d
-    for t in list(ts) + [c]:
-        if gcd(t % n, n) != 1:
-            raise InputError("torus entries must be units")
-    diag = list(ts) + [c * pow(ts[d - 1 - k], -1, n) for k in range(d)]
-    return tuple(
-        tuple((diag[i] % n) if i == j else 0 for j in range(size))
-        for i in range(size))
-
-
 def embed_linear(d: int, r: int, a, n: int):
     """GL_{d-r} into the Levi of P_r: block diag(A, I_{2r}, R tA^-1 R)."""
     k = d - r
@@ -109,53 +95,37 @@ def embed_gsp(d: int, r: int, b, c: int, n: int):
     return tuple(tuple(row) for row in g)
 
 
-def _units(n: int):
-    return [u for u in range(1, n) if gcd(u, n) == 1]
-
-
 def parabolic_generators(ctx: GroupContext, S):
     """Generators (mod n) of the finite shadow H_S of P_S(Z)Q_r(Z-hat).
 
     The shadow is the subgroup of GSp_2d(Z/n) that the stratum and
     double-coset counts quotient by:
-      - per GL block: elementary root elements (full block-SL image) and a
-        determinant -1 flip (integral GL has determinant +-1),
+      - the GL side, ``linear_parabolic_generators`` through
+        ``embed_linear``: per block, elementary root elements (full
+        block-SL image) and a determinant -1 flip (integral GL has
+        determinant +-1); its cross-block elementaries are in N_S,
       - all root elements of Lie N_S,
       - the embedded GSp_2r(Z/n): symplectic root elements (positive and
-        negative) plus the similitude torus diag(u I_r | u...), which also
-        feeds the scalar u into the GL side, per the Levi embedding.
+        negative) plus, for each unit u, the similitude torus point
+        diag(u I_d, I_d), which feeds u into the GL side per the Levi
+        embedding (at r = 0 it is all of the GSp_0 factor).
     Completeness of this generating set is itself under test: the closure
     order is compared with the independent order formula product.
     """
     d, n = ctx.d, ctx.n
     pd = parabolic_data(ctx, S)
     r = pd.r
-    gens = []
-    for lo, hi in pd.blockRanges:
-        for i in range(lo, hi):
-            for j in range(lo, hi):
-                if i != j:
-                    a = [0] * d
-                    a[i], a[j] = 1, -1
-                    gens.append(root_element(d, Weight(tuple(a), 0), n))
-        if n > 2:
-            flip = [[int(i == j) for j in range(d - r)] for i in range(d - r)]
-            flip[lo][lo] = n - 1
-            gens.append(embed_linear(d, r, tuple(map(tuple, flip)), n))
-    for root in pd.nRoots:
-        gens.append(root_element(d, root, n))
-    if r >= 1:
-        for root in positive_roots(r):
-            for y in (root, root.neg()):
-                gens.append(embed_gsp(d, r, root_element(r, y, n), 1, n))
-        for u in _units(n):
-            b = tuple(
-                tuple((u if i < r else 1) if i == j else 0 for j in range(2 * r))
-                for i in range(2 * r))
-            gens.append(embed_gsp(d, r, b, u, n))
-    else:
-        for u in _units(n):
-            gens.append(torus_element(d, [u] * d, u, n))
+    gens = [embed_linear(d, r, a, n)
+            for a in linear_parabolic_generators(d - r, pd.leviBlocks, n)]
+    gens += [root_element(d, root, n) for root in pd.nRoots]
+    for root in positive_roots(r):
+        for y in (root, root.neg()):
+            gens.append(embed_gsp(d, r, root_element(r, y, n), 1, n))
+    for u in units(n):
+        b = tuple(
+            tuple((u if i < r else 1) if i == j else 0 for j in range(2 * r))
+            for i in range(2 * r))
+        gens.append(embed_gsp(d, r, b, u, n))
     ident = identity_matrix(2 * d)
     uniq = []
     for g in gens:

@@ -11,12 +11,11 @@ companion built from subgroup closures in the matrix model.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
 
 from .arith import (DEFAULT_CAP, GSp, _brute_force_cached, _decode,
                     _order_any_level, brute_force_group, euler_phi, exact_div,
                     integral_image_order, left_orbits, similitude, similitudes,
-                    subgroup_closure)
+                    subgroup_closure, units)
 from .errors import InputError, ScopeError, check_index
 from .grouptheory import (GroupContext, build_context, normalize_parabolic_set,
                           parabolic_data, stratum_dims)
@@ -75,15 +74,11 @@ def double_coset_count(ctx: GroupContext, r: int, S) -> int:
 # ---------------------------------------------------------------------------
 # brute-force companions
 
-def _units(n: int) -> set:
-    return {c for c in range(n) if gcd(c, n) == 1}
-
-
 @lru_cache(maxsize=None)
 def _closure_for(d: int, n: int, S: tuple[int, ...], cap: int):
     """Closure of the generators for S, each checked first for a unit similitude."""
     gens = parabolic_generators(build_context(d, n), S)
-    if any(similitude(g, n) not in _units(n) for g in gens):
+    if any(similitude(g, n) not in units(n) for g in gens):
         raise ArithmeticError(f"a generator for S = {S} is not in GSp_{2 * d}(Z/{n})")
     return subgroup_closure(gens, n, cap)
 
@@ -119,13 +114,15 @@ def strata_orbit_partition(d: int, n: int, r: int, cap: int = DEFAULT_CAP):
 
 def double_coset_count_bruteforce(d: int, n: int, r: int, S,
                                   cap: int = DEFAULT_CAP) -> int:
-    """Literal orbit count of the P_S(Z)-image acting on the P_r(Z)-image of GL_{d-r}."""
+    """Literal orbit count of the P_S(Z)-image acting on the P_r(Z)-image of
+    GL_{d-r}.  (d, n) and S are checked before any closure is built."""
+    ctx = build_context(d, n)
     S = normalize_parabolic_set(d, S)
     if S[0] != r:
         raise InputError(f"min(S)={S[0]} must equal r={r}")
     k = d - r
+    blocks = parabolic_data(ctx, S).leviBlocks
     ambient = subgroup_closure(linear_parabolic_generators(k, (k,), n), n, cap)
-    blocks = parabolic_data(build_context(d, n), S).leviBlocks
     gens = linear_parabolic_generators(k, blocks, n)
     sub = subgroup_closure(gens, n, cap)
     if not sub <= ambient:
@@ -170,7 +167,7 @@ def similitude_image_bruteforce(d: int, n: int, cap: int = DEFAULT_CAP):
     if None in values:
         g = _decode([keys[factors.index(None)]], size, n)[0]
         raise ArithmeticError(f"{g} fails the similitude identity mod {n}")
-    if values != _units(n):
+    if values != set(units(n)):
         raise ArithmeticError(f"GSp_{2 * d}(Z/{n}) realizes the similitude factors "
                               f"{sorted(values)}, not the {euler_phi(n)} units mod {n}")
     return values

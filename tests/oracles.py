@@ -9,7 +9,10 @@ action on those permutations, the subgroup orders by their product
 formula, the congruence kernel by counting a literal closure, a subgroup
 closure by dense matrix products, the symplectic groups by column-pair
 backtracking over tuples, the weighted restriction as a sum of chain
-terms, and Levi dimensions as products of Fraction factors.
+terms, and Levi dimensions as products of Fraction factors.  The Hecke
+transfer matrix is tabulated literally: both levels enumerated and
+partitioned, and both coordinates of every level-m class found by an
+orbit walk at level n.
 """
 
 import itertools
@@ -21,10 +24,12 @@ from siegelstrata import (ClassTerm, GSp, SymbolicClass, build_context,
                           chain_term, group_order, integral_image_order,
                           parabolic_data)
 from siegelstrata.arith import (_SCAN_GUARD, DEFAULT_CAP, _unit,
-                                identity_matrix, mat_mod, mat_mul,
-                                subgroup_closure, symplectic_form)
+                                brute_force_group, identity_matrix,
+                                left_orbits, mat_mod, mat_mul,
+                                orbit_canonical, subgroup_closure,
+                                symplectic_form)
 from siegelstrata.engine import expansion_chains
-from siegelstrata.errors import ScopeError
+from siegelstrata.errors import InputError, ScopeError
 from siegelstrata.grouptheory import positive_roots
 from siegelstrata.matrixmodel import parabolic_generators
 from siegelstrata.reps import Weight
@@ -51,6 +56,18 @@ def s_cochar_matrix(d: int, s: int, lam: int):
     size = 2 * d
     return tuple(
         tuple(diag[i] if i == j else 0 for j in range(size)) for i in range(size))
+
+
+def torus_element(d: int, ts, c, n: int):
+    """diag(t_1..t_d, c/t_d, ..., c/t_1) mod n; each t_i and c must be units."""
+    size = 2 * d
+    for t in list(ts) + [c]:
+        if not _unit(t, n):
+            raise InputError("torus entries must be units")
+    diag = list(ts) + [c * pow(ts[d - 1 - k], -1, n) for k in range(d)]
+    return tuple(
+        tuple((diag[i] % n) if i == j else 0 for j in range(size))
+        for i in range(size))
 
 
 def conjugation_weight(g_diag, x):
@@ -187,6 +204,31 @@ def kernel_shadow_count(datum, S, cap: int = DEFAULT_CAP) -> int:
     return sum(1 for g in subgroup_closure(gens, datum.m, cap)
                if all(x % n == (i == j) for i, row in enumerate(g)
                       for j, x in enumerate(row)))
+
+
+def hecke_tabulation(datum, S, g=None, cap: int = DEFAULT_CAP):
+    """(classes, entries) of ``hecke_matrix_structure``, tabulated literally:
+    GSp_2d(Z/m) and GSp_2d(Z/n) are both enumerated and partitioned, and
+    each level-m class C' is placed at (class of C'g, class of C') by two
+    orbit walks at level n."""
+    d, n, m = datum
+    size = 2 * d
+    g = mat_mod(identity_matrix(size) if g is None else g, m)
+    gens_n = parabolic_generators(build_context(d, n), S)
+    gens_m = parabolic_generators(build_context(d, m), S)
+    orbits_m = left_orbits(brute_force_group(GSp(size), m, cap), gens_m, m)
+    classes = tuple(sorted(
+        left_orbits(brute_force_group(GSp(size), n, cap), gens_n, n)))
+    index_of = {rep: i for i, rep in enumerate(classes)}
+
+    def class_index(x) -> int:
+        return index_of[orbit_canonical(mat_mod(x, n), gens_n, n)]
+
+    counts: dict[tuple[int, int], int] = {}
+    for rep in orbits_m:
+        key = (class_index(mat_mul(rep, g, m)), class_index(rep))
+        counts[key] = counts.get(key, 0) + 1
+    return classes, tuple(sorted((i, j, c) for (i, j), c in counts.items()))
 
 
 def mat_mul_closure(gens, n: int) -> frozenset:

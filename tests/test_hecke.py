@@ -1,15 +1,18 @@
 """Level-transfer structure: degrees, fiber counts, the literal fibration
 of stratum classes, and the transfer-matrix tabulation."""
 
+import random
+from math import gcd
+
 import pytest
 
-from siegelstrata import build_context, strata_count
+from siegelstrata import arith, build_context, strata_count
 from siegelstrata.arith import (GSp, ScopeError, _form_table, brute_force_group,
                                 euler_phi, left_orbits, mat_mod,
                                 orbit_canonical, subgroup_closure)
 from siegelstrata.cli import main
 from siegelstrata.errors import InputError
-from oracles import kernel_shadow_count
+from oracles import hecke_tabulation, kernel_shadow_count
 from siegelstrata.hecke import (HeckeDatum, boundary_fiber_count,
                                 hecke_index, hecke_matrix_structure,
                                 reduction_fiber_count, transfer_degree)
@@ -162,6 +165,37 @@ def test_matrix_totals_are_fiber_sizes():
         assert st.column_totals() == tuple([rfc] * len(st.classes))
         assert rows == [rfc] * len(st.classes)
         assert sum(c for _, _, c in st.entries) == strata_count(build_context(1, 6), 0)
+
+
+def _unit_determinant_matrices(m: int, count: int, seed: str):
+    """count seeded 2x2 matrices mod m with unit determinant (GSp_2 = GL_2)."""
+    rng, out = random.Random(seed), []
+    while len(out) < count:
+        g = tuple(tuple(rng.randrange(m) for _ in range(2)) for _ in range(2))
+        if gcd(g[0][0] * g[1][1] - g[0][1] * g[1][0], m) == 1:
+            out.append(g)
+    return out
+
+
+@pytest.mark.parametrize("pair", PAIRS + [(3, 12), (4, 12)])
+def test_matrix_matches_the_literal_tabulation(pair):
+    # classes and entries equal the tabulation over both levels; the level-n
+    # classes, read off the level-m partition, are all of the level-n ones
+    n, m = pair
+    datum = HeckeDatum(1, n, m)
+    for g in [None, *_unit_determinant_matrices(m, 3, f"hecke:{n}:{m}")]:
+        st = hecke_matrix_structure(datum, (0,), g)
+        assert (st.classes, st.entries) == hecke_tabulation(datum, (0,), g), g
+    gens_n = parabolic_generators(build_context(1, n), (0,))
+    assert st.classes == tuple(sorted(
+        left_orbits(brute_force_group(GSp(2), n), gens_n, n)))
+
+
+def test_matrix_decodes_no_level_n_group():
+    # only GSp_2(Z/12) is enumerated; GSp_2(Z/3) is never decoded
+    arith._decoded.cache_clear()
+    hecke_matrix_structure(HeckeDatum(1, 3, 12), (0,))
+    assert arith._decoded.cache_info().currsize == 1
 
 
 def test_matrix_rejects_bad_g():

@@ -8,12 +8,12 @@ from itertools import accumulate
 import pytest
 
 from oracles import (conjugation_weight, j_form, levi_roots, s_cochar_matrix,
-                     transpose, u_roots)
+                     torus_element, transpose, u_roots)
 from siegelstrata import InputError, build_context, parabolic_data
 from siegelstrata.arith import identity_matrix, mat_mod, mat_mul, similitude
 from siegelstrata.matrixmodel import (embed_gsp, embed_linear,
                                       parabolic_generators, root_element,
-                                      root_matrix, torus_element)
+                                      root_matrix)
 from siegelstrata.reps import torus_pairing
 
 

@@ -227,6 +227,21 @@ def test_closure_refuses_a_generator_without_a_unit_factor(monkeypatch, factor):
         strata_count_bruteforce(2, 3, 1)
 
 
+@pytest.mark.parametrize("d, n, error, message", [
+    (1, 2, LevelError, "level must be an integer >= 3"),
+    (7, 3, ScopeError, "genus 7 exceeds the Weyl-group guard"),
+])
+def test_double_coset_oracle_checks_before_any_closure(monkeypatch, d, n,
+                                                       error, message):
+    # (d, n) are refused as by the sibling oracles, before a GL_{d-r} closure
+    def build(*args):
+        raise AssertionError("a closure was built")
+
+    monkeypatch.setattr(strata, "subgroup_closure", build)
+    with pytest.raises(error, match=message):
+        double_coset_count_bruteforce(d, n, 0, (0,))
+
+
 # a python -O subprocess patches one of these in before its call
 _TAMPER_AMBIENT = (
     "from test_strata import _tampered\n"
