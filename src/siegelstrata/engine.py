@@ -24,11 +24,11 @@ from typing import NamedTuple
 
 from .arith import euler_char_congruence
 from .errors import InputError, check_index, is_int
-from .grouptheory import (GroupContext, _length, normalize_parabolic_set,
+from .grouptheory import (GroupContext, _kept_orbit, normalize_parabolic_set,
                           parabolic_data)
 from .kostant import check_weight, kostant_summand, lie_n_cohomology
 from .reps import (Bound, GradedVirtualRep, LeviWeight, Weight, _check_bound,
-                   central_weight, truncate)
+                   central_weight, dot_action, truncate)
 from .strata import double_coset_count, ic_profiles
 
 
@@ -142,50 +142,6 @@ def chain_term(ctx: GroupContext, chain: Chain, r: int, lam: Weight) -> Symbolic
         [ClassTerm(double_coset_count(ctx, r, S), S, module)])
 
 
-def _kept_orbit(d: int, r: int, shifted: Weight, profile):
-    """(length, descent mask, allowed mask, w.lam) for each w with no descent
-    below r whose w.lam passes the cuts of ``profile``.
-
-    w.lam has the central weight m of lam, so the cut "S_s-pairing <
-    profile[s] + m" reads prefix[d - s] < profile[s]; the allowed mask holds
-    r and every s > r whose cut passes.  w(rho) is placed left to right over
-    the unused signed values, its last r entries the unused values, positive
-    and decreasing.  Cut s is fixed once d - s entries are placed, before
-    descent bit s (a rise into position d - s), so a branch stops at a
-    descent on a failed cut, or at a head failing the >= cut at r.  The
-    length and m0 are computed only for the w kept.
-    """
-    s, head = shifted.a, d - r
-    entry = {x: s[d - x] for x in range(1, d + 1)}  # w(lam + rho) at w(rho) = x
-    entry.update({-x: -y for x, y in entry.items()})
-    # a flipped entry of lam + rho adds itself to m0 (see dot_action)
-    m0_base = 2 * shifted.m0 + sum(s) - d * (d + 1) // 2
-    v, a, out = [0] * d, [0] * d, []
-
-    def place(p, rest, total, allowed, descents):
-        bit = 1 << (d - p)
-        for i, x in enumerate(rest):
-            unused = rest[:i] + rest[i + 1:]
-            for y in (x, -x):
-                desc = descents | bit if p and v[p - 1] < y else descents
-                if desc & ~allowed:
-                    continue
-                v[p], a[p] = y, entry[y] + p - d
-                t = total + a[p]
-                if p + 1 < head:
-                    cut = d - p - 1
-                    place(p + 1, unused, t, allowed | (t < profile[cut]) << cut, desc)
-                elif t >= profile[r]:
-                    for q, z in enumerate(unused, head):
-                        v[q], a[q] = z, entry[z] + q - d
-                    desc |= (v[head - 1] < v[head]) << r if r else v[-1] < 0
-                    out.append((_length(v), desc, allowed,
-                                Weight(a, (m0_base - sum(a)) // 2)))
-
-    place(0, tuple(range(d, 0, -1)), 0, 1 << r, 0)
-    return out
-
-
 def restrict_weighted(ctx: GroupContext, profile, lam: Weight,
                       r: int) -> SymbolicClass:
     """Class of the restriction to the index-r stratum of the weight-truncated
@@ -199,17 +155,19 @@ def restrict_weighted(ctx: GroupContext, profile, lam: Weight,
     trivial-central-character slice).
 
     Every H*(Lie N_S, V_lam) is a slice of the one dot-action orbit of lam,
-    so one pruned walk over w(rho) serves all S: it visits only the w that
-    can lie in a W^S with min S = r, cuts each w.lam on its integer prefix
-    sums while w(rho) is being placed (``_kept_orbit``), and a summand is
-    built only for the S whose W^S holds w and whose cuts it passes.
+    so one pruned walk over w(rho) serves all S: ``grouptheory._kept_orbit``
+    visits only the w that can lie in a W^S with min S = r and cuts on the
+    running totals of w(lam + rho) while w(rho) is being placed.  Each kept
+    w(rho) gives w.lam through ``dot_action``, and a summand is built only
+    for the S whose W^S holds w and whose cuts it passes.
     """
     check_index(r, ctx.d)
     profile = _check_profile(ctx.d, profile)
     check_weight(ctx, lam)
-    d, m = ctx.d, central_weight(lam)
+    d, m, shifted = ctx.d, central_weight(lam), lam.add(ctx.rho)
     kept: dict[int, list] = {}  # bit mask of S -> (degree, w.lam) kept for S
-    for length, descents, allowed, mu in _kept_orbit(d, r, lam.add(ctx.rho), profile):
+    for length, descents, allowed, v in _kept_orbit(r, shifted.a, profile):
+        mu = Weight(*dot_action(v, shifted))
         # The S keeping w.lam lie between its descents plus r and the allowed cuts.
         low = descents | 1 << r
         free = sub = allowed & ~low

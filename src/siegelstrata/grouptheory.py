@@ -42,16 +42,47 @@ def _length(v) -> int:
     return out
 
 
-def _descents(v) -> int:
-    """Where v = w(rho) fails to be Levi-dominant, as a bit mask of parabolic indices.
+def _kept_orbit(r: int, shifted, profile) -> list:
+    """(length, descent mask, allowed mask, w(rho)) for each w with no descent
+    below r whose w.lam passes the cuts of ``profile``; shifted is lam + rho.
 
-    Bit s >= 1 marks a rise of v across the cut at coordinate d-s, bit 0 a
-    negative last entry.  A parabolic set S cuts exactly at those places
-    (and drops the last-entry rule when 0 is in S), so w lies in W^S exactly
-    when every set bit is in S.
+    Descent bit s >= 1 marks a rise of w(rho) across coordinate d-s, bit 0 a
+    negative last entry; w lies in W^S exactly when every set bit is in S.
+    The cut "S_s-pairing of w.lam < profile[s]" compares the total of the
+    first d - s entries of w(lam + rho) with profile[s] plus that of rho; the
+    allowed mask holds r and every s > r whose cut passes.  w(rho) is placed
+    left to right, its last r entries the unused values, positive and
+    decreasing.  Cut s is fixed before descent bit s, so a branch stops at a
+    descent on a failed cut, or at a head failing the >= cut at r.  The
+    length is computed only for the w kept.
     """
-    d = len(v)
-    return int(v[-1] < 0) | sum(1 << s for s in range(1, d) if v[d - s - 1] < v[d - s])
+    d = len(shifted)
+    head = d - r
+    entry = {x: shifted[d - x] for x in range(1, d + 1)}  # w(lam + rho) at w(rho) = x
+    entry.update({-x: -y for x, y in entry.items()})
+    # rho sums to (d - s)(d + s + 1)/2 over its first d - s coordinates
+    bound = [b + (d - s) * (d + s + 1) // 2 for s, b in enumerate(profile)]
+    v, out = [0] * d, []
+
+    def place(p, rest, total, allowed, descents):
+        bit = 1 << (d - p)
+        for i, x in enumerate(rest):
+            unused = rest[:i] + rest[i + 1:]
+            for y in (x, -x):
+                desc = descents | bit if p and v[p - 1] < y else descents
+                if desc & ~allowed:
+                    continue
+                v[p], t = y, total + entry[y]
+                if p + 1 < head:
+                    cut = d - p - 1
+                    place(p + 1, unused, t, allowed | (t < bound[cut]) << cut, desc)
+                elif t >= bound[r]:
+                    v[head:] = unused
+                    desc |= (v[head - 1] < v[head]) << r if r else v[-1] < 0
+                    out.append((_length(v), desc, allowed, tuple(v)))
+
+    place(0, tuple(range(d, 0, -1)), 0, 1 << r, 0)
+    return out
 
 
 def weyl_group(d: int, r: int = 0) -> WeylTable:
@@ -61,7 +92,8 @@ def weyl_group(d: int, r: int = 0) -> WeylTable:
     w(rho)[p] = +-rho_i.  r = 0 gives all 2^d * d! signed permutations; in
     general these are the w that can lie in a W^S with min S = r,
     2^(d-r) * d!/r! of them: w(rho) ends in r positive decreasing entries,
-    after a signed arrangement of the other d - r values.  However r is
+    after a signed arrangement of the other d - r values.  They are the
+    ``_kept_orbit`` walk at rho with cuts that never bind.  However r is
     passed, one (d, r) is built and cached once.
     """
     return _weyl_group(d, r)
@@ -71,14 +103,9 @@ def weyl_group(d: int, r: int = 0) -> WeylTable:
 def _weyl_group(d: int, r: int) -> WeylTable:
     check_genus(d, MAX_DEFAULT_GENUS)
     check_index(r, d)
-    out = []
-    for tail in itertools.combinations(range(d, 0, -1), r):
-        head = [x for x in range(d, 0, -1) if x not in tail]
-        for perm in itertools.permutations(head):
-            for signed in itertools.product(*((x, -x) for x in perm)):
-                v = signed + tail
-                out.append((_length(v), _descents(v), v))
-    return tuple(out)
+    cuts = (-math.inf,) * (r + 1) + (math.inf,) * (d - 1 - r)
+    return tuple((length, desc, v) for length, desc, _, v
+                 in _kept_orbit(r, range(d, 0, -1), cuts))
 
 
 weyl_group.cache_info = _weyl_group.cache_info

@@ -187,6 +187,15 @@ def signed_dot_action(w: WeylElt, lam: Weight, rho: Weight) -> Weight:
     return Weight(tuple(a), m0).sub(rho)
 
 
+@lru_cache(maxsize=None)
+def weyl_table(d: int) -> tuple:
+    """(w, length, descent mask, w(rho)) for every signed permutation w, each
+    entry from the references above; cached, so the tests build it once per d."""
+    rho = tuple(range(d, 0, -1))
+    return tuple((w, coxeter_length(w), descent_mask(w), w.apply_vector(rho))
+                 for w in signed_permutations(d))
+
+
 def subgroup_order_formula(ctx, S) -> int:
     """Order of the finite shadow H_S(n):
     |GSp_2r| * n^{dim N_S} * prod over the GL blocks of |GL_k(Z)-image|."""

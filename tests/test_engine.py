@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import restrict_weighted_via_expansion
+from oracles import restrict_weighted_via_expansion, signed_dot_action, weyl_table
 from siegelstrata import (Chain, ClassTerm, InputError, LeviWeight,
                           SymbolicClass, Weight, build_context, central_weight,
                           chain_bounds_for_profile, chain_term,
@@ -19,9 +19,8 @@ from siegelstrata import (Chain, ClassTerm, InputError, LeviWeight,
                           ic_profiles, lie_n_cohomology, parabolic_data,
                           restrict_ic, restrict_weighted, torus_pairing,
                           truncate, weyl_dim)
-from siegelstrata.engine import _kept_orbit
-from siegelstrata.grouptheory import weyl_group
-from siegelstrata.reps import GradedVirtualRep, Summand, dot_action, pairings
+from siegelstrata.grouptheory import _kept_orbit, weyl_group
+from siegelstrata.reps import GradedVirtualRep, Summand, pairings
 
 
 # ---------------------------------------------------------------------------
@@ -307,20 +306,24 @@ def test_one_pass_kernel_matches_references_d6(r, profile):
     _check_one_pass_kernel(ctx, profile, Weight((3, 2, 2, 1, 0, 0), -2), r)
 
 
-def _table_filter(d, r, shifted, profile):
-    # weyl_group(d, r) cut literally: the >= cut at r reads prefix[d - r] >=
-    # profile[r], the cut at s > r prefix[d - s] < profile[s], and a w whose
-    # descents fall outside r and the passing cuts is dropped
+def _table_filter(d, r, lam, profile):
+    # the reference signed permutations with no descent below r, cut
+    # literally: the >= cut at r reads prefix[d - r] >= profile[r], the cut
+    # at s > r prefix[d - s] < profile[s], and a w whose descents fall
+    # outside r and the passing cuts is dropped
+    rho = Weight(tuple(range(d, 0, -1)), 0)
     out = []
-    for length, descents, v in weyl_group(d, r):
-        a, m0 = dot_action(v, shifted)
-        prefix = list(itertools.accumulate(a, initial=0))
+    for w, length, descents, v in weyl_table(d):
+        if descents & ((1 << r) - 1):
+            continue
+        prefix = list(itertools.accumulate(signed_dot_action(w, lam, rho).a,
+                                           initial=0))
         if prefix[d - r] < profile[r]:
             continue
         allowed = 1 << r | sum(1 << s for s in range(r + 1, d)
                                if prefix[d - s] < profile[s])
         if not descents & ~allowed:
-            out.append((length, descents, allowed, Weight(a, m0)))
+            out.append((length, descents, allowed, v))
     return Counter(out)
 
 
@@ -334,9 +337,8 @@ def test_pruned_walk_is_the_weyl_group_filter(d, r, data):
                reverse=True)
     lam = Weight(tuple(a), data.draw(st.integers(-3, 3)))
     profile = tuple(data.draw(_BOUNDS) for _ in range(d))
-    shifted = lam.add(ctx.rho)
-    assert Counter(_kept_orbit(d, r, shifted, profile)) == _table_filter(
-        d, r, shifted, profile)
+    assert Counter(_kept_orbit(r, lam.add(ctx.rho).a, profile)) == _table_filter(
+        d, r, lam, profile)
 
 
 def test_restriction_builds_no_weyl_table():

@@ -3,30 +3,21 @@
 import itertools
 import math
 from collections import Counter
-from functools import lru_cache
 
 import pytest
 
-from oracles import (coxeter_length, descent_mask, inverse_apply, levi_roots,
-                     levi_simple_roots, signed_permutations, u_roots)
+from oracles import (coxeter_length, inverse_apply, levi_roots,
+                     levi_simple_roots, signed_permutations, u_roots, weyl_table)
 from siegelstrata import (InputError, LevelError, ScopeError,
                           Weight, build_context, kostant_reps,
                           parabolic_data, weyl_group)
 from siegelstrata import grouptheory
-from siegelstrata.grouptheory import (levi_weyl_order, normalize_parabolic_set,
-                                     positive_roots)
+from siegelstrata.grouptheory import (_kept_orbit, levi_weyl_order,
+                                     normalize_parabolic_set, positive_roots)
 
 
 def _rho(d):
     return tuple(range(d, 0, -1))
-
-
-@lru_cache(maxsize=None)
-def _oracle_table(d):
-    """(length, descent mask, w(rho)) of every signed permutation, from the
-    reference in oracles.py."""
-    return tuple((coxeter_length(w), descent_mask(w), w.apply_vector(_rho(d)))
-                 for w in signed_permutations(d))
 
 
 def test_weyl_group_orders():
@@ -208,10 +199,62 @@ def test_kostant_reps_read_only_the_table_of_min_S(monkeypatch):
 def test_weyl_table_is_the_weyl_group_filter(d, r):
     # weyl_group(d, r) holds exactly the signed permutations with no descent
     # below r, each once, with the reference's length and descent mask
-    expected = Counter(w for w in _oracle_table(d) if not w[1] & ((1 << r) - 1))
+    expected = Counter(row[1:] for row in weyl_table(d) if not row[2] & ((1 << r) - 1))
     table = weyl_group(d, r)
     assert len(table) == 2 ** (d - r) * math.factorial(d) // math.factorial(r)
     assert Counter(table) == expected
+
+
+def _mul(p, q):
+    """Product of two polynomials given by their coefficient lists."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+def _q_product(sizes):
+    """prod of [k]_t = 1 + t + ... + t^(k-1) over k in sizes."""
+    out = [1]
+    for k in sizes:
+        out = _mul(out, [1] * k)
+    return out
+
+
+def _poincare_law(d, S, lengths):
+    # Humphreys 1.11: the lengths of W^S have generating function W(t)/W_L(t),
+    # with W(t) = prod_{i<=d} [2i]_t and W_L(t) the same product over the
+    # Levi: [2i]_t for i <= r = min S, [i]_t for i <= b per GL block b
+    points = [0] + [d - s for s in reversed(S[1:])] + [d - S[0]]
+    levi = [2 * i for i in range(1, S[0] + 1)] + [
+        i for lo, hi in zip(points, points[1:]) for i in range(1, hi - lo + 1)]
+    counts = Counter(lengths)
+    poincare = [counts[k] for k in range(max(counts) + 1)]
+    assert _mul(poincare, _q_product(levi)) == _q_product(
+        2 * i for i in range(1, d + 1)), S
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_kostant_reps_poincare_polynomial(d):
+    ctx = build_context(d, 3)
+    for size in range(1, d + 1):
+        for S in itertools.combinations(range(d), size):
+            _poincare_law(d, S, [length for length, _, _ in kostant_reps(ctx, S)])
+
+
+@pytest.mark.parametrize("d", [7, 8])
+@pytest.mark.parametrize("S", [(0,), (-1,), (0, -1), (0, 1), (-2, -1), (-3, -2, -1)])
+def test_walk_poincare_polynomial_past_the_genus_guard(d, S):
+    # negative indices count from d; cuts of -inf at r, +inf at the rest of S
+    # and -inf elsewhere allow exactly S, so the walk at rho keeps W^S
+    S = tuple(s % d for s in S)
+    mask = sum(1 << s for s in S)
+    cuts = [math.inf if s in S[1:] else -math.inf for s in range(d)]
+    rows = _kept_orbit(S[0], range(d, 0, -1), cuts)
+    assert {allowed for _, _, allowed, _ in rows} == {mask}
+    assert not any(desc & ~mask for _, desc, _, _ in rows)
+    _poincare_law(d, S, [length for length, _, _, _ in rows])
 
 
 def test_weyl_group_is_built_once_per_d_r():

@@ -209,11 +209,18 @@ _SUMMAND = ("from siegelstrata import Weight, build_context, parabolic_data\n"
      "k.levi_weyl_order = lambda pd: 1\n"
      "print(k.lie_n_cohomology(build_context(2, 3), (0,), Weight((1, 1), 0)))",
      "has 4 summands, expected 8"),
-], ids=["non-dominant", "central-weight", "summand-count"])
+    ("import siegelstrata.engine as e\n"
+     "from siegelstrata import Weight, build_context, ic_profiles\n"
+     "dot = e.dot_action\n"
+     "e.dot_action = lambda v, shifted: (dot(v, shifted)[0], dot(v, shifted)[1] + 1)\n"
+     "print(e.restrict_weighted(build_context(2, 3), ic_profiles(2)[0], Weight((1, 1), 0), 0))",
+     "has central weight"),
+], ids=["non-dominant", "central-weight", "summand-count", "restriction-central-weight"])
 def test_summand_checks_survive_optimize(code, message):
     # python -O strips asserts; a dot-action image that is not Levi-dominant,
-    # or has the wrong central weight, must still stop the summand, and a
-    # module with the wrong number of summands must still be refused
+    # or has the wrong central weight, must still stop the summand (also when
+    # the restriction kernel builds it), and a module with the wrong number
+    # of summands must still be refused
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True, timeout=60,

@@ -5,6 +5,7 @@ the same quotients out of actual matrices over Z/n.  Where the two meet is
 the contract.
 """
 
+import itertools
 import os
 import subprocess
 import sys
@@ -125,6 +126,32 @@ def test_borel_quotient_consistency(ctx2):
     h_borel = subgroup_order_formula(ctx2, (0, 1))
     assert g_order // h_borel == 160
     assert 160 == strata_count(ctx2, 0) * double_coset_count(ctx2, 0, (0, 1))
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_flag_count_is_a_multiple_of_each_stratum_count(d):
+    # P_S lies in P_s for every s in S, so H_S lies in H_s: the
+    # strata_count(min S) * card(I_S) level-S flags split into [H_s : H_S]
+    # flags through each index-s stratum
+    for n in range(3, 31):
+        ctx = build_context(d, n)
+        for size in range(1, d + 1):
+            for S in itertools.combinations(range(d), size):
+                flags = strata_count(ctx, S[0]) * double_coset_count(ctx, S[0], S)
+                for s in S:
+                    assert flags % strata_count(ctx, s) == 0, (n, S, s)
+
+
+@pytest.mark.parametrize("n, index", [(3, 4), (4, 6)])
+def test_flag_quotient_is_the_closure_index(n, index):
+    # at d = 2 the S = {0, 1} flags through one index-1 stratum number
+    # [H_1 : H_{0,1}], read off the two closures
+    ctx = build_context(2, n)
+    flags = strata_count(ctx, 0) * double_coset_count(ctx, 0, (0, 1))
+    quotient, rest = divmod(flags, strata_count(ctx, 1))
+    closures = divmod(len(_closure_for(2, n, (1,), DEFAULT_CAP)),
+                      len(_closure_for(2, n, (0, 1), DEFAULT_CAP)))
+    assert (quotient, rest) == closures == (index, 0)
 
 
 def test_orbit_partition_d1():
