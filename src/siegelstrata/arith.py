@@ -203,20 +203,20 @@ def euler_char_congruence(k: int, n: int) -> int:
     """Euler characteristic of the principal level-n congruence subgroup of SL_k(Z).
 
     e = |SL_k(Z/n)| * prod_{i=2..k} zeta(1-i); the subgroup is torsion-free
-    for n >= 3, which the formula needs.  Equals 1 for k = 1, an integer
-    for k = 2, and 0 for k >= 3 (zeta(-2) = 0 kills it); a non-integral
-    value raises ArithmeticError.
+    for n >= 3, which the formula needs.  It is taken in integers: |SL_1| = 1
+    for k = 1, -|SL_2(Z/n)| / 12 for k = 2 (zeta(-1) = -1/12), and 0 for
+    k >= 3 (zeta(-2) = -B_3/3 = 0); a non-integral value raises ArithmeticError.
     """
     if not (is_int(k) and k >= 1):
         raise InputError(f"block size must be >= 1, got {k!r}")
     check_level(n)
-    from fractions import Fraction
-    out = Fraction(group_order(SL(k), n))
-    for i in range(2, k + 1):
-        out *= zeta_negative(i)
-    if out.denominator != 1:
-        raise ArithmeticError(f"e_{k} at level {n} is not an integer: {out}")
-    return out.numerator
+    if k >= 3:
+        return 0
+    order = group_order(SL(k), n)
+    if k == 2 and order % 12:
+        g = gcd(order, 12)
+        raise ArithmeticError(f"e_2 at level {n} is not an integer: -{order // g}/{12 // g}")
+    return order if k == 1 else -(order // 12)
 
 
 # ---------------------------------------------------------------------------

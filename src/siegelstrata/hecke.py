@@ -16,8 +16,10 @@ At the level of coset classes (which merge the phi(m)/phi(n) components a
 geometric stratum splits into under the similitude action), the fiber size
 is ``reduction_fiber_count``; the two agree exactly when phi(m) = phi(n).
 ``hecke_matrix_structure`` tabulates the full transfer matrix between the
-two finite class sets from the level-m classes alone: each is labelled by
-the level-n class it reduces into.
+two finite class sets at level n alone: right multiplication by g permutes
+the level-n classes, and over each of them lie ``reduction_fiber_count``
+level-m classes, so every count is that closed form.  The test suite
+certifies it against the literal level-m tabulation.
 """
 
 from __future__ import annotations
@@ -113,12 +115,13 @@ def hecke_matrix_structure(datum: HeckeDatum, S, g=None,
     """Tabulate C' -> (class of C'g at level n, class of C' at level n).
 
     g is an integer matrix whose reduction lies in GSp_2d(Z/m) (identity if
-    omitted).  Only GSp_2d(Z/m) is enumerated and partitioned: the level-n
-    classes are the labels of the level-m classes' reductions, and every
-    one is hit, because reduction to level n is onto and H_S(m) reduces
-    into H_S(n).  Right multiplication by g permutes level-m classes, so
-    row totals and column totals both equal the class-level fiber size,
-    whatever g is.
+    omitted).  Only GSp_2d(Z/n) is enumerated and partitioned, so ``cap``
+    bounds level n.  Right multiplication by g sends the level-n class of
+    x to that of x g, a permutation of the classes; reduction to level n is
+    onto and H_S(m) reduces into H_S(n), so over every level-n class lie
+    exactly ``reduction_fiber_count`` level-m classes.  Every count is that
+    closed form, whatever g is; the test suite checks it against the
+    literal level-m tabulation.
     """
     d, n, m = datum.d, datum.n, datum.m
     size = 2 * d
@@ -133,18 +136,14 @@ def hecke_matrix_structure(datum: HeckeDatum, S, g=None,
                          "with a unit similitude factor")
 
     gens_n = parabolic_generators(build_context(d, n), S)
-    gens_m = parabolic_generators(build_context(d, m), S)
-    ambient_m = brute_force_group(GSp(size), m, cap)
-    fibers: dict = {}
-    for rep in left_orbits(ambient_m, gens_m, m):
-        label = orbit_canonical(rep, gens_n, n)  # reduces rep mod n
-        fibers[label] = fibers.get(label, 0) + 1
-    classes = tuple(sorted(fibers))
+    classes = tuple(sorted(
+        left_orbits(brute_force_group(GSp(size), n, cap), gens_n, n)))
     index_of = {rep: i for i, rep in enumerate(classes)}
+    fiber = reduction_fiber_count(datum, S)
     # g sends a left coset H x to H x g, so the level-n class of C'g depends
     # only on the class j of C': every C' over j lands in the class of
     # (class j) g, and the entry of column j is one triple.
     entries = tuple(sorted(
-        (index_of[orbit_canonical(mat_mul(rep, g, n), gens_n, n)], j, fibers[rep])
+        (index_of[orbit_canonical(mat_mul(rep, g, n), gens_n, n)], j, fiber)
         for j, rep in enumerate(classes)))
     return HeckeMatrixStructure(classes=classes, entries=entries)

@@ -231,6 +231,17 @@ def test_euler_char_is_integral():
         assert type(v) is int and v < 0
 
 
+def test_euler_char_is_the_zeta_product():
+    # the integer closed form against |SL_k(Z/n)| * prod_{i=2..k} zeta(1-i)
+    # taken literally in fractions
+    for k in range(1, 9):
+        for n in range(3, 41):
+            literal = Fraction(group_order(SL(k), n))
+            for i in range(2, k + 1):
+                literal *= zeta_negative(i)
+            assert euler_char_congruence(k, n) == literal, (k, n)
+
+
 def test_j_form_and_similitude():
     j = j_form(2)
     assert j == ((0, 0, 0, 1), (0, 0, 1, 0), (0, -1, 0, 0), (-1, 0, 0, 0))

@@ -1,18 +1,19 @@
 """Level-transfer structure: degrees, fiber counts, the literal fibration
 of stratum classes, and the transfer-matrix tabulation."""
 
+import json
 import random
 from math import gcd
 
 import pytest
 
-from siegelstrata import arith, build_context, strata_count
+from siegelstrata import arith, build_context, double_coset_count, strata_count
 from siegelstrata.arith import (GSp, ScopeError, _form_table, brute_force_group,
-                                euler_phi, left_orbits, mat_mod,
+                                euler_phi, group_order, left_orbits, mat_mod,
                                 orbit_canonical, subgroup_closure)
 from siegelstrata.cli import main
 from siegelstrata.errors import InputError
-from oracles import hecke_tabulation, kernel_shadow_count
+from oracles import hecke_tabulation, j_form, kernel_shadow_count
 from siegelstrata.hecke import (HeckeDatum, boundary_fiber_count,
                                 hecke_index, hecke_matrix_structure,
                                 reduction_fiber_count, transfer_degree)
@@ -177,25 +178,28 @@ def _unit_determinant_matrices(m: int, count: int, seed: str):
     return out
 
 
-@pytest.mark.parametrize("pair", PAIRS + [(3, 12), (4, 12)])
+@pytest.mark.parametrize("pair", PAIRS + [(3, 12), (4, 12), (5, 10), (6, 12)])
 def test_matrix_matches_the_literal_tabulation(pair):
-    # classes and entries equal the tabulation over both levels; the level-n
-    # classes, read off the level-m partition, are all of the level-n ones
+    # classes and entries equal the tabulation over both levels, so every
+    # closed-form count is the number of level-m classes it stands for
     n, m = pair
     datum = HeckeDatum(1, n, m)
     for g in [None, *_unit_determinant_matrices(m, 3, f"hecke:{n}:{m}")]:
         st = hecke_matrix_structure(datum, (0,), g)
         assert (st.classes, st.entries) == hecke_tabulation(datum, (0,), g), g
-    gens_n = parabolic_generators(build_context(1, n), (0,))
-    assert st.classes == tuple(sorted(
-        left_orbits(brute_force_group(GSp(2), n), gens_n, n)))
 
 
-def test_matrix_decodes_no_level_n_group():
-    # only GSp_2(Z/12) is enumerated; GSp_2(Z/3) is never decoded
-    arith._decoded.cache_clear()
+def test_matrix_enumerates_level_n_only():
+    # only GSp_2(Z/3) is enumerated and decoded; GSp_2(Z/12) never is
+    for cache in (arith._brute_force_cached, arith._decoded):
+        cache.cache_clear()
     hecke_matrix_structure(HeckeDatum(1, 3, 12), (0,))
-    assert arith._decoded.cache_info().currsize == 1
+    for cache in (arith._brute_force_cached, arith._decoded):
+        assert cache.cache_info().currsize == 1
+        hits = cache.cache_info().hits
+        cache(GSp(2), 3, arith.DEFAULT_CAP)  # a hit: the one entry is level 3
+        assert cache.cache_info().hits == hits + 1
+        assert cache.cache_info().currsize == 1
 
 
 def test_matrix_rejects_bad_g():
@@ -214,11 +218,44 @@ def test_matrix_small_cap_raises():
 
 
 def test_single_matrix_check_builds_no_table(capsys):
-    # g is checked at level m before the cap refuses GSp_4(Z/6); that check
-    # is similitude on one matrix, never the 6^8-entry form table
+    # g is checked at level m before the cap refuses GSp_4(Z/4), the first
+    # genus-2 level past it (1,474,560 elements); that check is similitude
+    # on one matrix, never the 8^8-entry form table
+    assert group_order(GSp(4), 4) > arith.DEFAULT_CAP >= group_order(GSp(4), 3)
     before = _form_table.cache_info().currsize
     with pytest.raises(ScopeError):
-        hecke_matrix_structure(HeckeDatum(2, 3, 6), (0,))
+        hecke_matrix_structure(HeckeDatum(2, 4, 8), (0,))
     assert _form_table.cache_info().currsize == before
     assert main(["hecke-matrix", "--d", "3", "--n", "3", "--m", "6", "--S", "0"]) == 3
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# genus 2: level m = 6 is past the cap, level n = 3 is not
+
+def test_genus2_matrix_is_the_fiber_count_on_the_diagonal(capsys):
+    # the CLI answers without enumerating GSp_4(Z/6) (74,649,600 elements)
+    assert main(["hecke-matrix", "--d", "2", "--n", "3", "--m", "6", "--S", "0"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert len(result["classes"]) == strata_count(build_context(2, 3), 0) == 40
+    assert reduction_fiber_count(HeckeDatum(2, 3, 6), (0,)) == 15
+    assert result["rows"] == [{"to": str(j), "from": str(j), "count": "15"}
+                              for j in range(40)]
+
+
+def test_genus2_matrix_nontrivial_element_permutes_classes():
+    st = hecke_matrix_structure(HeckeDatum(2, 3, 6), (0,), mat_mod(j_form(2), 6))
+    assert len(st.classes) == 40
+    assert sorted(i for i, _, _ in st.entries) == list(range(40))
+    assert sorted(j for _, j, _ in st.entries) == list(range(40))
+    assert {c for _, _, c in st.entries} == {15}
+    assert any(i != j for i, j, _ in st.entries)
+
+
+def test_genus2_matrix_on_the_flag_stratum():
+    datum = HeckeDatum(2, 3, 6)
+    ctx = build_context(2, 3)
+    st = hecke_matrix_structure(datum, (0, 1))
+    assert len(st.classes) == strata_count(ctx, 0) * double_coset_count(ctx, 0, (0, 1)) == 160
+    assert reduction_fiber_count(datum, (0, 1)) == 45
+    assert st.entries == tuple((j, j, 45) for j in range(160))

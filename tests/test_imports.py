@@ -75,7 +75,9 @@ def _unreferenced(modules: dict[str, str], refs: Counter) -> list[str]:
 
 # The README documents GL/SL/Sp/GSp as the families whose orders the package
 # computes; GL and Sp are that public API although no calculator path uses them.
-API_ONLY = {"arith.py:GL", "arith.py:Sp"}
+# So are the zeta values at nonpositive integers: the Euler factors take the
+# two that enter them as integers, and zeta_negative stays exported.
+API_ONLY = {"arith.py:GL", "arith.py:Sp", "arith.py:zeta_negative"}
 
 
 def test_every_public_name_is_used_by_the_calculator():
@@ -148,14 +150,15 @@ ARGPARSE_AND_ITS_IMPORTS = {"argparse", "gettext", "locale", "textwrap"}
 
 def test_well_formed_requests_do_not_load_argparse():
     # the request is read from its COMMANDS row; argparse, with the gettext,
-    # locale and textwrap it pulls in, is left for help and usage errors
+    # locale and textwrap it pulls in, is left for help and usage errors,
+    # and the Euler factors are integers, so fractions and decimal stay out
     codes, loaded = _modules_after(
         ["--version"], ["context", "--d", "2", "--n", "3"],
         # a seed-0 request of the restrict workload (bench/workloads.py)
         ["restrict-ic", "--d", "3", "--n", "5", "--lambda", "4,3,2@3",
          "--stratum", "1", "--mode", "euler"])
     assert codes == [0, 0, 0]
-    unwanted = ARGPARSE_AND_ITS_IMPORTS & loaded
+    unwanted = (ARGPARSE_AND_ITS_IMPORTS | {"fractions", "decimal"}) & loaded
     assert not unwanted, sorted(unwanted)
     codes, loaded = _modules_after(["-h"])
     assert codes == [0] and "argparse" in loaded
