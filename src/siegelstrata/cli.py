@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 from types import SimpleNamespace
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, NoReturn
 
 from . import __version__, engine, hecke, strata
 from .arith import DEFAULT_CAP, euler_phi
@@ -535,5 +536,23 @@ def main(argv=None) -> int:
     return 0
 
 
+def entry() -> NoReturn:
+    """Program entry (``python -m siegelstrata``, the ``siegelstrata``
+    script): run ``main`` on ``sys.argv``, then end the process with
+    ``os._exit`` once stdout and stderr are flushed, skipping interpreter
+    finalization.  A failed flush (stdout a closed pipe, say) hands the exit
+    back to the interpreter, which reports it as usual; an exception
+    escaping ``main`` keeps its traceback and exit 1.
+    """
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None if the process started without it
+                stream.flush()
+    except OSError:
+        raise SystemExit(code) from None
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entry()

@@ -433,7 +433,7 @@ def _console_script_command():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with pyproject.open("rb") as f:
         entry_point = tomllib.load(f)["project"]["scripts"]["siegelstrata"]
-    assert entry_point == "siegelstrata.cli:main"
+    assert entry_point == "siegelstrata.cli:entry"
     module, attr = entry_point.split(":")
     wrapper = (f"import sys; from {module} import {attr}; "
                f"sys.argv[0] = 'siegelstrata'; sys.exit({attr}())")
@@ -441,21 +441,108 @@ def _console_script_command():
 
 
 def test_console_script_matches_module():
+    # each documented exit code must survive either exit path
     module = [sys.executable, "-m", "siegelstrata"]
     scripts = [_console_script_command()]
     installed = shutil.which("siegelstrata")
     if installed:
         scripts.append([installed])
 
-    args = ["context", "--d", "2", "--n", "3"]
-    via_module = _run_subprocess(module + args, 0)
-    assert via_module
-    # refused input: the documented exit code 2 must survive either exit path
-    refused = ["strata", "--d", "1", "--n", "2"]
-    want = _run(module + refused, 0)
-    assert want.returncode == 2
-    for script in scripts:
-        assert _run_subprocess(script + args, 0) == via_module
-        got = _run(script + refused, 0)
-        assert (got.returncode, got.stdout, got.stderr) == \
-            (want.returncode, want.stdout, want.stderr)
+    for args, code in [
+        (["context", "--d", "2", "--n", "3"], 0),
+        (["-h"], 0),
+        (["strata", "--d", "1", "--n", "2"], 2),     # refused input
+        (["strata", "--d", "7", "--n", "3"], 3),     # beyond the genus guard
+    ]:
+        want = _run(module + args, 0)
+        assert want.returncode == code, want.stderr
+        assert want.stdout if code == 0 else want.stderr
+        for script in scripts:
+            got = _run(script + args, 0)
+            assert (got.returncode, got.stdout, got.stderr) == \
+                (want.returncode, want.stdout, want.stderr), args
+
+
+# ---------------------------------------------------------------------------
+# leaving the process (cli.entry)
+
+@pytest.mark.parametrize("args, code, tail", [
+    # the answer waits in stdout's buffer: the failed flush at exit is
+    # reported as ignored, and the interpreter exits 120
+    (["context", "--d", "2", "--n", "3"], 120,
+     "BrokenPipeError: [Errno 32] Broken pipe\n"),
+    (["--version"], 120, "BrokenPipeError: [Errno 32] Broken pipe\n"),
+    # more than a pipe buffer: the write inside cli.main raises
+    (["restrict-ic", "--d", "5", "--n", "3", "--lambda", "4,2,1,1,0@3",
+      "--stratum", "0", "--mode", "symbolic"], 1,
+     "sys.stdout.write(render(payload, args.format))\n"
+     "BrokenPipeError: [Errno 32] Broken pipe\n"),
+], ids=["small", "version", "larger-than-pipe"])
+def test_closed_stdout_reports_as_the_interpreter_does(args, code, tail):
+    # stdout is a pipe whose read end is closed; with PYTHONUNBUFFERED set
+    # every write would raise at once, so it is left out
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "siegelstrata", *args],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.endswith(tail)
+    if code == 120:
+        assert proc.stderr.startswith(
+            "Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+        assert proc.stderr.count("\n") == 2
+    else:
+        assert proc.stderr.startswith("Traceback (most recent call last):")
+        assert ", in main\n" in proc.stderr
+
+
+def test_started_without_stdout_still_exits_2():
+    # with file descriptor 1 closed at start-up sys.stdout is None; a
+    # refused request writes only to stderr and keeps its exit code
+    proc = subprocess.run(
+        [sys.executable, "-c", "import os, subprocess, sys; os.close(1); "
+         "sys.exit(subprocess.run(sys.argv[1:]).returncode)",
+         sys.executable, "-m", "siegelstrata", "strata", "--d", "1", "--n", "2"],
+        stderr=subprocess.PIPE, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: level must be an integer >= 3, got 2\n"
+
+
+_ENTRY_SCRIPT = """\
+import atexit, runpy, sys
+from siegelstrata import arith
+atexit.register(lambda: print("atexit ran", file=sys.stderr))
+{patch}sys.argv = ["siegelstrata", "restrict-ic", "--d", "2", "--n", "3",
+            "--lambda", "1,1", "--stratum", "0", "--mode", "euler"]
+runpy.run_module("siegelstrata", run_name="__main__")
+print("entry returned")
+"""
+
+
+def test_entry_leaves_after_the_answer():
+    # the answer is flushed, then the process ends: no code after the
+    # entry and no atexit handler runs
+    proc = subprocess.run([sys.executable, "-c", _ENTRY_SCRIPT.format(patch="")],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"]["agree"] == "true"
+    assert proc.stderr == ""
+
+
+def test_entry_keeps_the_traceback_of_a_failed_check():
+    # an invariant that fails in the kernel escapes main before the process
+    # is left: traceback, exit 1, nothing on stdout (also under -O)
+    patch = "arith.group_order = lambda kind, n: 7\n"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _ENTRY_SCRIPT.format(patch=patch)],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("Traceback (most recent call last):")
+    assert proc.stderr.endswith(
+        "ArithmeticError: e_2 at level 3 is not an integer: -7/12\n"
+        "atexit ran\n")
