@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from operator import itemgetter
 from typing import NamedTuple
 
 from .arith import euler_char_congruence
@@ -28,7 +27,7 @@ from .grouptheory import (GroupContext, _kept_orbit, normalize_parabolic_set,
                           parabolic_data)
 from .kostant import check_weight, kostant_summand, lie_n_cohomology
 from .reps import (Bound, GradedVirtualRep, LeviWeight, Weight, _check_bound,
-                   central_weight, dot_action, truncate)
+                   central_weight, dot_action, pairings, truncate)
 from .strata import double_coset_count, ic_profiles
 
 
@@ -70,13 +69,6 @@ class ClassTerm(NamedTuple):
     module: GradedVirtualRep
 
 
-def _term_key(t: ClassTerm):
-    return (t.S,
-            tuple((s.degree, s.levi.avector, s.levi.m0, s.mult, s.levi.shape)
-                  for s in t.module.summands),
-            t.coefficient)
-
-
 class SymbolicClass(NamedTuple):
     """Formal integer combination of ClassTerms, canonically ordered."""
 
@@ -84,14 +76,16 @@ class SymbolicClass(NamedTuple):
 
     @staticmethod
     def build(terms) -> "SymbolicClass":
+        """Merge the terms of equal (S, module), drop zero coefficients and
+        empty modules, and sort by (S, module, coefficient): the module in
+        the natural order of its summands."""
         merged: dict = {}
         for t in terms:
             key = (t.S, t.module)
             merged[key] = merged.get(key, 0) + t.coefficient
         kept = [ClassTerm(c, S, module)
-                for (S, module), c in merged.items()
+                for (S, module), c in sorted(merged.items())
                 if c != 0 and module.summands]
-        kept.sort(key=_term_key)
         return SymbolicClass(tuple(kept))
 
     def flatten(self) -> dict[tuple[tuple[int, ...], int, LeviWeight], int]:
@@ -224,7 +218,7 @@ def expansion_terms(numStrata: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     its sign (-1)^q.  2^numStrata terms, ordered by (size, lexicographic);
     the empty subset comes first with sign +1.
     """
-    if not (isinstance(numStrata, int) and numStrata >= 0):
+    if not (is_int(numStrata) and numStrata >= 0):
         raise InputError(f"numStrata must be a non-negative integer, got {numStrata!r}")
     out = []
     for size in range(numStrata + 1):
@@ -279,19 +273,17 @@ def euler_evaluate(cls: SymbolicClass, ctx: GroupContext) -> int:
 
 def graded_report(cls: SymbolicClass):
     """Flat rows (S, degree, Levi weight, mult, central weight, sheaf weight,
-    pairings), sorted; one row per surviving (S, degree, weight) entry.
+    pairings), one per surviving (S, degree, weight) entry, sorted as
+    tuples: (S, degree, Levi weight) is unique per row.
 
-    The sheaf weight is minus the central weight; pairings is
-    ``reps.pairings`` of the weight, its S_s-pairing for every s in 0..d-1,
-    read off the prefix sums of the a-vector: central + sum(a[:d - s]).
+    The central weight is ``reps.central_weight`` of the weight and the
+    sheaf weight its negative; pairings is ``reps.pairings`` of the weight,
+    its S_s-pairing for every s in 0..d-1.
     """
-    keyed = []
+    rows = []
     for (S, degree, levi), mult in cls.flatten().items():
-        a = levi.avector
-        prefix = list(itertools.accumulate(a, initial=0))
-        central = prefix[-1] + 2 * levi.m0
-        row = (S, degree, levi, mult, central, -central,
-               tuple(central + x for x in prefix[:0:-1]))
-        keyed.append(((S, degree, a, levi.m0, levi.shape), row))
-    keyed.sort(key=itemgetter(0))
-    return tuple(row for _, row in keyed)
+        mu = levi.as_weight()
+        central = central_weight(mu)
+        rows.append((S, degree, levi, mult, central, -central, pairings(mu)))
+    rows.sort()
+    return tuple(rows)

@@ -34,14 +34,14 @@ def check_genus(d, limit: int | None = None) -> None:
 
 def check_level(n) -> None:
     """Principal level n >= 3: the neatness (torsion-freeness) hypothesis."""
-    if not (isinstance(n, int) and n >= 3):
+    if not (is_int(n) and n >= 3):
         raise LevelError(f"level must be an integer >= 3, got {n!r}")
 
 
 def check_levels(n, m) -> None:
     """A nested pair of principal levels n | m."""
     check_level(n)
-    if not (isinstance(m, int) and m >= n and m % n == 0):
+    if not (is_int(m) and m >= n and m % n == 0):
         raise LevelError(f"levels must satisfy n | m, got n={n}, m={m}")
 
 

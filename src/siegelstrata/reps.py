@@ -23,6 +23,7 @@ truncation calculus used downstream.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterable, NamedTuple
 
@@ -76,20 +77,22 @@ def central_weight(mu: Weight) -> int:
     return sum(mu.a) + 2 * mu.m0
 
 
-def torus_pairing(mu: Weight, s: int) -> int:
-    """Pairing of mu with the cocharacter S_s, s a parabolic index in {0..d-1}.
+def pairings(mu: Weight) -> tuple[int, ...]:
+    """The S_s-pairings of mu for every parabolic index s = 0..d-1.
 
     S_s feeds x^2 into the first d-s torus coordinates, x into the last s,
-    and x^2 into the similitude coordinate.
+    and x^2 into the similitude coordinate, so the S_s-pairing is
+    2*sum(a[:d-s]) + sum(a[d-s:]) + 2*m0 = central + sum(a[:d-s]): the
+    central weight plus a prefix sum of the a-vector.
     """
+    prefix = list(itertools.accumulate(mu.a, initial=central_weight(mu)))
+    return tuple(prefix[:0:-1])
+
+
+def torus_pairing(mu: Weight, s: int) -> int:
+    """Pairing of mu with the cocharacter S_s, s a parabolic index in {0..d-1}."""
     check_index(s, mu.d)
-    cut = mu.d - s
-    return 2 * sum(mu.a[:cut]) + sum(mu.a[cut:]) + 2 * mu.m0
-
-
-def pairings(mu: Weight) -> tuple[int, ...]:
-    """The S_s-pairings of mu for every parabolic index s = 0..d-1."""
-    return tuple(torus_pairing(mu, s) for s in range(mu.d))
+    return pairings(mu)[s]
 
 
 def is_dominant(mu: Weight) -> bool:
@@ -132,10 +135,6 @@ class LeviWeight(NamedTuple):
     blocks: tuple[tuple[int, ...], ...]
     gsp: tuple[int, ...]
     m0: int = 0
-
-    @property
-    def shape(self) -> tuple[tuple[int, ...], int]:
-        return tuple(map(len, self.blocks)), len(self.gsp)
 
     @property
     def avector(self) -> tuple[int, ...]:
@@ -191,7 +190,10 @@ class Summand(NamedTuple):
 
     Its S_s-pairings and central weight are functions of the Levi weight,
     read where needed as ``pairings(levi.as_weight())`` and
-    ``central_weight(levi.as_weight())``.
+    ``central_weight(levi.as_weight())``.  Summands sort as their field
+    tuples: by degree, then Levi weight (GL blocks, GSp block, m0), then
+    multiplicity.  For Levi weights of one shape the weight order is that of
+    (a-vector, m0).
     """
 
     degree: int
@@ -206,13 +208,15 @@ class GradedVirtualRep(NamedTuple):
 
     @staticmethod
     def build(summands: Iterable[Summand]) -> "GradedVirtualRep":
+        """Merge equal (degree, Levi weight) pairs, drop zero multiplicities,
+        and sort the rest in the natural order of ``Summand``."""
         merged: dict[tuple[int, LeviWeight], int] = {}
         for s in summands:
             key = (s.degree, s.levi)
             merged[key] = merged.get(key, 0) + s.mult
         kept = [Summand(degree, levi, mult)
                 for (degree, levi), mult in merged.items() if mult != 0]
-        kept.sort(key=lambda s: (s.degree, s.levi.avector, s.levi.m0, s.levi.shape))
+        kept.sort()
         return GradedVirtualRep(tuple(kept))
 
     def euler_dim(self) -> int:

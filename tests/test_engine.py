@@ -11,14 +11,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import restrict_weighted_via_expansion, signed_dot_action, weyl_table
-from siegelstrata import (Chain, ClassTerm, InputError, LeviWeight,
+from siegelstrata import (Chain, ClassTerm, InputError, LeviWeight, Sp,
                           SymbolicClass, Weight, build_context, central_weight,
                           chain_bounds_for_profile, chain_term,
                           double_coset_count, euler_char_congruence,
                           euler_evaluate, expansion_terms, graded_report,
-                          ic_profiles, lie_n_cohomology, parabolic_data,
-                          restrict_ic, restrict_weighted, torus_pairing,
-                          truncate, weyl_dim)
+                          group_order, ic_profiles, lie_n_cohomology,
+                          parabolic_data, restrict_ic, restrict_weighted,
+                          strata_count, torus_pairing, truncate, weyl_dim,
+                          zeta_negative)
 from siegelstrata.grouptheory import _kept_orbit, weyl_group
 from siegelstrata.reps import GradedVirtualRep, Summand, pairings
 
@@ -214,8 +215,9 @@ def test_expansion_terms_combinatorics():
             assert list(subset) == sorted(set(subset))
             assert all(1 <= i <= n for i in subset)
             assert sign == (-1) ** len(subset)
-    with pytest.raises(InputError):
-        expansion_terms(-1)
+    for bad in (-1, True, False, 1.0):  # a bool is not read as 1 or 0
+        with pytest.raises(InputError):
+            expansion_terms(bad)
 
 
 @pytest.mark.parametrize("r", [0, 1])
@@ -475,13 +477,112 @@ def test_build_is_order_independent_across_levi_shapes(pair):
             == graded_report(SymbolicClass(tuple(terms))))
 
 
+def _report_key(row):
+    """The order the report has always had: (S, degree, a-vector, m0)."""
+    S, degree, levi = row[:3]
+    return S, degree, levi.avector, levi.m0
+
+
 def test_graded_report_rows(ctx2):
     cls = restrict_weighted(ctx2, ic_profiles(2)[0], Weight((1, 1), 0), 0)
     rows = graded_report(cls)
     assert len(rows) == sum(len(t.module.summands) for t in cls.terms)
-    assert list(rows) == sorted(rows, key=lambda r: (r[0], r[1], r[2].avector))
+    assert list(rows) == sorted(rows, key=_report_key)
     for S, degree, levi, mult, central, sheaf, pairs in rows:
         assert sheaf == -central
         assert len(pairs) == 2
         assert central == sum(levi.avector) + 2 * levi.m0
         assert pairs == pairings(levi.as_weight())
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_report_rows_keep_their_order(d):
+    ctx = build_context(d, 3)
+    for lam in (Weight((0,) * d, 0), Weight(tuple(range(d, 0, -1)), 1)):
+        for r in range(d):
+            for cls in restrict_ic(ctx, lam, r):
+                rows = graded_report(cls)
+                assert rows and list(rows) == sorted(rows, key=_report_key)
+                keys = [_report_key(row) for row in rows]
+                assert len(set(keys)) == len(keys)
+
+
+@pytest.mark.parametrize("d", range(1, 5))
+def test_lie_n_summands_keep_their_order(d):
+    ctx = build_context(d, 3)
+    lam = Weight(tuple(range(d - 1, -1, -1)), -1)
+    for size in range(1, d + 1):
+        for S in itertools.combinations(range(d), size):
+            key = [(s.degree, s.levi.avector, s.levi.m0)
+                   for s in lie_n_cohomology(ctx, S, lam).summands]
+            assert key == sorted(key) and len(set(key)) == len(key)
+
+
+# ---------------------------------------------------------------------------
+# global law: the Euler assembly of intersection cohomology
+#
+#   chi(IH(A_d(n)^*, V_lam)) = chi(Gamma_Sp2d(n)) * dim V_lam
+#       + sum over r < d of strata_count(r) * chi(Gamma_Sp2r(n)) * eulerIC(r)
+#
+# with chi(Gamma_Sp2r(n)) = |Sp_2r(Z/n)| * prod_{i <= r} zeta(1 - 2i)
+# (Harder), 1 at r = 0, and eulerIC(r) the Euler value of the IC
+# restriction to the index-r stratum.
+
+def _chi_sp(r, n):
+    value = Fraction(group_order(Sp(2 * r), n))
+    for i in range(1, r + 1):
+        value *= zeta_negative(2 * i)
+    return value
+
+
+def _assembled_euler(d, n, lam):
+    ctx = build_context(d, n)
+    total = _chi_sp(d, n) * weyl_dim(LeviWeight((), lam.a, lam.m0))
+    for r in range(d):
+        upper, lower = restrict_ic(ctx, lam, r)
+        value = euler_evaluate(upper, ctx)
+        assert euler_evaluate(lower, ctx) == value
+        total += strata_count(ctx, r) * _chi_sp(r, n) * value
+    return total
+
+
+def _modular_curve(n):
+    """(genus, cusps) of X(n), n >= 3, from the index mu of +-Gamma(n) in
+    PSL_2(Z): mu = n^3/2 * prod over p | n of (1 - 1/p^2), mu/n cusps,
+    genus 1 + mu/12 - cusps/2 (Shimura 1971, ch. 1 and 2)."""
+    mu = Fraction(n ** 3, 2)
+    for p in range(2, n + 1):
+        if n % p == 0 and all(p % q for q in range(2, p)):
+            mu *= 1 - Fraction(1, p * p)
+    cusps = mu / n
+    return 1 + mu / 12 - cusps / 2, cusps
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 7])
+@pytest.mark.parametrize("k", range(5))
+def test_euler_assembly_is_the_modular_curve_value(n, k):
+    # IH of X(n) with Sym^k: H^0 + H^2 at k = 0, and H^1 = S_{k+2} twice
+    # (Eichler-Shimura) at k >= 1; dim S_j = (j-1)(g-1) + (j/2-1)*cusps, j >= 3
+    genus, cusps = _modular_curve(n)
+    if k == 0:
+        expected = 2 - 2 * genus
+    else:
+        expected = -2 * ((k + 1) * (genus - 1) + Fraction(k, 2) * cusps)
+    assert _assembled_euler(1, n, Weight((k,), 0)) == expected
+
+
+@pytest.mark.parametrize("d", range(2, 5))
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_euler_assembly_is_an_integer(d, n):
+    for lam in (Weight((0,) * d, 0), Weight((1,) + (0,) * (d - 1), -1),
+                Weight(tuple(range(d, 0, -1)), 0)):
+        assert _assembled_euler(d, n, lam).denominator == 1, lam
+
+
+@pytest.mark.parametrize("d", range(1, 5))
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_euler_assembly_sign_at_regular_weight(d, n):
+    # for regular lam, IH sits in the middle degree d(d+1)/2 only (Zucker
+    # conjecture and Vogan-Zuckerman); it may vanish (d = 1, n = 3)
+    total = _assembled_euler(d, n, Weight(tuple(range(d, 0, -1)), 0))
+    assert (-1) ** (d * (d + 1) // 2) * total >= 0

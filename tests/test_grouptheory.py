@@ -85,6 +85,9 @@ def test_build_context_guards():
     for d in (True, 2.0, 1.5):      # the genus is an int, not a bool or float
         with pytest.raises(LevelError):
             build_context(d, 3)
+    for n in (True, False, 3.0):    # so is the level
+        with pytest.raises(LevelError):
+            build_context(1, n)
 
 
 def test_normalize_parabolic_set():

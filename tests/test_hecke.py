@@ -35,6 +35,11 @@ def test_datum_validation():
         HeckeDatum(0, 3, 6)
     with pytest.raises(ScopeError):
         HeckeDatum(7, 3, 6)      # the Weyl-group genus guard
+    for flag in (True, False):   # levels are ints, not bools
+        with pytest.raises(InputError):
+            HeckeDatum(1, 3, flag)
+        with pytest.raises(InputError):
+            HeckeDatum(1, flag, 6)
 
 
 def test_equal_levels_are_trivial():

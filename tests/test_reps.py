@@ -52,6 +52,14 @@ def test_torus_pairing_s0_formula(mu):
     assert torus_pairing(mu, 0) == 2 * sum(mu.a) + 2 * mu.m0
 
 
+@given(weights)
+def test_pairings_match_the_definition(mu):
+    d, a = mu.d, mu.a
+    assert pairings(mu) == tuple(2 * sum(a[:d - s]) + sum(a[d - s:]) + 2 * mu.m0
+                                 for s in range(d))
+    assert all(torus_pairing(mu, s) == pairings(mu)[s] for s in range(d))
+
+
 @given(weights, st.integers(0, 2))
 def test_torus_pairing_step(mu, s):
     # raising s by one moves coordinate d-s from the doubled to the plain part
@@ -151,7 +159,6 @@ def test_levi_dominance():
 
 def test_levi_weight_accessors():
     levi = LeviWeight(((1, 0), (2,)), (1, 1), -1)
-    assert levi.shape == ((2, 1), 2)
     assert levi.avector == (1, 0, 2, 1, 1)
     assert levi.as_weight() == Weight((1, 0, 2, 1, 1), -1)
 
