@@ -251,25 +251,6 @@ def mat_det(a) -> int:
     return total
 
 
-def mat_inv_mod(a, n: int):
-    """Inverse mod n via the adjugate; requires det a unit."""
-    size = len(a)
-    det = mat_det(a) % n
-    if gcd(det, n) != 1:
-        raise InputError("matrix is not invertible modulo n")
-    det_inv = pow(det, -1, n)
-    if size == 1:
-        return ((det_inv,),)
-    cof = [[0] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(size):
-            minor = tuple(row[:j] + row[j + 1:] for k, row in enumerate(a) if k != i)
-            sign = -1 if (i + j) % 2 else 1
-            cof[i][j] = sign * mat_det(minor)
-    return tuple(
-        tuple((det_inv * cof[j][i]) % n for j in range(size)) for i in range(size))
-
-
 def symplectic_form(u, v, n: int) -> int:
     """t(u) J v mod n for the antidiagonal J: +1 on the upper half of the
     antidiagonal, -1 on the lower half.

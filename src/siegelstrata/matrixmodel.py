@@ -1,5 +1,5 @@
-"""Explicit 2d x 2d matrix realizations: root vectors, Levi embeddings, and
-generators of the parabolic coset-counting subgroups.
+"""Explicit 2d x 2d matrix realizations: root vectors, and generators of
+the parabolic coset-counting subgroups built from them.
 
 Everything here backs the brute-force oracles.  The conventions match the
 antidiagonal form J of ``arith.symplectic_form``: for 1-indexed i < j <= d,
@@ -16,7 +16,7 @@ before anything else trusts them.
 
 from __future__ import annotations
 
-from .arith import identity_matrix, mat_inv_mod, mat_mod, units
+from .arith import units
 from .errors import InputError
 from .grouptheory import GroupContext, parabolic_data, positive_roots
 from .reps import Weight
@@ -62,76 +62,41 @@ def root_element(d: int, root: Weight, n: int):
         for i in range(size))
 
 
-def embed_linear(d: int, r: int, a, n: int):
-    """GL_{d-r} into the Levi of P_r: block diag(A, I_{2r}, R tA^-1 R)."""
-    k = d - r
-    size = 2 * d
-    a = mat_mod(a, n)
-    ainv = mat_inv_mod(a, n)
-    # R tA^-1 R with R the antidiagonal permutation: reverse both indices.
-    back = tuple(
-        tuple(ainv[k - 1 - j][k - 1 - i] for j in range(k)) for i in range(k))
-    g = [[0] * size for _ in range(size)]
-    for i in range(k):
-        for j in range(k):
-            g[i][j] = a[i][j]
-            g[size - k + i][size - k + j] = back[i][j]
-    for i in range(k, size - k):
-        g[i][i] = 1
-    return tuple(tuple(row) for row in g)
-
-
-def embed_gsp(d: int, r: int, b, c: int, n: int):
-    """GSp_2r into the Levi of P_r: diag(c(B) I_{d-r}, B, I_{d-r})."""
-    k = d - r
-    size = 2 * d
-    g = [[0] * size for _ in range(size)]
-    for i in range(k):
-        g[i][i] = c % n
-        g[size - 1 - i][size - 1 - i] = 1
-    for i in range(2 * r):
-        for j in range(2 * r):
-            g[k + i][k + j] = b[i][j] % n
-    return tuple(tuple(row) for row in g)
+def _diagonal(entries):
+    size = len(entries)
+    return tuple(tuple(x if i == j else 0 for j in range(size))
+                 for i, x in enumerate(entries))
 
 
 def parabolic_generators(ctx: GroupContext, S):
     """Generators (mod n) of the finite shadow H_S of P_S(Z)Q_r(Z-hat).
 
     The shadow is the subgroup of GSp_2d(Z/n) that the stratum and
-    double-coset counts quotient by:
-      - the GL side, ``linear_parabolic_generators`` through
-        ``embed_linear``: per block, elementary root elements (full
-        block-SL image) and a determinant -1 flip (integral GL has
-        determinant +-1); its cross-block elementaries are in N_S,
-      - all root elements of Lie N_S,
-      - the embedded GSp_2r(Z/n): symplectic root elements (positive and
-        negative) plus, for each unit u, the similitude torus point
-        diag(u I_d, I_d), which feeds u into the GL side per the Levi
-        embedding (at r = 0 it is all of the GSp_0 factor).
-    Completeness of this generating set is itself under test: the closure
-    order is compared with the independent order formula product.
+    double-coset counts quotient by.  Every generator is a root element or
+    a diagonal matrix of GSp_2d:
+      - both signs of each Levi root (the positive roots outside N_S, in a
+        GL block or in the GSp_2r block): block-SL images and Sp_2r,
+      - each root of Lie N_S,
+      - per GL block, the determinant -1 flip (integral GL has determinant
+        +-1): -1 at the block's first coordinate and at its partner,
+      - for each unit u != 1, the similitude torus point diag(u I_d, I_d)
+        (at r = 0 it is all of the GSp_0 factor).
+    The list has no duplicate and no identity.  Completeness of this
+    generating set is itself under test: the closure order is compared
+    with the independent order formula product.
     """
     d, n = ctx.d, ctx.n
     pd = parabolic_data(ctx, S)
-    r = pd.r
-    gens = [embed_linear(d, r, a, n)
-            for a in linear_parabolic_generators(d - r, pd.leviBlocks, n)]
+    radical = set(pd.nRoots)
+    gens = [root_element(d, y, n) for root in positive_roots(d)
+            if root not in radical for y in (root, root.neg())]
     gens += [root_element(d, root, n) for root in pd.nRoots]
-    for root in positive_roots(r):
-        for y in (root, root.neg()):
-            gens.append(embed_gsp(d, r, root_element(r, y, n), 1, n))
-    for u in units(n):
-        b = tuple(
-            tuple((u if i < r else 1) if i == j else 0 for j in range(2 * r))
-            for i in range(2 * r))
-        gens.append(embed_gsp(d, r, b, u, n))
-    ident = identity_matrix(2 * d)
-    uniq = []
-    for g in gens:
-        if g != ident and g not in uniq:
-            uniq.append(g)
-    return uniq
+    for lo, _ in pd.blockRanges:
+        flip = [1] * (2 * d)
+        flip[lo] = flip[2 * d - 1 - lo] = n - 1
+        gens.append(_diagonal(flip))
+    gens += [_diagonal([u] * d + [1] * d) for u in units(n) if u != 1]
+    return gens
 
 
 def linear_parabolic_generators(k: int, blocks, n: int):
@@ -139,6 +104,7 @@ def linear_parabolic_generators(k: int, blocks, n: int):
 
     ``blocks`` is a composition of k; generators are per-block elementaries
     and flips plus the cross-block elementary roots (the unipotent radical).
+    The GL-model oracle of ``strata.double_coset_count_bruteforce``.
     """
     if sum(blocks) != k:
         raise InputError(f"blocks {blocks} do not sum to {k}")

@@ -65,9 +65,6 @@ class Weight(_Weight):
     def add(self, other: "Weight") -> "Weight":
         return Weight(tuple(x + y for x, y in zip(self.a, other.a)), self.m0 + other.m0)
 
-    def sub(self, other: "Weight") -> "Weight":
-        return Weight(tuple(x - y for x, y in zip(self.a, other.a)), self.m0 - other.m0)
-
     def neg(self) -> "Weight":
         return Weight(tuple(-x for x in self.a), -self.m0)
 
@@ -228,15 +225,20 @@ def truncate(module: GradedVirtualRep,
     """Keep the summands whose S_s-pairing is < bound for every (s, bound).
 
     S_s is central in the Levi of any parabolic containing index s, so the
-    pairing of the highest weight decides the whole irreducible.
-    ``torus_pairing`` rejects an index s outside 0..d-1.
+    pairing of the highest weight decides the whole irreducible.  Every
+    bound is checked, and every index s against the module's d (an empty
+    module has no d), before any summand is read.
     """
     conds = list(conds)
     for _, bound in conds:
         _check_bound(bound)
+    if module.summands:
+        d = len(module.summands[0].levi.avector)
+        for s, _ in conds:
+            check_index(s, d)
     kept = []
     for summand in module.summands:
-        mu = summand.levi.as_weight()
-        if all(torus_pairing(mu, s) < bound for s, bound in conds):
+        p = pairings(summand.levi.as_weight())
+        if all(p[s] < bound for s, bound in conds):
             kept.append(summand)
     return GradedVirtualRep(tuple(kept))

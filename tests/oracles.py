@@ -184,7 +184,7 @@ def signed_dot_action(w: WeylElt, lam: Weight, rho: Weight) -> Weight:
     for i, x in enumerate(shifted.a):
         a[w.perm[i]] = -x if w.signs[i] else x
         m0 += x if w.signs[i] else 0
-    return Weight(tuple(a), m0).sub(rho)
+    return Weight(tuple(x - y for x, y in zip(a, rho.a)), m0 - rho.m0)
 
 
 @lru_cache(maxsize=None)

@@ -22,7 +22,7 @@ from siegelstrata import (GL, GSp, SL, InputError, ScopeError, Sp,
 from siegelstrata.arith import (FACTOR_LIMIT, _column_spread, _ColumnCodes,
                                 _decode, _form_table, _vectors,
                                 bernoulli, factorint, identity_matrix,
-                                left_orbits, mat_det, mat_inv_mod, mat_mod,
+                                left_orbits, mat_det, mat_mod,
                                 mat_mul, orbit_canonical, similitude,
                                 similitudes, subgroup_closure,
                                 symplectic_form)
@@ -391,21 +391,6 @@ def test_matrix_keys_decode_and_order_as_tuples(size, n, data):
             spread[j][vecs.index(col)] for j, col in enumerate(zip(*m)))
     assert _decode([_row_major_key(g, n), _row_major_key(h, n)], size, n) == (g, h)
     assert (_row_major_key(g, n) < _row_major_key(h, n)) == (g < h)
-
-
-@given(st.integers(2, 40), st.lists(st.integers(0, 39), min_size=4, max_size=4))
-@settings(max_examples=60)
-def test_mat_inv_mod_roundtrip(n, entries):
-    a, b, c, d = (x % n for x in entries)
-    g = ((a, b), (c, d))
-    det = (a * d - b * c) % n
-    if gcd(det, n) != 1:
-        with pytest.raises(Exception):
-            mat_inv_mod(g, n)
-        return
-    gi = mat_inv_mod(g, n)
-    assert mat_mul(g, gi, n) == identity_matrix(2)
-    assert mat_mul(gi, g, n) == identity_matrix(2)
 
 
 def test_mat_det():

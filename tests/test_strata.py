@@ -95,6 +95,14 @@ def test_subgroup_order_formula(ctx2):
     assert subgroup_order_formula(ctx2, (0, 1)) == 648
 
 
+@pytest.mark.parametrize("d, n, S", [(1, n, (0,)) for n in range(3, 13)] + [
+    (2, n, S) for n in (3, 4, 5) for S in ((0,), (1,), (0, 1))])
+def test_closure_order_is_the_order_formula(d, n, S):
+    # the generators of H_S are complete: their closure has the formula's order
+    closure = _closure_for(d, n, S, DEFAULT_CAP)
+    assert len(closure) == subgroup_order_formula(build_context(d, n), S)
+
+
 def test_strata_bruteforce_d1():
     for n in (3, 4, 5):
         assert strata_count_bruteforce(1, n, 0) == D1_COUNTS[n]
