@@ -20,8 +20,6 @@ generic subgroup-closure and orbit machinery the coset-counting oracles are
 built from; orbits run on column codes.  All arithmetic is exact.
 """
 
-from __future__ import annotations
-
 import itertools
 from functools import lru_cache
 from math import gcd
@@ -178,7 +176,7 @@ def congruence_index(kind: GroupKind, n: int, m: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def bernoulli(j: int) -> Fraction:
+def bernoulli(j: int) -> "Fraction":
     """Bernoulli number B_j (B_1 = -1/2), exact."""
     from fractions import Fraction
     if j == 0:
@@ -192,7 +190,7 @@ def bernoulli(j: int) -> Fraction:
     return -total / (j + 1)
 
 
-def zeta_negative(i: int) -> Fraction:
+def zeta_negative(i: int) -> "Fraction":
     """zeta(1 - i) = -B_i / i for i >= 2 (vanishes for odd i >= 3)."""
     if not (is_int(i) and i >= 2):
         raise InputError(f"need i >= 2, got {i!r}")

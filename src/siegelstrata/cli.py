@@ -6,15 +6,13 @@ for help, ``--version`` with more arguments, and usage errors.  ``run`` maps
 the namespace to a payload ``{"meta": {...}, "result": {...}}`` with all
 leaf values pre-rendered as strings (large integers survive any JSON
 reader), and the payload is serialized as canonical JSON (sorted keys,
-two-space indent) or as TSV.
+two-space indent: the bytes of ``json.dumps``, written without importing
+``json``) or as TSV.
 
 Exit codes: 0 success, 2 malformed input, 3 request outside the supported
-computational range.
+computational range, 141 stdout closed by its reader.
 """
 
-from __future__ import annotations
-
-import json
 import math
 import os
 import sys
@@ -499,9 +497,58 @@ def parse_args(argv=None) -> SimpleNamespace:
 # ---------------------------------------------------------------------------
 # serialization
 
+# the escapes of json.dumps with ensure_ascii; other characters outside
+# " " to "~" (control characters, DEL, non-ASCII) become \uXXXX
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t",
+            "\b": "\\b", "\f": "\\f"}
+
+
+def _escape(c: str) -> str:
+    if c in _ESCAPES:
+        return _ESCAPES[c]
+    if " " <= c <= "~":
+        return c
+    n = ord(c)
+    if n > 0xFFFF:  # a surrogate pair
+        n -= 0x10000
+        return f"\\u{0xD800 | n >> 10:04x}\\u{0xDC00 | n & 0x3FF:04x}"
+    return f"\\u{n:04x}"
+
+
+def _quote(s: str) -> str:
+    try:
+        plain = s.isascii() and s.isprintable() and '"' not in s and "\\" not in s
+    except AttributeError:  # a key that is not a str
+        raise TypeError(f"a payload key is a str, not {type(s).__name__}") from None
+    return f'"{s}"' if plain else '"' + "".join(map(_escape, s)) + '"'
+
+
+def _json(value, pad: str) -> str:
+    """value as json.dumps(value, sort_keys=True, indent=2) writes it at the
+    indentation pad; a payload holds only str, list and dict."""
+    if isinstance(value, str):
+        return _quote(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items = [f"{_quote(k)}: {_json(value[k], inner)}" for k in sorted(value)]
+        brackets = "{}"
+    elif isinstance(value, list):
+        items = [_json(x, inner) for x in value]
+        brackets = "[]"
+    else:
+        raise TypeError(f"a payload holds only str, list and dict, "
+                        f"not {type(value).__name__}")
+    if not items:
+        return brackets
+    # brackets on the end items, so the answer is copied once per level
+    items[0] = f"{brackets[0]}\n{inner}{items[0]}"
+    items[-1] += f"\n{pad}{brackets[1]}"
+    return f",\n{inner}".join(items)
+
+
 def render(payload: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return _json(payload, "") + "\n"
     result = payload.get("result", payload)
     lines = []
     if "rows" in result:
@@ -540,17 +587,27 @@ def entry() -> NoReturn:
     """Program entry (``python -m siegelstrata``, the ``siegelstrata``
     script): run ``main`` on ``sys.argv``, then end the process with
     ``os._exit`` once stdout and stderr are flushed, skipping interpreter
-    finalization.  A failed flush (stdout a closed pipe, say) hands the exit
-    back to the interpreter, which reports it as usual; an exception
+    finalization.  If a reader has gone (a write or flush raises
+    ``BrokenPipeError``), the process leaves quietly with 141, the code a
+    shell reports for a death by SIGPIPE.  Any other failed flush hands the
+    exit back to the interpreter, which reports it as usual; an exception
     escaping ``main`` keeps its traceback and exit 1.
     """
-    code = main()
     try:
-        for stream in (sys.stdout, sys.stderr):
-            if stream is not None:  # None if the process started without it
-                stream.flush()
-    except OSError:
-        raise SystemExit(code) from None
+        code = main()
+        try:
+            for stream in (sys.stdout, sys.stderr):
+                if stream is not None:  # None if the process started without it
+                    stream.flush()
+        except BrokenPipeError:
+            raise
+        except OSError:
+            raise SystemExit(code) from None
+    except BrokenPipeError:
+        # as the SIGPIPE note in the Python docs advises, stdout points at
+        # devnull, so nothing written or flushed after this reaches the pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        os._exit(141)
     os._exit(code)
 
 

@@ -15,8 +15,6 @@ subset) re-derives the same class along a different code path; the test
 suite pins both the agreement and frozen Euler evaluations.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 from typing import NamedTuple

@@ -17,8 +17,6 @@ GSp_2r tail, r = min(S); this module computes those block shapes and the
 roots of the nilpotent radicals.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 from functools import lru_cache

@@ -22,8 +22,6 @@ level-m classes, so every count is that closed form.  The test suite
 certifies it against the literal level-m tabulation.
 """
 
-from __future__ import annotations
-
 from math import gcd
 from typing import NamedTuple
 

@@ -16,8 +16,6 @@ boundary coefficient complexes, which is all the downstream calculus needs.
 [(0, (3,), 0), (1, (-5,), 4)]
 """
 
-from __future__ import annotations
-
 from .errors import InputError
 from .grouptheory import (GroupContext, ParabolicData, kostant_reps,
                           levi_weyl_order, parabolic_data)

@@ -14,8 +14,6 @@ conjugation weight of every root vector, are verified by the test suite
 before anything else trusts them.
 """
 
-from __future__ import annotations
-
 from .arith import units
 from .errors import InputError
 from .grouptheory import GroupContext, parabolic_data, positive_roots

@@ -21,8 +21,6 @@ truncation calculus used downstream.
 2
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 from typing import Iterable, NamedTuple

@@ -8,8 +8,6 @@ stratum-restriction formula.  Every closed form here has a brute-force
 companion built from subgroup closures in the matrix model.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 
 from .arith import (DEFAULT_CAP, GSp, _brute_force_cached, _decode,

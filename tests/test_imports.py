@@ -133,8 +133,10 @@ def _traced_modules() -> set[str]:
 def test_cli_import_graph():
     # Every request is a fresh process, so the CLI's import is paid each time:
     # dataclasses (and the inspect, ast, dis and tokenize it pulls in) stays out,
-    # and so do fractions and decimal (only Bernoulli numbers need them),
-    # while each module the tracer wraps must already be loaded.
+    # and so do fractions and decimal (only Bernoulli numbers need them), json
+    # (the CLI writes its JSON itself) and __future__ (annotations are
+    # evaluated as written), while each module the tracer wraps must already
+    # be loaded.
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, siegelstrata.cli; print(*sys.modules)"],
@@ -143,6 +145,7 @@ def test_cli_import_graph():
     loaded = set(proc.stdout.split())
     assert "dataclasses" not in loaded and "inspect" not in loaded
     assert "fractions" not in loaded and "decimal" not in loaded
+    assert "json" not in loaded and "__future__" not in loaded
     traced = _traced_modules()
     assert len(traced) == 9
     assert traced <= loaded, sorted(traced - loaded)
