@@ -22,7 +22,7 @@ def show(tag: str, cls, ctx) -> int:
     print(f"\n{tag}: {len(cls.terms)} class terms, euler = {value}")
     print("  S        degree  weight     mult  pairings")
     for S, degree, levi, mult, central, sheaf, pairings in graded_report(cls):
-        print(f"  {str(S):<9}{degree:>5}   {wstr(levi.as_weight()):<11}"
+        print(f"  {str(S):<9}{degree:>5}   {wstr(levi):<11}"
               f"{mult:>3}   {pairings}")
     return value
 

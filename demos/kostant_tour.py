@@ -46,9 +46,9 @@ def main() -> None:
           f" (central weight {central_weight(lam)}):")
     print("degree  levi weight       dim   pairings")
     for s in module.summands:
-        print(f"{s.degree:>6}  {wstr(s.levi.as_weight()):<16}"
-              f"{weyl_dim(s.levi):>5}   {pairings(s.levi.as_weight())}")
-    print(f"\nalternating dimension sum: {module.euler_dim()}"
+        print(f"{s.degree:>6}  {wstr(s.levi):<16}"
+              f"{weyl_dim(s.levi, pd.leviBlocks):>5}   {pairings(s.levi)}")
+    print(f"\nalternating dimension sum: {module.euler_dim(pd.leviBlocks)}"
           " (zero whenever N_S is nontrivial)")
 
 

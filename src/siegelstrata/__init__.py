@@ -30,10 +30,10 @@ from .grouptheory import (GroupContext, ParabolicData, build_context,
 from .hecke import (HeckeDatum, HeckeMatrixStructure, boundary_fiber_count,
                     hecke_index, hecke_matrix_structure, reduction_fiber_count,
                     transfer_degree)
-from .kostant import levi_split, lie_n_cohomology
-from .reps import (GradedVirtualRep, LeviWeight, Summand, Weight,
-                   central_weight, dot_action, is_dominant, is_levi_dominant,
-                   torus_pairing, truncate, weyl_dim)
+from .kostant import lie_n_cohomology
+from .reps import (GradedVirtualRep, Summand, Weight, central_weight,
+                   dot_action, is_dominant, is_levi_dominant, torus_pairing,
+                   truncate, weyl_dim)
 from .strata import (double_coset_count, double_coset_count_bruteforce,
                      ic_profiles, strata_count, strata_count_bruteforce,
                      stratum_dims)
@@ -53,8 +53,8 @@ __all__ = [
     "HeckeDatum", "HeckeMatrixStructure", "boundary_fiber_count",
     "hecke_index", "hecke_matrix_structure", "reduction_fiber_count",
     "transfer_degree",
-    "levi_split", "lie_n_cohomology",
-    "GradedVirtualRep", "LeviWeight", "Summand", "Weight", "central_weight",
+    "lie_n_cohomology",
+    "GradedVirtualRep", "Summand", "Weight", "central_weight",
     "dot_action", "is_dominant", "is_levi_dominant",
     "torus_pairing", "truncate", "weyl_dim",
     "double_coset_count", "double_coset_count_bruteforce", "ic_profiles",

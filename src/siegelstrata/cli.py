@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, NoReturn
 from . import __version__, engine, hecke, strata
 from .arith import DEFAULT_CAP, euler_phi
 from .errors import InputError, ScopeError
-from .grouptheory import build_context
+from .grouptheory import build_context, parabolic_data
 from .kostant import lie_n_cohomology
 from .reps import Bound, Weight, central_weight, pairings, weyl_dim
 
@@ -123,7 +123,7 @@ def _report_rows(cls: engine.SymbolicClass, label: str | None = None):
     rows = []
     for S, degree, levi, mult, central, sheaf, pairs in engine.graded_report(cls):
         row = {"S": _fmt_set(S), "degree": str(degree),
-               "weight": _fmt_weight(levi.avector, levi.m0), "mult": str(mult),
+               "weight": _fmt_weight(levi.a, levi.m0), "mult": str(mult),
                "central_weight": str(central), "sheaf_weight": str(sheaf),
                "pairings": ",".join(map(str, pairs))}
         if label is not None:
@@ -170,13 +170,14 @@ def _run_strata(args: SimpleNamespace):
 def _run_kostant(args: SimpleNamespace):
     ctx = _ctx(args)
     module = lie_n_cohomology(ctx, args.S, args.lam)
+    blocks = parabolic_data(ctx, args.S).leviBlocks
     rows = []
     for s in module.summands:
-        w = s.levi.as_weight()
+        w = s.levi
         rows.append({"degree": str(s.degree),
                      "weight": _fmt_weight(w.a, w.m0),
                      "mult": str(s.mult),
-                     "dim": str(weyl_dim(s.levi)),
+                     "dim": str(weyl_dim(w, blocks)),
                      "pairings": ",".join(str(p) for p in pairings(w))})
     return {"S": _fmt_set(args.S),
             "lam": _fmt_weight(args.lam.a, args.lam.m0),

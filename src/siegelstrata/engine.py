@@ -24,7 +24,7 @@ from .errors import InputError, check_index, is_int
 from .grouptheory import (GroupContext, _kept_orbit, normalize_parabolic_set,
                           parabolic_data)
 from .kostant import check_weight, kostant_summand, lie_n_cohomology
-from .reps import (Bound, GradedVirtualRep, LeviWeight, Weight, _check_bound,
+from .reps import (Bound, GradedVirtualRep, Weight, _check_bound,
                    central_weight, dot_action, pairings, truncate)
 from .strata import double_coset_count, ic_profiles
 
@@ -86,7 +86,7 @@ class SymbolicClass(NamedTuple):
                 if c != 0 and module.summands]
         return SymbolicClass(tuple(kept))
 
-    def flatten(self) -> dict[tuple[tuple[int, ...], int, LeviWeight], int]:
+    def flatten(self) -> dict[tuple[tuple[int, ...], int, Weight], int]:
         """Canonical map (S, degree, Levi weight) -> total multiplicity."""
         out: dict = {}
         for t in self.terms:
@@ -261,11 +261,11 @@ def euler_evaluate(cls: SymbolicClass, ctx: GroupContext) -> int:
     """
     total = 0
     for t in cls.terms:
-        factor = 1
-        for k in parabolic_data(ctx, t.S).leviBlocks:
+        factor, blocks = 1, parabolic_data(ctx, t.S).leviBlocks
+        for k in blocks:
             factor *= euler_char_congruence(k, ctx.n)
         if factor:  # a GL block of size >= 3 makes it 0: skip the dimensions
-            total += t.coefficient * factor * t.module.euler_dim()
+            total += t.coefficient * factor * t.module.euler_dim(blocks)
     return total
 
 
@@ -280,8 +280,7 @@ def graded_report(cls: SymbolicClass):
     """
     rows = []
     for (S, degree, levi), mult in cls.flatten().items():
-        mu = levi.as_weight()
-        central = central_weight(mu)
-        rows.append((S, degree, levi, mult, central, -central, pairings(mu)))
+        central = central_weight(levi)
+        rows.append((S, degree, levi, mult, central, -central, pairings(levi)))
     rows.sort()
     return tuple(rows)

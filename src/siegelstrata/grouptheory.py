@@ -195,15 +195,14 @@ class ParabolicData(NamedTuple):
 
     ``leviBlocks`` are the GL block sizes (a composition of d-r), with the
     GSp_2r factor on the last r coordinates, r = min(S).  ``blockRanges``
-    gives the half-open coordinate range of each GL block; ``gspRange`` the
-    GSp one.  nRoots are the positive roots outside the Levi.
+    gives the half-open coordinate range of each GL block.  nRoots are the
+    positive roots outside the Levi.
     """
 
     S: tuple[int, ...]
     r: int
     leviBlocks: tuple[int, ...]
     blockRanges: tuple[tuple[int, int], ...]
-    gspRange: tuple[int, int]
     nRoots: tuple[Weight, ...]
     dimN: int
 
@@ -227,7 +226,7 @@ def _parabolic_data(d: int, S: tuple[int, ...]) -> ParabolicData:
             nil.append(root)
     pd = ParabolicData(
         S=S, r=r, leviBlocks=tuple(hi - lo for lo, hi in ranges),
-        blockRanges=tuple(ranges), gspRange=(d - r, d),
+        blockRanges=tuple(ranges),
         nRoots=tuple(nil), dimN=len(nil),
     )
     if len(S) == 1 and pd.dimN != (d - r) * (d - r + 1) // 2 + 2 * r * (d - r):

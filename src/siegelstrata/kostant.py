@@ -8,19 +8,21 @@ the nilpotent radical's Lie algebra is multiplicity-free over the Levi:
 where w.lambda = w(lambda+rho)-rho is the dot action and W^S the minimal
 coset representatives.  This is the exact Grothendieck-group value of the
 boundary coefficient complexes, which is all the downstream calculus needs.
+Each summand holds the torus weight w.lambda itself; the Levi it is a
+highest weight for is read from P_S (``ParabolicData.leviBlocks``).
 
 >>> from .grouptheory import build_context
 >>> from .reps import Weight
 >>> m = lie_n_cohomology(build_context(1, 3), (0,), Weight((3,), 0))
->>> [(s.degree, s.levi.avector, s.levi.m0) for s in m.summands]
+>>> [(s.degree, s.levi.a, s.levi.m0) for s in m.summands]
 [(0, (3,), 0), (1, (-5,), 4)]
 """
 
 from .errors import InputError
 from .grouptheory import (GroupContext, ParabolicData, kostant_reps,
                           levi_weyl_order, parabolic_data)
-from .reps import (GradedVirtualRep, LeviWeight, Summand, Weight,
-                   central_weight, check_dominant, dot_action, is_levi_dominant)
+from .reps import (GradedVirtualRep, Summand, Weight, central_weight,
+                   check_dominant, dot_action, is_levi_dominant)
 
 
 def check_weight(ctx: GroupContext, lam: Weight) -> None:
@@ -28,13 +30,6 @@ def check_weight(ctx: GroupContext, lam: Weight) -> None:
     if len(lam.a) != ctx.d:
         raise InputError(f"weight has {len(lam.a)} coordinates, expected {ctx.d}")
     check_dominant(lam)
-
-
-def levi_split(mu: Weight, pd: ParabolicData) -> LeviWeight:
-    """Reading of a torus weight as a highest weight for the Levi of P_S."""
-    blocks = tuple(tuple(mu.a[lo:hi]) for lo, hi in pd.blockRanges)
-    lo, hi = pd.gspRange
-    return LeviWeight(blocks, tuple(mu.a[lo:hi]), mu.m0)
 
 
 def kostant_summand(degree: int, mu: Weight, pd: ParabolicData,
@@ -45,21 +40,20 @@ def kostant_summand(degree: int, mu: Weight, pd: ParabolicData,
     central weight is ``central``, that of lam; both checks also run under
     ``python -O``.
     """
-    levi = levi_split(mu, pd)
-    if not is_levi_dominant(levi):
+    if not is_levi_dominant(mu, pd.leviBlocks):
         raise ArithmeticError(f"{mu} is not dominant for the Levi of P_{pd.S}")
     if central_weight(mu) != central:
         raise ArithmeticError(
             f"{mu} has central weight {central_weight(mu)}, expected {central}")
-    return Summand(degree, levi)
+    return Summand(degree, mu)
 
 
 def lie_n_cohomology(ctx: GroupContext, S, lam: Weight) -> GradedVirtualRep:
     """The class of RGamma(Lie N_S, V_lam): one summand per Kostant representative.
 
-    Each summand is (degree, Levi weight, multiplicity 1); its pairings are
-    read from the Levi weight by ``torus_pairing``.  Every Levi weight is
-    dominant for the Levi shape and has central weight central_weight(lam)
+    Each summand is (degree, w.lam, multiplicity 1); its pairings are read
+    from the weight by ``pairings``.  Every w.lam is dominant for the Levi
+    of P_S and has central weight central_weight(lam)
     (both checked by ``kostant_summand``).  Raises ArithmeticError unless
     there is one summand per coset of the Levi's Weyl group, also under
     ``python -O``.

@@ -15,6 +15,10 @@ similitude coordinate.  ``torus_pairing`` pairs a weight with S_s; keeping
 or discarding irreducible Levi constituents by these integers is the whole
 truncation calculus used downstream.
 
+A Levi GL_{n_1} x ... x GL_{n_k} x GSp_2r of P_S has the same torus, so its
+highest weights are ``Weight`` values too; the readers of the Levi shape
+take the GL block sizes (n_1..n_k) = ``ParabolicData.leviBlocks``.
+
 >>> central_weight(Weight((1, 0), 0))
 1
 >>> torus_pairing(Weight((2, 0), -1), 1)
@@ -119,57 +123,50 @@ def dot_action(v, shifted: Weight) -> tuple[list[int], int]:
     return a, shifted.m0 + (sum(s) - sum(a) - d * (d + 1) // 2) // 2
 
 
-class LeviWeight(NamedTuple):
-    """Highest weight for a Levi GL_{n_1} x ... x GL_{n_k} x GSp_2r.
-
-    ``blocks`` are the GL-block coordinate vectors in order, ``gsp`` the
-    GSp-block coordinates; concatenated they recover the full torus
-    coordinate vector (a_1..a_d), with ``m0`` the similitude exponent.
-    """
-
-    blocks: tuple[tuple[int, ...], ...]
-    gsp: tuple[int, ...]
-    m0: int = 0
-
-    @property
-    def avector(self) -> tuple[int, ...]:
-        flat: list[int] = []
-        for b in self.blocks:
-            flat.extend(b)
-        flat.extend(self.gsp)
-        return tuple(flat)
-
-    def as_weight(self) -> Weight:
-        return Weight(self.avector, self.m0)
+def _levi_cut(mu: Weight, blocks) -> list[tuple[int, ...]]:
+    """mu's coordinates cut into GL blocks of the sizes ``blocks`` (positive
+    integers with sum at most d), then the GSp block: the rest."""
+    if not (isinstance(blocks, tuple) and all(is_int(k) and k > 0 for k in blocks)
+            and sum(blocks) <= len(mu.a)):
+        raise InputError(f"Levi blocks must be a tuple of positive integers "
+                         f"with sum at most {len(mu.a)}, got {blocks!r}")
+    a, lo, out = mu.a, 0, []
+    for k in blocks:
+        out.append(a[lo:lo + k])
+        lo += k
+    out.append(a[lo:])
+    return out
 
 
-def is_levi_dominant(mu: LeviWeight) -> bool:
-    """Each GL block weakly decreasing; GSp block weakly decreasing with last entry >= 0."""
-    for b in mu.blocks + (mu.gsp,):
-        if any(b[i] < b[i + 1] for i in range(len(b) - 1)):
-            return False
-    return not (mu.gsp and mu.gsp[-1] < 0)
+def is_levi_dominant(mu: Weight, blocks) -> bool:
+    """Dominance for the Levi GL_{blocks} x GSp: each GL block weakly
+    decreasing, the GSp block weakly decreasing with last entry >= 0."""
+    cut = _levi_cut(mu, blocks)
+    return (all(b[i] >= b[i + 1] for b in cut for i in range(len(b) - 1))
+            and not (cut[-1] and cut[-1][-1] < 0))
 
 
-def weyl_dim(mu: LeviWeight) -> int:
-    """Dimension of the Levi irreducible with highest weight mu.
+def weyl_dim(mu: Weight, blocks) -> int:
+    """Dimension of the irreducible of highest weight mu for the Levi
+    GL_{blocks} x GSp (``blocks`` as in ``ParabolicData.leviBlocks``).
 
     Product of the GL_k factors (b_i - b_j + j - i)/(j - i) per block and,
     with l = g + (r, r-1, ..., 1) and m = (r, ..., 1), the type-C factors
-    l_i/m_i and (l_i^2 - l_j^2)/(m_i^2 - m_j^2) for the GSp block: one
+    l_i/m_i and (l_i^2 - l_j^2)/(m_i^2 - m_j^2) for the GSp block g: one
     integer numerator over one denominator, divided exactly.  Dominance
     makes every factor positive; the similitude exponent does not enter.
     """
-    if not is_levi_dominant(mu):
-        raise InputError(f"{mu} is not dominant for its Levi shape")
+    if not is_levi_dominant(mu, blocks):
+        raise InputError(f"{mu} is not dominant for the Levi blocks {blocks}")
+    *gl, gsp = _levi_cut(mu, blocks)
     num = den = 1
-    for b in mu.blocks:
+    for b in gl:
         for i in range(len(b)):
             for j in range(i + 1, len(b)):
                 num *= b[i] - b[j] + j - i
                 den *= j - i
-    r = len(mu.gsp)
-    l = [x + r - i for i, x in enumerate(mu.gsp)]
+    r = len(gsp)
+    l = [x + r - i for i, x in enumerate(gsp)]
     for i in range(r):
         num *= l[i]
         den *= r - i
@@ -183,16 +180,15 @@ class Summand(NamedTuple):
     """One graded piece: the Levi irreducible of highest weight ``levi`` in
     degree ``degree``, ``mult`` times.
 
-    Its S_s-pairings and central weight are functions of the Levi weight,
-    read where needed as ``pairings(levi.as_weight())`` and
-    ``central_weight(levi.as_weight())``.  Summands sort as their field
-    tuples: by degree, then Levi weight (GL blocks, GSp block, m0), then
-    multiplicity.  For Levi weights of one shape the weight order is that of
-    (a-vector, m0).
+    ``levi`` is the torus weight w.lam itself; the Levi it is a highest
+    weight for is that of the parabolic set, ``ParabolicData.leviBlocks``.
+    Its S_s-pairings and central weight are read from it where needed, as
+    ``pairings(levi)`` and ``central_weight(levi)``.  Summands sort as their
+    field tuples: by degree, then weight (a-vector, m0), then multiplicity.
     """
 
     degree: int
-    levi: LeviWeight
+    levi: Weight
     mult: int = 1
 
 
@@ -205,7 +201,7 @@ class GradedVirtualRep(NamedTuple):
     def build(summands: Iterable[Summand]) -> "GradedVirtualRep":
         """Merge equal (degree, Levi weight) pairs, drop zero multiplicities,
         and sort the rest in the natural order of ``Summand``."""
-        merged: dict[tuple[int, LeviWeight], int] = {}
+        merged: dict[tuple[int, Weight], int] = {}
         for s in summands:
             key = (s.degree, s.levi)
             merged[key] = merged.get(key, 0) + s.mult
@@ -214,8 +210,10 @@ class GradedVirtualRep(NamedTuple):
         kept.sort()
         return GradedVirtualRep(tuple(kept))
 
-    def euler_dim(self) -> int:
-        return sum((-1) ** s.degree * s.mult * weyl_dim(s.levi) for s in self.summands)
+    def euler_dim(self, blocks) -> int:
+        """Alternating dimension sum, for the Levi GL blocks ``blocks``."""
+        return sum((-1) ** s.degree * s.mult * weyl_dim(s.levi, blocks)
+                   for s in self.summands)
 
 
 def truncate(module: GradedVirtualRep,
@@ -231,12 +229,12 @@ def truncate(module: GradedVirtualRep,
     for _, bound in conds:
         _check_bound(bound)
     if module.summands:
-        d = len(module.summands[0].levi.avector)
+        d = module.summands[0].levi.d
         for s, _ in conds:
             check_index(s, d)
     kept = []
     for summand in module.summands:
-        p = pairings(summand.levi.as_weight())
+        p = pairings(summand.levi)
         if all(p[s] < bound for s, bound in conds):
             kept.append(summand)
     return GradedVirtualRep(tuple(kept))

@@ -1,6 +1,7 @@
 """Level-transfer structure: degrees, fiber counts, the literal fibration
 of stratum classes, and the transfer-matrix tabulation."""
 
+import itertools
 import json
 import random
 from math import gcd
@@ -125,11 +126,26 @@ def test_class_fibration_genus1(pair):
 
 
 def test_stratum_count_scales_by_class_fiber():
-    for pair in PAIRS:
-        n, m = pair
-        rfc = reduction_fiber_count(HeckeDatum(1, n, m), (0,))
-        assert (strata_count(build_context(1, m), 0)
-                == strata_count(build_context(1, n), 0) * rfc)
+    # The Hecke fiber law: over each level-n class of (r, S) double cosets
+    # lie reduction_fiber_count level-m classes, r = min S, so
+    #   strata_count(m, r) * double_coset_count(m, r, S)
+    #     == strata_count(n, r) * double_coset_count(n, r, S) * fiber.
+    # It ties the strata and hecke closed forms together at every S with
+    # d <= 6 (3,600 cases).  An error that scales strata_count (or
+    # double_coset_count) at one r by the same factor at both levels
+    # cancels out of both sides, so the law does not catch it.
+    for d in range(1, 7):
+        sets = [S for k in range(1, d + 1) for S in itertools.combinations(range(d), k)]
+        for n in range(3, 13):
+            ctx_n = build_context(d, n)
+            for m in (2 * n, 3 * n, 4 * n):
+                ctx_m = build_context(d, m)
+                for S in sets:
+                    r = S[0]
+                    fiber = reduction_fiber_count(HeckeDatum(d, n, m), S)
+                    assert (strata_count(ctx_m, r) * double_coset_count(ctx_m, r, S)
+                            == strata_count(ctx_n, r) * double_coset_count(ctx_n, r, S)
+                            * fiber), (d, n, m, S)
 
 
 def test_geometric_fiber_identity_only_at_phi_preserving_pair():

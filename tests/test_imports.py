@@ -90,15 +90,22 @@ API_ONLY = {"arith.py:GL", "arith.py:Sp", "arith.py:zeta_negative",
             "reps.py:torus_pairing"}
 
 
-def test_every_public_name_is_used_by_the_calculator():
-    # Used means referenced from a package module, a demo or the tracer; a
-    # name that only tests call belongs in the tests (tests/oracles.py).
+def _calculator_refs() -> tuple[dict[str, str], Counter]:
+    """The package modules (name -> source), and the references read in
+    them, in the demos and in the tracer, whose strings count too."""
     modules = {name: path.read_text() for name, path in CHECKED.items()
                if "/" not in name}
     demos = [p.read_text() for p in (ROOT / "demos").glob("*.py")]
     refs = _references(ast.parse((ROOT / "bench" / "tracer.py").read_text()), True)
     for source in [*modules.values(), *demos]:
         refs += _references(ast.parse(source))
+    return modules, refs
+
+
+def test_every_public_name_is_used_by_the_calculator():
+    # Used means referenced from a package module, a demo or the tracer; a
+    # name that only tests call belongs in the tests (tests/oracles.py).
+    modules, refs = _calculator_refs()
     assert sorted(set(_unreferenced(modules, refs)) - API_ONLY) == []
 
 
@@ -120,6 +127,37 @@ def test_check_flags_a_public_name_only_its_own_body_uses():
     refs += _references(ast.parse("LAYERS = [('m', 'dead')]"), strings=True)
     assert _unreferenced({"m.py": source}, refs) == [
         "m.py:spare", "m.py:C.gone", "m.py:C.sub"]
+
+
+def _unread_fields(modules: dict[str, str], refs: Counter) -> list[str]:
+    """The fields of the NamedTuple classes of ``modules`` (name -> source)
+    that ``refs`` holds no attribute read of: a field read only by unpacking,
+    or never, is dead weight in every instance."""
+    out = []
+    for module, source in modules.items():
+        for c in ast.parse(source).body:
+            if isinstance(c, ast.ClassDef) and any(
+                    isinstance(b, ast.Name) and b.id == "NamedTuple" for b in c.bases):
+                out += [f"{module}:{c.name}.{f.target.id}" for f in c.body
+                        if isinstance(f, ast.AnnAssign) and not refs["." + f.target.id]]
+    return out
+
+
+def test_every_value_type_field_is_read():
+    # Read means read as an attribute by a package module, a demo or the tracer.
+    assert _unread_fields(*_calculator_refs()) == []
+
+
+def test_check_flags_a_field_no_one_reads():
+    source = ("from typing import NamedTuple\n"
+              "class P(NamedTuple):\n    x: int\n    y: int = 0\n    z: int = 0\n"
+              "    def norm(self): return self.x\n"
+              "class _Q(NamedTuple):\n    w: int\n"
+              "class R:\n    v: int\n")
+    # y is unpacked and z is assigned, never read as an attribute; R is no NamedTuple
+    other = "def f(p, q):\n    x, y, z = p\n    q.z = 1\n    return q.w + y\n"
+    refs = _references(ast.parse(source)) + _references(ast.parse(other))
+    assert _unread_fields({"m.py": source}, refs) == ["m.py:P.y", "m.py:P.z"]
 
 
 def _traced_modules() -> set[str]:

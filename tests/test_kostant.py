@@ -29,14 +29,13 @@ from siegelstrata.grouptheory import kostant_reps, levi_weyl_order
 def _rows(module):
     out = []
     for s in module.summands:
-        w = s.levi.as_weight()
-        out.append((s.degree, w.a, w.m0, s.mult))
+        out.append((s.degree, s.levi.a, s.levi.m0, s.mult))
     return out
 
 
 def _oracle_ok(d, S, lam, module):
     return kostant_euler_identity(d, S, lam.a, lam.m0,
-                                  ((s.degree, s.levi.avector, s.levi.m0, s.mult)
+                                  ((s.degree, s.levi.a, s.levi.m0, s.mult)
                                    for s in module.summands))
 
 
@@ -79,8 +78,8 @@ FROZEN_D2_KLINGEN = [         # S = (1,): Levi GL_1 x GSp_2, degrees 0..3
 def test_frozen_d2_borel(ctx2):
     module = lie_n_cohomology(ctx2, (0, 1), Weight((1, 1), 0))
     assert _rows(module) == FROZEN_D2_BOREL
-    pairings0 = [pairings(s.levi.as_weight())[0] for s in module.summands]
-    pairings1 = [pairings(s.levi.as_weight())[1] for s in module.summands]
+    pairings0 = [pairings(s.levi)[0] for s in module.summands]
+    pairings1 = [pairings(s.levi)[1] for s in module.summands]
     assert pairings0 == [4, 4, 0, 0, -2, -2, -6, -6]
     assert pairings1 == [3, 2, 3, -2, 2, -3, -2, -3]
 
@@ -88,13 +87,13 @@ def test_frozen_d2_borel(ctx2):
 def test_frozen_d2_siegel(ctx2):
     module = lie_n_cohomology(ctx2, (0,), Weight((1, 1), 0))
     assert _rows(module) == FROZEN_D2_SIEGEL
-    assert [weyl_dim(s.levi) for s in module.summands] == [1, 5, 5, 1]
+    assert [weyl_dim(s.levi, (2,)) for s in module.summands] == [1, 5, 5, 1]
 
 
 def test_frozen_d2_klingen(ctx2):
     module = lie_n_cohomology(ctx2, (1,), Weight((1, 1), 0))
     assert _rows(module) == FROZEN_D2_KLINGEN
-    assert [weyl_dim(s.levi) for s in module.summands] == [2, 3, 3, 2]
+    assert [weyl_dim(s.levi, (1,)) for s in module.summands] == [2, 3, 3, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -153,18 +152,18 @@ def _structure_checks(ctx, S, lam):
     for s in module.summands:
         assert s.mult == 1
         assert 0 <= s.degree <= pd.dimN
-        assert is_levi_dominant(s.levi)
-        assert central_weight(s.levi.as_weight()) == central_weight(lam)
+        assert is_levi_dominant(s.levi, pd.leviBlocks)
+        assert central_weight(s.levi) == central_weight(lam)
         key = (s.degree, s.levi)
         assert key not in seen
         seen.add(key)
     # degree zero is lam itself, viewed as a Levi weight
     bottom = [s for s in module.summands if s.degree == 0]
-    assert len(bottom) == 1 and bottom[0].levi.avector == lam.a
+    assert len(bottom) == 1 and bottom[0].levi.a == lam.a
     # exactly one top-degree class
     assert sum(1 for s in module.summands if s.degree == pd.dimN) == 1
     # alternating dimension sum collapses (the product side vanishes at 1)
-    assert module.euler_dim() == 0
+    assert module.euler_dim(pd.leviBlocks) == 0
     # palindromic degree distribution
     by_degree = {}
     for s in module.summands:

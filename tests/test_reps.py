@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from siegelstrata import (GradedVirtualRep, InputError, LeviWeight, Weight,
+from siegelstrata import (GradedVirtualRep, InputError, Weight,
                           central_weight, dot_action, is_dominant,
                           is_levi_dominant, torus_pairing, truncate, weyl_dim,
                           weyl_group)
@@ -121,20 +121,19 @@ GSP4_DIMS = {(0, 0): 1, (1, 0): 4, (1, 1): 5, (2, 0): 10, (2, 1): 16,
 
 def test_weyl_dim_gl_blocks():
     for b, dim in GL2_DIMS.items():
-        assert weyl_dim(LeviWeight((b,), (), 0)) == dim
+        assert weyl_dim(Weight(b, 0), (2,)) == dim
 
 
 def test_weyl_dim_gsp_blocks():
     for g, dim in GSP4_DIMS.items():
-        assert weyl_dim(LeviWeight((), g, 0)) == dim
+        assert weyl_dim(Weight(g, 0), ()) == dim
     # rank 1: symplectic = special linear, dim k+1
     for k in range(6):
-        assert weyl_dim(LeviWeight((), (k,), 0)) == k + 1
+        assert weyl_dim(Weight((k,), 0), ()) == k + 1
 
 
 def test_weyl_dim_products():
-    levi = LeviWeight(((1, -3),), (2,), 5)
-    assert weyl_dim(levi) == 5 * 3
+    assert weyl_dim(Weight((1, -3, 2), 5), (2,)) == 5 * 3
 
 
 gl_blocks = st.lists(st.integers(-20, 20), min_size=1, max_size=6).map(
@@ -148,27 +147,38 @@ def test_weyl_dim_matches_fraction_reference(blocks, gsp, m0):
     expected = _gsp_dim(gsp)
     for b in blocks:
         expected *= _gl_dim(b)
-    assert weyl_dim(LeviWeight(blocks, gsp, m0)) == expected
+    a = tuple(x for b in blocks for x in b) + gsp
+    assert weyl_dim(Weight(a, m0), tuple(len(b) for b in blocks)) == expected
 
 
 def test_levi_dominance():
-    assert is_levi_dominant(LeviWeight(((0, -4),), (), 3))
-    assert not is_levi_dominant(LeviWeight(((-4, 0),), (), 3))
-    assert not is_levi_dominant(LeviWeight((), (-1,), 0))
-    assert is_levi_dominant(LeviWeight(((2, 2),), (1, 0), 0))
+    assert is_levi_dominant(Weight((0, -4), 3), (2,))
+    assert not is_levi_dominant(Weight((-4, 0), 3), (2,))
+    assert not is_levi_dominant(Weight((-1,), 0), ())
+    assert is_levi_dominant(Weight((2, 2, 1, 0), 0), (2,))
 
 
-def test_levi_weight_accessors():
-    levi = LeviWeight(((1, 0), (2,)), (1, 1), -1)
-    assert levi.avector == (1, 0, 2, 1, 1)
-    assert levi.as_weight() == Weight((1, 0, 2, 1, 1), -1)
+@pytest.mark.parametrize("blocks", [(0,), (True,), (1.0,), (-1,), (3,), (1, 2), [1]])
+def test_levi_blocks_are_validated(blocks):
+    # blocks must be a tuple of positive integers with sum at most d = 2
+    mu = Weight((1, 0), 0)
+    module = GradedVirtualRep.build([Summand(0, mu)])
+    with pytest.raises(InputError):
+        weyl_dim(mu, blocks)
+    with pytest.raises(InputError):
+        is_levi_dominant(mu, blocks)
+    with pytest.raises(InputError):
+        module.euler_dim(blocks)
+    # GSp_4, GL_1 x GSp_2, GL_2 and GL_1 x GL_1 dimensions of (1, 0)
+    for ok, dim in [((), 4), ((1,), 1), ((2,), 2), ((1, 1), 1)]:
+        assert module.euler_dim(ok) == weyl_dim(mu, ok) == dim
 
 
 def _module():
     return GradedVirtualRep.build([
-        Summand(0, LeviWeight(((1, 1),), (), 0)),
-        Summand(1, LeviWeight(((1, -3),), (), 2)),
-        Summand(2, LeviWeight(((0, -4),), (), 3)),
+        Summand(0, Weight((1, 1), 0)),
+        Summand(1, Weight((1, -3), 2)),
+        Summand(2, Weight((0, -4), 3)),
     ])
 
 
@@ -179,7 +189,7 @@ def _degrees(module):
 def test_graded_rep_merging_and_euler():
     m = _module()
     assert _degrees(m) == (0, 1, 2)
-    assert m.euler_dim() == 1 - 5 + 5
+    assert m.euler_dim((2,)) == 1 - 5 + 5
     doubled = GradedVirtualRep.build(m.summands + m.summands)
     assert all(s.mult == 2 for s in doubled.summands)
     negated = [s._replace(mult=-s.mult) for s in m.summands]
@@ -189,17 +199,17 @@ def test_graded_rep_merging_and_euler():
 
 def test_summand_sheaf_weight():
     # pairings and central weight are read from the Levi weight
-    s = Summand(1, LeviWeight(((1, -3),), (), 2))
+    s = Summand(1, Weight((1, -3), 2))
     assert Summand._fields == ("degree", "levi", "mult") and s.mult == 1
-    assert central_weight(s.levi.as_weight()) == 2
-    assert pairings(s.levi.as_weight()) == (0, 3)
+    assert central_weight(s.levi) == 2
+    assert pairings(s.levi) == (0, 3)
 
 
 def test_truncate_modes():
     m = _module()
-    pairs0 = [pairings(s.levi.as_weight())[0] for s in m.summands]
+    pairs0 = [pairings(s.levi)[0] for s in m.summands]
     assert pairs0 == [4, 0, -2]
-    pairs1 = [pairings(s.levi.as_weight())[1] for s in m.summands]
+    pairs1 = [pairings(s.levi)[1] for s in m.summands]
     assert pairs1 == [3, 3, 2]
     assert _degrees(truncate(m, [(1, 3)])) == (2,)
     assert _degrees(truncate(m, [(0, 1)])) == (1, 2)
@@ -233,7 +243,7 @@ def test_truncate_infinite_bounds():
                           st.integers(-2, 2),
                           st.integers(-2, 2)), max_size=8), st.data())
 def test_build_merges_duplicates(entries, data):
-    summands = [Summand(deg, LeviWeight(((a, b),), (), m0), mult)
+    summands = [Summand(deg, Weight((a, b), m0), mult)
                 for deg, a, b, m0, mult in entries if a >= b]
     m = GradedVirtualRep.build(summands)
     seen = set()
@@ -255,32 +265,14 @@ def test_build_merges_duplicates(entries, data):
     a = GradedVirtualRep.build(summands[:cut])
     b = GradedVirtualRep.build(summands[cut:])
     assert GradedVirtualRep.build(a.summands + b.summands) == m
-    assert m.euler_dim() == a.euler_dim() + b.euler_dim()
+    assert m.euler_dim((2,)) == a.euler_dim((2,)) + b.euler_dim((2,))
 
 
-def _levi(blocks, a, m0):
-    """LeviWeight with GL blocks of the given sizes; the rest of a is the GSp block."""
-    out, i = [], 0
-    for k in blocks:
-        out.append(tuple(a[i:i + k]))
-        i += k
-    return LeviWeight(tuple(out), tuple(a[i:]), m0)
-
-
-# the same two coordinates as GL_2, GL_1 x GL_1, GL_1 x GSp_2 or GSp_4
+# two coordinates, as a Levi weight of GL_2, GL_1 x GL_1, GL_1 x GSp_2 or GSp_4
 mixed_shape_summands = st.lists(st.builds(
-    lambda deg, blocks, a, m0, mult: Summand(deg, _levi(blocks, a, m0), mult),
-    st.integers(0, 2), st.sampled_from([(2,), (1, 1), (1,), ()]),
-    st.tuples(st.integers(-1, 1), st.integers(-1, 1)), st.integers(-1, 1),
-    st.integers(-2, 2)), max_size=8)
-
-
-def test_build_tells_levi_shapes_apart():
-    a = Summand(0, LeviWeight(((1,),), (0,), 0))
-    b = Summand(0, LeviWeight(((1, 0),), (), 0))
-    assert a.levi.avector == b.levi.avector and a.levi.m0 == b.levi.m0
-    assert GradedVirtualRep.build([a, b]) == GradedVirtualRep.build([b, a])
-    assert len(GradedVirtualRep.build([a, b]).summands) == 2
+    lambda deg, a, m0, mult: Summand(deg, Weight(a, m0), mult),
+    st.integers(0, 2), st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
+    st.integers(-1, 1), st.integers(-2, 2)), max_size=8)
 
 
 @given(mixed_shape_summands.flatmap(

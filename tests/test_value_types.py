@@ -10,16 +10,14 @@ import pytest
 
 from siegelstrata import (ClassTerm, GradedVirtualRep, GroupContext, GSp,
                           HeckeDatum, HeckeMatrixStructure, InputError,
-                          LeviWeight, ParabolicData, Summand, SymbolicClass,
-                          Weight, build_context, parabolic_data)
+                          ParabolicData, Summand, SymbolicClass, Weight,
+                          build_context, parabolic_data)
 from siegelstrata.arith import GroupKind
 from siegelstrata.engine import Chain
 
-LEVI = LeviWeight(((2,),), (1,), 0)
-SUMMAND = Summand(0, LEVI)
+SUMMAND = Summand(0, Weight((2, 1), 0))
 MODULE = GradedVirtualRep((SUMMAND,))
-SUMMAND_REPR = ("Summand(degree=0, levi=LeviWeight(blocks=((2,),), gsp=(1,), m0=0), "
-                "mult=1)")
+SUMMAND_REPR = "Summand(degree=0, levi=Weight(a=(2, 1), m0=0), mult=1)"
 MODULE_REPR = f"GradedVirtualRep(summands=({SUMMAND_REPR},))"
 TERM_REPR = f"ClassTerm(coefficient=1, S=(0,), module={MODULE_REPR})"
 
@@ -35,13 +33,11 @@ CASES = [
      "rho=Weight(a=(1,), m0=0), weylOrder=2, dimG=4, c=1, stratumDims=(1, 0))"),
     (ParabolicData, parabolic_data(build_context(1, 3), (0,)),
      "ParabolicData(S=(0,), r=0, leviBlocks=(1,), "
-     "blockRanges=((0, 1),), gspRange=(1, 1), nRoots=(Weight(a=(2,), m0=-1),), "
-     "dimN=1)"),
+     "blockRanges=((0, 1),), nRoots=(Weight(a=(2,), m0=-1),), dimN=1)"),
     (HeckeDatum, HeckeDatum(1, 3, 6), "HeckeDatum(d=1, n=3, m=6)"),
     (HeckeMatrixStructure, HeckeMatrixStructure(((((1, 0), (0, 1)),),), ((0, 0, 1),)),
      "HeckeMatrixStructure(classes=((((1, 0), (0, 1)),),), entries=((0, 0, 1),))"),
     (Weight, Weight((1, 2), 3), "Weight(a=(1, 2), m0=3)"),
-    (LeviWeight, LEVI, "LeviWeight(blocks=((2,),), gsp=(1,), m0=0)"),
     (Summand, SUMMAND, SUMMAND_REPR),
     (GradedVirtualRep, MODULE, MODULE_REPR),
 ]
@@ -57,7 +53,7 @@ def test_value_type_contract(cls, value, text):
 
 
 def test_every_value_type_is_covered():
-    assert len({c[0] for c in CASES}) == 12
+    assert len({c[0] for c in CASES}) == 11
 
 
 def test_weight_coerces_entries_to_int():
