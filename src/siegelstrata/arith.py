@@ -24,9 +24,9 @@ import itertools
 from functools import lru_cache
 from math import gcd
 from operator import lt, mul
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
-from .errors import (InputError, ScopeError, check_level, check_levels,
+from .errors import (InputError, ScopeError, Value, check_level, check_levels,
                      is_int)
 
 if TYPE_CHECKING:  # at run time only the Bernoulli-number functions load it
@@ -39,7 +39,7 @@ _SCAN_GUARD = 5_000_000  # raw candidate-space bound for filter-style scans
 # ---------------------------------------------------------------------------
 # group kinds
 
-class GroupKind(NamedTuple):
+class GroupKind(Value):
     family: str  # "GL" | "SL" | "Sp" | "GSp"
     param: int   # k for GL/SL, 2r for Sp/GSp
 

@@ -17,11 +17,11 @@ import math
 import os
 import sys
 from types import SimpleNamespace
-from typing import Callable, NamedTuple, NoReturn
+from typing import Callable, NoReturn
 
 from . import __version__, engine, hecke, strata
 from .arith import DEFAULT_CAP, euler_phi
-from .errors import InputError, ScopeError
+from .errors import InputError, ScopeError, Value
 from .grouptheory import build_context, parabolic_data
 from .kostant import lie_n_cohomology
 from .reps import Bound, Weight, central_weight, pairings, weyl_dim
@@ -338,7 +338,7 @@ _M = _arg("--m", type=int, required=True, help="deeper level, a multiple of n")
 _FORMAT = _arg("--format", choices=("json", "tsv"), default="json")
 
 
-class Command(NamedTuple):
+class Command(Value):
     """A subcommand's help line, handler, own arguments (added after
     ``--d``, ``--n``, [``--m``] and ``--format``), and whether it takes ``--m``."""
 

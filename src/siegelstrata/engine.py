@@ -17,10 +17,9 @@ suite pins both the agreement and frozen Euler evaluations.
 
 import itertools
 import math
-from typing import NamedTuple
 
 from .arith import euler_char_congruence
-from .errors import InputError, check_index, is_int
+from .errors import InputError, Value, _new, check_index, is_int
 from .grouptheory import (GroupContext, _kept_orbit, normalize_parabolic_set,
                           parabolic_data)
 from .kostant import check_weight, kostant_summand, lie_n_cohomology
@@ -29,19 +28,14 @@ from .reps import (Bound, GradedVirtualRep, Weight, _check_bound,
 from .strata import double_coset_count, ic_profiles
 
 
-# A NamedTuple body may not define __new__, so the fields sit on a private base.
-class _Chain(NamedTuple):
-    entries: tuple[tuple[int, Bound], ...]
-
-
-class Chain(_Chain):
+class Chain(Value):
     """Truncation thresholds (s_1, a_1), ..., (s_k, a_k), s_i strictly decreasing.
 
     Each pair cuts by the S_{s_i}-pairing; a_i lives in Z union {+-inf}.
     The empty chain is allowed and means no truncation.
     """
 
-    __slots__ = ()
+    entries: tuple[tuple[int, Bound], ...]
 
     def __new__(cls, entries):
         entries = tuple((s, _check_bound(a)) for s, a in entries)
@@ -52,25 +46,31 @@ class Chain(_Chain):
                 raise InputError(f"chain indices must strictly decrease, got {entries}")
         if entries and entries[-1][0] < 0:
             raise InputError(f"chain indices must be >= 0, got {entries}")
-        return tuple.__new__(cls, (entries,))
+        return _new(cls, (entries,))
 
     @property
     def indices(self) -> tuple[int, ...]:
         return tuple(s for s, _ in self.entries)
 
 
-class ClassTerm(NamedTuple):
+class ClassTerm(Value):
     """coefficient * (graded Levi module supported on the S-boundary)."""
 
     coefficient: int
     S: tuple[int, ...]
     module: GradedVirtualRep
 
+    def __new__(cls, coefficient, S, module):
+        return _new(cls, (coefficient, S, module))
 
-class SymbolicClass(NamedTuple):
+
+class SymbolicClass(Value):
     """Formal integer combination of ClassTerms, canonically ordered."""
 
     terms: tuple[ClassTerm, ...]
+
+    def __new__(cls, terms):
+        return _new(cls, (terms,))
 
     @staticmethod
     def build(terms) -> "SymbolicClass":
@@ -186,11 +186,23 @@ def restrict_ic(ctx: GroupContext, lam: Weight,
     Returns the (upper, lower) pair: the middle-perversity truncation is
     pinched between two adjacent dimension profiles, and the two resulting
     classes must agree in Euler-mode evaluation (the caller checks; the
-    acceptance suite pins the equality).
+    acceptance suite pins the equality).  Both are cut from one
+    ``restrict_weighted`` class: upper keeps the summands whose S_r-pairing
+    is >= upper[r] + m, lower those whose S_s-pairing is < lower[s] + m for
+    each s in S above r.
     """
     upper, lower = ic_profiles(ctx.d)
-    return (restrict_weighted(ctx, upper, lam, r),
-            restrict_weighted(ctx, lower, lam, r))
+    # upper = lower + 1, so the hull (lower at r, upper above it) keeps every
+    # constituent either profile keeps, and one walk serves both.
+    hull = restrict_weighted(ctx, lower[:r + 1] + upper[r + 1:], lam, r)
+    m = central_weight(lam)
+    upper_terms, lower_terms = [], []
+    for t in hull.terms:
+        upper_terms.append(ClassTerm(t.coefficient, t.S, GradedVirtualRep(tuple(
+            s for s in t.module.summands if pairings(s.levi)[r] >= upper[r] + m))))
+        lower_terms.append(ClassTerm(t.coefficient, t.S, truncate(
+            t.module, [(s, lower[s] + m) for s in t.S[1:]])))
+    return SymbolicClass.build(upper_terms), SymbolicClass.build(lower_terms)
 
 
 def chain_bounds_for_profile(lam: Weight, profile, indices) -> Chain:

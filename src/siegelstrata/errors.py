@@ -1,9 +1,22 @@
-"""Exception types and the shared genus/level/index checks.
+"""Exception types, the shared genus/level/index checks, and ``Value``, the
+base of the package's value types.
 
 Two failure families are kept apart so callers (and the CLI exit codes) can
 distinguish "your input is mathematically invalid" from "this input is valid
 but outside the configured computational envelope".
 """
+
+try:
+    from _collections import _tuplegetter  # CPython's C reader of one tuple item
+except ImportError:  # not CPython: a property reads the item instead
+    from operator import itemgetter
+
+    def _tuplegetter(index, doc):
+        return property(itemgetter(index), doc=doc)
+
+# Bound once, so that a hot value type's own __new__ calling it pays no
+# attribute lookup.
+_new = tuple.__new__
 
 
 class InputError(ValueError):
@@ -49,3 +62,67 @@ def check_index(r, d: int) -> None:
     """Parabolic (stratum) index r in {0..d-1}."""
     if not (is_int(r) and 0 <= r <= d - 1):
         raise InputError(f"parabolic index {r!r} out of range for d={d}")
+
+
+class _ValueType(type):
+    """Makes each ``Value`` class slotted (no instance ``__dict__``) and gives
+    it one read-only property per annotated field; a field's class attribute
+    is its default."""
+
+    def __new__(mcls, name, bases, ns):
+        ns["__slots__"] = ()
+        cls = super().__new__(mcls, name, bases, ns)
+        cls._fields = tuple(cls.__annotations__)
+        cls._field_defaults = {}
+        for i, field in enumerate(cls._fields):
+            if field in ns:
+                cls._field_defaults[field] = ns[field]
+            elif cls._field_defaults:
+                raise TypeError(f"{name}: field {field!r} without a default "
+                                f"follows a field with one")
+            setattr(cls, field, _tuplegetter(i, f"field {i}"))
+        return cls
+
+
+class Value(tuple, metaclass=_ValueType):
+    """An immutable record that is the tuple of its fields, which a subclass
+    declares as annotated class attributes (``mult: int = 1``).
+
+    It hashes, compares and sorts as that tuple, prints as
+    ``Name(field=value, ...)``, and copies and pickles through its
+    constructor.  The constructor takes the fields in order, positionally or
+    by name.  A subclass may define its own ``__new__`` with the fields as
+    its parameters, in order: to validate them, or, as ``return _new(cls,
+    (...))``, to build a hot type faster than the generic one does.  Each
+    value type subclasses ``Value`` directly.
+    """
+
+    def __new__(cls, *args, **kwargs):
+        fields = cls._fields
+        if kwargs or len(args) != len(fields):
+            if len(args) > len(fields):
+                raise TypeError(f"{cls.__name__} takes {len(fields)} fields, "
+                                f"got {len(args)}")
+            try:
+                args += tuple(kwargs.pop(f) if f in kwargs else cls._field_defaults[f]
+                              for f in fields[len(args):])
+            except KeyError as missing:
+                raise TypeError(f"{cls.__name__} is missing field {missing}") from None
+            if kwargs:
+                raise TypeError(f"{cls.__name__} got unexpected or repeated "
+                                f"fields {sorted(kwargs)}")
+        return _new(cls, args)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(map("{}={!r}".format, self._fields, self))
+        return f"{type(self).__name__}({fields})"
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def _replace(self, **changes) -> "Value":
+        """A copy with the named fields changed, built by the constructor."""
+        values = [changes.pop(f, v) for f, v in zip(self._fields, self)]
+        if changes:
+            raise ValueError(f"unexpected field names: {sorted(changes)}")
+        return type(self)(*values)

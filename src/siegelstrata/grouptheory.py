@@ -20,9 +20,9 @@ roots of the nilpotent radicals.
 import itertools
 import math
 from functools import lru_cache
-from typing import NamedTuple
 
-from .errors import InputError, check_genus, check_index, check_level, is_int
+from .errors import (InputError, Value, check_genus, check_index, check_level,
+                     is_int)
 from .reps import Weight
 
 MAX_DEFAULT_GENUS = 6  # 2^d * d! grows fast: |W| = 46,080 at d = 6
@@ -128,7 +128,7 @@ def positive_roots(d: int) -> tuple[Weight, ...]:
     return tuple(roots)
 
 
-class GroupContext(NamedTuple):
+class GroupContext(Value):
     """Immutable combinatorial data for (GSp_2d, principal level n)."""
 
     d: int
@@ -190,7 +190,7 @@ def normalize_parabolic_set(d: int, S) -> tuple[int, ...]:
     return tuple(items)
 
 
-class ParabolicData(NamedTuple):
+class ParabolicData(Value):
     """Levi shape and nilpotent-radical roots of the parabolic P_S.
 
     ``leviBlocks`` are the GL block sizes (a composition of d-r), with the

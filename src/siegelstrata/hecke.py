@@ -23,32 +23,26 @@ certifies it against the literal level-m tabulation.
 """
 
 from math import gcd
-from typing import NamedTuple
 
 from .arith import (DEFAULT_CAP, GSp, SL, brute_force_group, congruence_index,
                     exact_div, identity_matrix, left_orbits, mat_mod, mat_mul,
                     orbit_canonical, similitude)
-from .errors import InputError, check_genus, check_levels
+from .errors import InputError, Value, _new, check_genus, check_levels
 from .grouptheory import MAX_DEFAULT_GENUS, build_context, parabolic_data
 from .matrixmodel import parabolic_generators
 
 
-# A NamedTuple body may not define __new__, so the fields sit on a private base.
-class _HeckeDatum(NamedTuple):
+class HeckeDatum(Value):
+    """A genus (at most MAX_DEFAULT_GENUS) with nested principal levels n | m."""
+
     d: int
     n: int
     m: int
 
-
-class HeckeDatum(_HeckeDatum):
-    """A genus (at most MAX_DEFAULT_GENUS) with nested principal levels n | m."""
-
-    __slots__ = ()
-
     def __new__(cls, d, n, m):
         check_levels(n, m)
         check_genus(d, MAX_DEFAULT_GENUS)
-        return tuple.__new__(cls, (d, n, m))
+        return _new(cls, (d, n, m))
 
 
 def _pdata(datum: HeckeDatum, S):
@@ -89,7 +83,7 @@ def reduction_fiber_count(datum: HeckeDatum, S) -> int:
     return exact_div(transfer_degree(datum), hecke_index(datum, S) * gsp_idx)
 
 
-class HeckeMatrixStructure(NamedTuple):
+class HeckeMatrixStructure(Value):
     """Transfer-matrix support between level-m and level-n stratum classes.
 
     ``classes`` are the level-n class labels (canonical minimal coset

@@ -27,10 +27,10 @@ take the GL block sizes (n_1..n_k) = ``ParabolicData.leviBlocks``.
 
 import itertools
 import math
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .arith import exact_div
-from .errors import InputError, check_index, is_int
+from .errors import InputError, Value, _new, check_index, is_int
 
 # Truncation bounds live in Z union {-inf, +inf}; CPython compares int
 # with float('inf') exactly, so mixed comparisons below are safe.
@@ -43,22 +43,17 @@ def _check_bound(b: Bound) -> Bound:
     return b
 
 
-# A NamedTuple body may not define __new__, so the fields sit on a private base.
-class _Weight(NamedTuple):
-    a: tuple[int, ...]
-    m0: int = 0
-
-
-class Weight(_Weight):
+class Weight(Value):
     """A character (a_1..a_d; m0) of the diagonal torus, m0 the similitude exponent."""
 
-    __slots__ = ()
+    a: tuple[int, ...]
+    m0: int = 0
 
     def __new__(cls, a, m0=0):
         a = tuple(a)
         if not (all(map(is_int, a)) and is_int(m0)):
             raise InputError(f"weight entries must be integers, got {a!r}@{m0!r}")
-        return tuple.__new__(cls, (a, m0))
+        return _new(cls, (a, m0))
 
     @property
     def d(self) -> int:
@@ -138,12 +133,15 @@ def _levi_cut(mu: Weight, blocks) -> list[tuple[int, ...]]:
     return out
 
 
+def _cut_is_dominant(cut) -> bool:
+    return (all(b[i] >= b[i + 1] for b in cut for i in range(len(b) - 1))
+            and not (cut[-1] and cut[-1][-1] < 0))
+
+
 def is_levi_dominant(mu: Weight, blocks) -> bool:
     """Dominance for the Levi GL_{blocks} x GSp: each GL block weakly
     decreasing, the GSp block weakly decreasing with last entry >= 0."""
-    cut = _levi_cut(mu, blocks)
-    return (all(b[i] >= b[i + 1] for b in cut for i in range(len(b) - 1))
-            and not (cut[-1] and cut[-1][-1] < 0))
+    return _cut_is_dominant(_levi_cut(mu, blocks))
 
 
 def weyl_dim(mu: Weight, blocks) -> int:
@@ -156,9 +154,10 @@ def weyl_dim(mu: Weight, blocks) -> int:
     integer numerator over one denominator, divided exactly.  Dominance
     makes every factor positive; the similitude exponent does not enter.
     """
-    if not is_levi_dominant(mu, blocks):
+    cut = _levi_cut(mu, blocks)  # one checked cut, read twice
+    if not _cut_is_dominant(cut):
         raise InputError(f"{mu} is not dominant for the Levi blocks {blocks}")
-    *gl, gsp = _levi_cut(mu, blocks)
+    *gl, gsp = cut
     num = den = 1
     for b in gl:
         for i in range(len(b)):
@@ -176,7 +175,7 @@ def weyl_dim(mu: Weight, blocks) -> int:
     return exact_div(num, den)
 
 
-class Summand(NamedTuple):
+class Summand(Value):
     """One graded piece: the Levi irreducible of highest weight ``levi`` in
     degree ``degree``, ``mult`` times.
 
@@ -191,11 +190,17 @@ class Summand(NamedTuple):
     levi: Weight
     mult: int = 1
 
+    def __new__(cls, degree, levi, mult=1):
+        return _new(cls, (degree, levi, mult))
 
-class GradedVirtualRep(NamedTuple):
+
+class GradedVirtualRep(Value):
     """Integer combination of (degree, Levi highest weight) pairs, canonically sorted."""
 
     summands: tuple[Summand, ...]
+
+    def __new__(cls, summands):
+        return _new(cls, (summands,))
 
     @staticmethod
     def build(summands: Iterable[Summand]) -> "GradedVirtualRep":

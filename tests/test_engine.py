@@ -353,6 +353,31 @@ def test_restriction_builds_no_weyl_table():
     assert weyl_group.cache_info().misses == 0
 
 
+def _two_walks(ctx, lam, r):
+    upper, lower = ic_profiles(ctx.d)
+    return restrict_weighted(ctx, upper, lam, r), restrict_weighted(ctx, lower, lam, r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_ic_pair_is_the_two_profile_restrictions(data):
+    # restrict_ic cuts both classes from one walk at the hull of the profiles
+    d = data.draw(st.integers(1, 5))
+    ctx = build_context(d, data.draw(st.sampled_from([3, 4, 5, 7])))
+    a = sorted(data.draw(st.lists(st.integers(0, 4), min_size=d, max_size=d)),
+               reverse=True)
+    lam = Weight(tuple(a), data.draw(st.integers(-3, 3)))
+    r = data.draw(st.integers(0, d - 1))
+    assert restrict_ic(ctx, lam, r) == _two_walks(ctx, lam, r)
+
+
+@pytest.mark.parametrize("lam", [Weight((0,) * 6), Weight((3, 2, 2, 1, 0, 0), -2)])
+@pytest.mark.parametrize("r", range(6))
+def test_ic_pair_is_the_two_profile_restrictions_d6(r, lam):
+    ctx = build_context(6, 3)
+    assert restrict_ic(ctx, lam, r) == _two_walks(ctx, lam, r)
+
+
 def test_chain_bounds_for_profile():
     lam = Weight((1, 1), 0)  # m = 2
     chain = chain_bounds_for_profile(lam, (-2, -1), (0, 1))

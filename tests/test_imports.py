@@ -129,32 +129,38 @@ def test_check_flags_a_public_name_only_its_own_body_uses():
         "m.py:spare", "m.py:C.gone", "m.py:C.sub"]
 
 
+def _value_types(source: str) -> list[ast.ClassDef]:
+    """The classes of ``source`` that subclass ``Value``, the value-type base."""
+    return [c for c in ast.parse(source).body if isinstance(c, ast.ClassDef)
+            and any(isinstance(b, ast.Name) and b.id == "Value" for b in c.bases)]
+
+
 def _unread_fields(modules: dict[str, str], refs: Counter) -> list[str]:
-    """The fields of the NamedTuple classes of ``modules`` (name -> source)
-    that ``refs`` holds no attribute read of: a field read only by unpacking,
-    or never, is dead weight in every instance."""
-    out = []
-    for module, source in modules.items():
-        for c in ast.parse(source).body:
-            if isinstance(c, ast.ClassDef) and any(
-                    isinstance(b, ast.Name) and b.id == "NamedTuple" for b in c.bases):
-                out += [f"{module}:{c.name}.{f.target.id}" for f in c.body
-                        if isinstance(f, ast.AnnAssign) and not refs["." + f.target.id]]
-    return out
+    """The fields of the value types of ``modules`` (name -> source) that
+    ``refs`` holds no attribute read of: a field read only by unpacking, or
+    never, is dead weight in every instance."""
+    return [f"{module}:{c.name}.{f.target.id}" for module, source in modules.items()
+            for c in _value_types(source) for f in c.body
+            if isinstance(f, ast.AnnAssign) and not refs["." + f.target.id]]
 
 
 def test_every_value_type_field_is_read():
     # Read means read as an attribute by a package module, a demo or the tracer.
-    assert _unread_fields(*_calculator_refs()) == []
+    modules, refs = _calculator_refs()
+    assert sorted(c.name for source in modules.values() for c in _value_types(source)) == [
+        "Chain", "ClassTerm", "Command", "GradedVirtualRep", "GroupContext",
+        "GroupKind", "HeckeDatum", "HeckeMatrixStructure", "ParabolicData",
+        "Summand", "SymbolicClass", "Weight"]
+    assert _unread_fields(modules, refs) == []
 
 
 def test_check_flags_a_field_no_one_reads():
-    source = ("from typing import NamedTuple\n"
-              "class P(NamedTuple):\n    x: int\n    y: int = 0\n    z: int = 0\n"
+    source = ("from siegelstrata.errors import Value\n"
+              "class P(Value):\n    x: int\n    y: int = 0\n    z: int = 0\n"
               "    def norm(self): return self.x\n"
-              "class _Q(NamedTuple):\n    w: int\n"
+              "class _Q(Value):\n    w: int\n"
               "class R:\n    v: int\n")
-    # y is unpacked and z is assigned, never read as an attribute; R is no NamedTuple
+    # y is unpacked and z is assigned, never read as an attribute; R is no value type
     other = "def f(p, q):\n    x, y, z = p\n    q.z = 1\n    return q.w + y\n"
     refs = _references(ast.parse(source)) + _references(ast.parse(other))
     assert _unread_fields({"m.py": source}, refs) == ["m.py:P.y", "m.py:P.z"]
@@ -187,6 +193,25 @@ def test_cli_import_graph():
     traced = _traced_modules()
     assert len(traced) == 9
     assert traced <= loaded, sorted(traced - loaded)
+
+
+def test_cli_import_builds_no_namedtuple():
+    # collections.namedtuple evals a generated __new__ for each class it
+    # makes; the value types subclass errors.Value instead, which does not
+    script = ("import collections\n"
+              "calls = []\n"
+              "made = collections.namedtuple\n"
+              "def counted(typename, *args, **kwargs):\n"
+              "    calls.append(typename)\n"
+              "    return made(typename, *args, **kwargs)\n"
+              "collections.namedtuple = counted\n"
+              "import siegelstrata.cli\n"
+              "print(*calls)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 def _modules_after(*argvs: list[str]) -> tuple[list[int], set[str]]:

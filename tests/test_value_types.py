@@ -1,10 +1,14 @@
-"""The value types are NamedTuples that behave as the earlier frozen
-dataclasses did: the hash of their field tuple (which keeps set and dict
-orders), the same repr text, immutable fields, and the same conversion when
-built.  The checks that ``Chain`` and ``HeckeDatum`` run when built are
-pinned in test_engine.py and test_hecke.py."""
+"""The value types subclass ``errors.Value``, one small tuple base, and
+behave as the ``typing.NamedTuple`` classes and the frozen dataclasses
+before it did: the hash of their field tuple (which keeps set and dict
+orders), the same repr text, immutable fields and no other attributes, the
+same conversion when built, copies and pickles of the same type and value,
+and ``_replace``.  The checks that ``Chain`` and ``HeckeDatum`` run when
+built are pinned in test_engine.py and test_hecke.py."""
 
+import copy
 import math
+import pickle
 
 import pytest
 
@@ -43,13 +47,45 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("cls, value, text", CASES, ids=[c[0].__name__ for c in CASES])
+EACH_CASE = pytest.mark.parametrize("cls, value, text", CASES,
+                                    ids=[c[0].__name__ for c in CASES])
+
+
+@EACH_CASE
 def test_value_type_contract(cls, value, text):
     assert type(value) is cls
     assert hash(value) == hash(tuple(value))
     assert repr(value) == text
     with pytest.raises(AttributeError):
         setattr(value, value._fields[0], None)
+    with pytest.raises(AttributeError):
+        value.not_a_field = None
+
+
+@EACH_CASE
+def test_copies_and_pickles_are_the_same_value(cls, value, text):
+    for twin in (copy.copy(value), copy.deepcopy(value),
+                 pickle.loads(pickle.dumps(value))):
+        assert type(twin) is cls and twin == value and repr(twin) == text
+
+
+@EACH_CASE
+def test_constructor_takes_the_fields_in_order_or_by_name(cls, value, text):
+    assert cls(*value) == cls(**dict(zip(cls._fields, value))) == value
+    with pytest.raises(TypeError):
+        cls(*value, None)
+    with pytest.raises(TypeError):
+        cls()
+
+
+@EACH_CASE
+def test_replace(cls, value, text):
+    first, last = cls._fields[0], cls._fields[-1]
+    same = value._replace(**{last: getattr(value, last)})
+    assert type(same) is cls and same == value
+    assert value._replace(**{first: getattr(value, first)}) == value
+    with pytest.raises(ValueError):
+        value._replace(not_a_field=None)
 
 
 def test_every_value_type_is_covered():
