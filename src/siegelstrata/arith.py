@@ -17,20 +17,18 @@ elements (a matrix's key is its row-major base-n number), and the oracles
 read the keys; matrices, tuples of row tuples with entries reduced mod n,
 are built only where a caller asks for them.  The module also carries the
 generic subgroup-closure and orbit machinery the coset-counting oracles are
-built from; orbits run on column codes.  All arithmetic is exact.
+built from; closures and orbits run on column codes.  All arithmetic is
+exact.
 """
 
 import itertools
+from bisect import bisect_left
 from functools import lru_cache
 from math import gcd
-from operator import lt, mul
-from typing import TYPE_CHECKING
+from operator import lt, mul, sub
 
 from .errors import (InputError, ScopeError, Value, check_level, check_levels,
                      is_int)
-
-if TYPE_CHECKING:  # at run time only the Bernoulli-number functions load it
-    from fractions import Fraction
 
 DEFAULT_CAP = 200_000
 _SCAN_GUARD = 5_000_000  # raw candidate-space bound for filter-style scans
@@ -283,29 +281,70 @@ def similitude(g, n: int):
 def similitudes(keys, size: int, n: int) -> list:
     """``similitude`` of each size x size matrix given by its key (entries
     in [0, n), as ``_brute_force_cached`` gives them) wherever its factor is
-    a unit, element for element.
+    a unit, element for element, for any list of keys and any even size.
 
     A key's row codes are its base-n^size digits, first row most
     significant, read as its top and bottom halves of rows: the half with
-    code h is entry h of ``_vectors(rows, n^size)``.  They are checked for
-    g J t(g) = c J on ``_form_table``, which the enumeration already built:
-    c from the first and last rows, then every other pair of
-    ``_column_pairs``.  GSp is closed under transpose, so for a unit c this
-    is t(g) J g = c J.  A non-unit factor is the caller's to refuse.
+    code h is entry h of ``_vectors(size // 2, n^size)``.  They are checked
+    for g J t(g) = c J on ``_form_table``, which the enumeration already
+    built: c is the form on the first and last rows, the other partner
+    pairs (i, 2d-1-i) must give c and every other pair 0.  Partners lie in
+    different halves, so every pair inside a half must give 0; one table
+    per call holds each half's rows, or None where such a pair fails.  The
+    keys are walked in runs that share their top half, found by
+    ``bisect_left`` (a run with a key outside that top half is cut to its
+    first key, so unsorted keys are read correctly too).  A run looks its
+    top half up once and reads its rows' form rows once; each key looks up
+    its bottom half and compares only the pairs across the two halves.
+    GSp is closed under transpose, so for a unit c this is t(g) J g = c J.
+    A non-unit factor is the caller's to refuse.
     """
-    table, pairs = _form_table(size, n), _column_pairs(size)
-    low, base = size // 2, n ** size
-    split = base ** low
-    top, bottom = _vectors(size - low, base), _vectors(low, base)
-    out = []
-    for key in keys:
-        rows = top[key // split] + bottom[key % split]
-        c = table[rows[0]][rows[-1]]
-        for i, j, partner in pairs:
-            if table[rows[i]][rows[j]] != (c if partner else 0):
+    table, half, base = _form_table(size, n), size // 2, n ** size
+    split = base ** half
+    if half == 2:
+        halves = [None if table[u][v] else (u, v) for u, v in _vectors(2, base)]
+    else:
+        inner = tuple(itertools.combinations(range(half), 2))
+        halves = [None if any(table[rows[i]][rows[j]] for i, j in inner) else rows
+                  for rows in _vectors(half, base)]
+    # (top row i, bottom row j, whether they are partners), but for the
+    # pair of the first and last rows, whose form is c itself
+    cross = tuple((i, j, i + j == half - 1) for i in range(half)
+                  for j in range(half) if (i, j) != (0, half - 1))
+    out, start = [], 0
+    append = out.append
+    while start < len(keys):
+        lo = keys[start] // split * split
+        run = keys[start:bisect_left(keys, lo + split, start + 1)]
+        if min(run) < lo or max(run) >= lo + split:
+            run = run[:1]
+        start += len(run)
+        tops = halves[lo // split]
+        if tops is None:
+            out.extend([None] * len(run))
+        elif half == 1:
+            row = table[tops[0]]
+            out.extend([row[key - lo] for key in run])
+        elif half == 2:
+            row0, row1 = table[tops[0]], table[tops[1]]
+            for rows in map(halves.__getitem__, map(sub, run, itertools.repeat(lo))):
+                if rows is None:
+                    append(None)
+                    continue
+                b2, b3 = rows
+                c = row0[b3]
+                append(None if row0[b2] or row1[b3] or row1[b2] != c else c)
+        else:
+            forms = [table[t] for t in tops]
+            for rows in map(halves.__getitem__, map(sub, run, itertools.repeat(lo))):
                 c = None
-                break
-        out.append(c)
+                if rows is not None:
+                    c = forms[0][rows[-1]]
+                    for i, j, partner in cross:
+                        if forms[i][rows[j]] != (c if partner else 0):
+                            c = None
+                            break
+                append(c)
     return out
 
 
@@ -585,13 +624,21 @@ def _orbit(seed, acts, cap: int | None = None) -> set:
     return orbit
 
 
-def subgroup_closure(gens, n: int, cap: int = DEFAULT_CAP):
-    """BFS closure of generator matrices under multiplication mod n."""
+def _closure_codes(gens, n: int, cap: int = DEFAULT_CAP) -> frozenset:
+    """BFS closure of generator matrices under multiplication mod n, as the
+    column-code tuples of its elements (``_ColumnCodes`` of (size, n)), so
+    closures at one (size, n) compare and count without a matrix built."""
     if not gens:
         raise InputError("need at least one generator")
     codes = _column_codes(len(gens[0]), n)  # identity column j has code powers[j]
-    orbit = _orbit(codes.powers, [codes.action(g) for g in gens], cap)
-    return frozenset(map(codes.decode, orbit))
+    return frozenset(_orbit(codes.powers, [codes.action(g) for g in gens], cap))
+
+
+def subgroup_closure(gens, n: int, cap: int = DEFAULT_CAP):
+    """BFS closure of generator matrices under multiplication mod n, as
+    matrices: ``_closure_codes``, decoded."""
+    closure = _closure_codes(gens, n, cap)
+    return frozenset(map(_column_codes(len(gens[0]), n).decode, closure))
 
 
 def left_orbits(universe, gens, n: int):

@@ -16,8 +16,8 @@ computational range, 141 stdout closed by its reader.
 import math
 import os
 import sys
+from collections.abc import Callable
 from types import SimpleNamespace
-from typing import Callable, NoReturn
 
 from . import __version__, engine, hecke, strata
 from .arith import DEFAULT_CAP, euler_phi
@@ -584,7 +584,7 @@ def main(argv=None) -> int:
     return 0
 
 
-def entry() -> NoReturn:
+def entry() -> "NoReturn":
     """Program entry (``python -m siegelstrata``, the ``siegelstrata``
     script): run ``main`` on ``sys.argv``, then end the process with
     ``os._exit`` once stdout and stderr are flushed, skipping interpreter

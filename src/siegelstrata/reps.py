@@ -27,7 +27,7 @@ take the GL block sizes (n_1..n_k) = ``ParabolicData.leviBlocks``.
 
 import itertools
 import math
-from typing import Iterable
+from collections.abc import Iterable
 
 from .arith import exact_div
 from .errors import InputError, Value, _new, check_index, is_int

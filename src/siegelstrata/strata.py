@@ -5,15 +5,19 @@ r in {0..d-1} are counted by the double quotient of GSp_2d(Z/n) by the
 finite shadow of P_r(Z)Q_r(Z-hat); refinements along larger parabolic sets
 S (min S = r) carry the extra multiplicity card(I_S) that appears in the
 stratum-restriction formula.  Every closed form here has a brute-force
-companion built from subgroup closures in the matrix model.
+companion built from subgroup closures in the matrix model.  The count,
+refinement and similitude-image companions read GSp_2d(Z/n) as its
+enumerated integer keys and each closure H_S as the column-code tuples of
+its elements: they count and compare them, and decode a matrix only for
+the message of a failed check.
 """
 
 from functools import lru_cache
 
-from .arith import (DEFAULT_CAP, GSp, _brute_force_cached, _decode,
-                    _order_any_level, brute_force_group, euler_phi, exact_div,
-                    integral_image_order, left_orbits, similitude, similitudes,
-                    subgroup_closure, units)
+from .arith import (DEFAULT_CAP, GSp, _brute_force_cached, _closure_codes,
+                    _decode, _order_any_level, brute_force_group, euler_phi,
+                    exact_div, integral_image_order, left_orbits, similitude,
+                    similitudes, subgroup_closure, units)
 from .errors import InputError, ScopeError, check_index
 from .grouptheory import (GroupContext, build_context, normalize_parabolic_set,
                           parabolic_data, stratum_dims)
@@ -73,12 +77,14 @@ def double_coset_count(ctx: GroupContext, r: int, S) -> int:
 # brute-force companions
 
 @lru_cache(maxsize=None)
-def _closure_for(d: int, n: int, S: tuple[int, ...], cap: int):
-    """Closure of the generators for S, each checked first for a unit similitude."""
+def _closure_for(d: int, n: int, S: tuple[int, ...], cap: int) -> frozenset:
+    """H_S, the closure of the generators for S, each checked first for a
+    unit similitude.  It is kept as the column-code tuples of its elements
+    (``arith._closure_codes``): the oracles only count and compare them."""
     gens = parabolic_generators(build_context(d, n), S)
     if any(similitude(g, n) not in units(n) for g in gens):
         raise ArithmeticError(f"a generator for S = {S} is not in GSp_{2 * d}(Z/{n})")
-    return subgroup_closure(gens, n, cap)
+    return _closure_codes(gens, n, cap)
 
 
 def strata_count_bruteforce(d: int, n: int, r: int,
@@ -88,8 +94,9 @@ def strata_count_bruteforce(d: int, n: int, r: int,
     Orbits of a subgroup acting by left multiplication on the full group are
     its right cosets, so the count is the index; the closure itself is an
     independent object (it only knows the generator matrices).  The group
-    is counted on its enumerated keys, no matrix is built.  (d, n) and r
-    are checked before anything is enumerated.
+    is counted on its enumerated keys and H_r on its column codes; no
+    matrix is built.  (d, n) and r are checked before anything is
+    enumerated.
     """
     build_context(d, n)
     check_index(r, d)
@@ -138,10 +145,11 @@ def refinement_check_bruteforce(d: int, n: int, r: int, S,
                                 cap: int = DEFAULT_CAP) -> bool:
     """Each index-r stratum refines into card(I_S) level-S cosets.
 
-    Verified as [H_r : H_S] = card(I_S) on actual closures (H_S inside H_r),
-    which is the fiber-sum identity: summing the I_S fibers over the index-r
-    strata recovers the H_S-coset count.  The formula side runs first, so
-    an S with min S != r is refused before any closure is built.
+    Verified as [H_r : H_S] = card(I_S) on actual closures (H_S inside H_r,
+    compared as sets of column codes), which is the fiber-sum identity:
+    summing the I_S fibers over the index-r strata recovers the H_S-coset
+    count.  The formula side runs first, so an S with min S != r is refused
+    before any closure is built.
     """
     formula = double_coset_count(build_context(d, n), r, S)
     S = normalize_parabolic_set(d, S)

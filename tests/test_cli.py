@@ -1,6 +1,7 @@
 """Command-line interface: golden outputs, schema discipline, exit codes,
 byte determinism."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -165,6 +166,41 @@ def test_oracle_reports_all_pass(capsys):
                         "--format", "tsv")
     assert code == 0
     assert "FAIL" not in out and "PASS" in out
+
+
+_D2_ORACLE_ROWS = {
+    ("--stratum", "0", "--S", "0,1"): [
+        ("strata d=2 n=3 r=0", "40"), ("doubleCosets d=2 n=3 S=0,1", "4"),
+        ("refinement d=2 n=3 S=0,1", "4"), ("similitudeImage d=2 n=3", "2")],
+    ("--stratum", "1"): [
+        ("strata d=2 n=3 r=1", "40"), ("similitudeImage d=2 n=3", "2")],
+}
+
+
+@pytest.mark.parametrize("args, fmt, sha", [
+    (("--stratum", "0", "--S", "0,1"), "json", "82d225ec639e7919"),
+    (("--stratum", "0", "--S", "0,1"), "tsv", "e68da2976cb7c281"),
+    (("--stratum", "1"), "json", "4e614eaff0253e5c"),
+    (("--stratum", "1"), "tsv", "f554fdf0b5087d1c"),
+])
+def test_d2_oracle_variants_keep_their_bytes(capsys, args, fmt, sha):
+    # the genus-2 oracle requests that neither bench/golden.json nor
+    # cli_digests.json pins, with their stdout written out in full
+    rows = [{"name": name, "formula": value, "bruteforce": value, "ok": "PASS"}
+            for name, value in _D2_ORACLE_ROWS[args]]
+    columns = ["name", "formula", "bruteforce", "ok"]
+    if fmt == "json":
+        payload = {"meta": {"command": "oracle", "d": "2", "n": "3",
+                            "version": "0.1.0"},
+                   "result": {"columns": columns, "rows": rows}}
+        want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    else:
+        want = "".join("\t".join(line) + "\n" for line in
+                       [columns] + [[row[c] for c in columns] for row in rows])
+    code, out = run_cli(capsys, "oracle", "--d", "2", "--n", "3", *args,
+                        "--format", fmt)
+    assert code == 0 and out == want
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == sha
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,20 @@ def test_cli_import_graph():
     assert traced <= loaded, sorted(traced - loaded)
 
 
+def test_cli_import_loads_no_typing():
+    # annotations take their names from collections.abc or stay strings, so
+    # on an interpreter whose start-up (here: none, python -S) has not
+    # loaded typing, importing the CLI does not load it either
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, siegelstrata.cli; print(*sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "siegelstrata.cli" in loaded and "typing" not in loaded
+
+
 def test_cli_import_builds_no_namedtuple():
     # collections.namedtuple evals a generated __new__ for each class it
     # makes; the value types subclass errors.Value instead, which does not

@@ -231,13 +231,23 @@ def test_image_oracle_requires_the_unit_group(monkeypatch):
         similitude_image_bruteforce(1, 3)
 
 
-def test_d2_oracles_read_keys_not_matrices():
+def test_d2_oracles_read_keys_not_matrices(monkeypatch):
     # cold, the count and the image oracle over GSp_4(Z/3) build no matrix
-    # of the group: under 6 MB at peak, against 13.7 MB with the matrices
+    # of the group: under 6 MB at peak, against 13.7 MB with the matrices;
+    # nor, with the refinement check, a matrix of H_r or H_S, which are
+    # counted and compared as column codes
     for cached in (_brute_force_cached, arith._decoded, arith._vectors,
                    arith._column_spread, arith._form_table, arith._column_codes,
                    _closure_for):
         cached.cache_clear()
+    decoded = []
+    real = arith._ColumnCodes.decode
+
+    def counted(self, x):
+        decoded.append(x)
+        return real(self, x)
+
+    monkeypatch.setattr(arith._ColumnCodes, "decode", counted)
     tracemalloc.start()
     try:
         assert strata_count_bruteforce(2, 3, 1) == 40
@@ -245,8 +255,10 @@ def test_d2_oracles_read_keys_not_matrices():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert refinement_check_bruteforce(2, 3, 0, (0, 1))
     assert peak < 8 * 2 ** 20, peak
     assert arith._decoded.cache_info().currsize == 0
+    assert decoded == []
 
 
 @pytest.mark.parametrize("factor", [None, 0])
@@ -257,7 +269,7 @@ def test_closure_refuses_a_generator_without_a_unit_factor(monkeypatch, factor):
 
     _closure_for.cache_clear()  # a warm entry would answer without checking
     monkeypatch.setattr(strata, "similitude", lambda g, n: factor)
-    monkeypatch.setattr(strata, "subgroup_closure", build)
+    monkeypatch.setattr(strata, "_closure_codes", build)
     with pytest.raises(ArithmeticError, match=r"is not in GSp_4\(Z/3\)"):
         strata_count_bruteforce(2, 3, 1)
 
