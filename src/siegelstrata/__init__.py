@@ -15,12 +15,12 @@ The package computes, over principal congruence levels n >= 3 of GSp_2d:
   - level-transfer degrees and fiber structure between nested levels
     (``hecke``).
 
-All arithmetic is exact: Python integers and fractions throughout.
+All arithmetic is exact: Python integers throughout.
 """
 
 from .arith import (GL, GSp, SL, Sp, brute_force_group, congruence_index,
                     euler_char_congruence, euler_phi, group_order,
-                    integral_image_order, zeta_negative)
+                    integral_image_order)
 from .engine import (Chain, ClassTerm, SymbolicClass, chain_bounds_for_profile,
                      chain_term, euler_evaluate, expansion_terms, graded_report,
                      restrict_ic, restrict_weighted)
@@ -43,7 +43,7 @@ __version__ = "0.1.0"
 __all__ = [
     "GL", "GSp", "SL", "Sp",
     "brute_force_group", "congruence_index", "euler_char_congruence",
-    "euler_phi", "group_order", "integral_image_order", "zeta_negative",
+    "euler_phi", "group_order", "integral_image_order",
     "Chain", "ClassTerm", "SymbolicClass", "chain_bounds_for_profile",
     "chain_term", "euler_evaluate", "expansion_terms", "graded_report",
     "restrict_ic", "restrict_weighted",

@@ -8,9 +8,9 @@ Orders are computed by CRT from the prime-power formulas
     |Sp_2r(Z/p^e)| = p^{(e-1)(2r^2+r)} * p^{r^2} * prod_{i=1}^{r} (p^{2i}-1)
     |GSp_2r|       = |Sp_2r| * phi(p^e)
 
-Every closed form here is cross-examined in the test suite against
-``brute_force_group``, which enumerates the groups from their defining
-equations only (determinant a unit; t(g) J g = c J for the antidiagonal J).
+The symplectic closed forms are cross-examined in the test suite against
+``brute_force_group``, which enumerates Sp and GSp from their defining
+equation only (t(g) J g = c J for the antidiagonal J, c = 1 or a unit).
 
 The enumerations give each group as the sorted integer keys of its
 elements (a matrix's key is its row-major base-n number), and the oracles
@@ -31,7 +31,7 @@ from .errors import (InputError, ScopeError, Value, check_level, check_levels,
                      is_int)
 
 DEFAULT_CAP = 200_000
-_SCAN_GUARD = 5_000_000  # raw candidate-space bound for filter-style scans
+_SCAN_GUARD = 5_000_000  # raw candidate-space bound; the column space gets a tenth
 
 
 # ---------------------------------------------------------------------------
@@ -161,38 +161,14 @@ def integral_image_order(k: int, n: int) -> int:
     _nonneg(k)
     if not (is_int(n) and n >= 1):
         raise InputError(f"modulus must be a positive integer, got {n!r}")
-    if k == 0 or n == 1:
-        return 1
-    sl = _order_any_level(SL(k), n)
-    return 2 * sl if n >= 3 else sl
+    sl = _order_any_level(SL(k), n)  # 1 if k = 0 or n = 1
+    return 2 * sl if n >= 3 and k else sl
 
 
 def congruence_index(kind: GroupKind, n: int, m: int) -> int:
     """|kind(Z/m)| / |kind(Z/n)| for 3 <= n | m; exact division asserted."""
     check_levels(n, m)
     return exact_div(group_order(kind, m), group_order(kind, n))
-
-
-@lru_cache(maxsize=None)
-def bernoulli(j: int) -> "Fraction":
-    """Bernoulli number B_j (B_1 = -1/2), exact."""
-    from fractions import Fraction
-    if j == 0:
-        return Fraction(1)
-    # sum_{k=0}^{j} C(j+1, k) B_k = 0
-    total = Fraction(0)
-    binom = 1
-    for k in range(j):
-        total += binom * bernoulli(k)
-        binom = binom * (j + 1 - k) // (k + 1)
-    return -total / (j + 1)
-
-
-def zeta_negative(i: int) -> "Fraction":
-    """zeta(1 - i) = -B_i / i for i >= 2 (vanishes for odd i >= 3)."""
-    if not (is_int(i) and i >= 2):
-        raise InputError(f"need i >= 2, got {i!r}")
-    return -bernoulli(i) / i
 
 
 def euler_char_congruence(k: int, n: int) -> int:
@@ -231,21 +207,6 @@ def mat_mul(a, b, n: int):
 def mat_mod(a, n: int):
     return tuple(tuple(x % n for x in row) for row in a)
 
-def mat_det(a) -> int:
-    """Integer determinant by Laplace expansion (sizes here are tiny)."""
-    size = len(a)
-    if size == 1:
-        return a[0][0]
-    if size == 2:
-        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    total = 0
-    rest = a[1:]
-    for j in range(size):
-        minor = tuple(row[:j] + row[j + 1:] for row in rest)
-        term = a[0][j] * mat_det(minor)
-        total += term if j % 2 == 0 else -term
-    return total
-
 
 def symplectic_form(u, v, n: int) -> int:
     """t(u) J v mod n for the antidiagonal J: +1 on the upper half of the
@@ -279,38 +240,40 @@ def similitude(g, n: int):
 
 
 def similitudes(keys, size: int, n: int) -> list:
-    """``similitude`` of each size x size matrix given by its key (entries
-    in [0, n), as ``_brute_force_cached`` gives them) wherever its factor is
-    a unit, element for element, for any list of keys and any even size.
+    """``similitude`` of the transpose of each size x size matrix given by
+    its key (entries in [0, n), as ``_brute_force_cached`` gives them),
+    element for element, for any list of keys and any even size.
 
     A key's row codes are its base-n^size digits, first row most
-    significant, read as its top and bottom halves of rows: the half with
-    code h is entry h of ``_vectors(size // 2, n^size)``.  They are checked
-    for g J t(g) = c J on ``_form_table``, which the enumeration already
-    built: c is the form on the first and last rows, the other partner
-    pairs (i, 2d-1-i) must give c and every other pair 0.  Partners lie in
-    different halves, so every pair inside a half must give 0; one table
-    per call holds each half's rows, or None where such a pair fails.  The
-    keys are walked in runs that share their top half, found by
-    ``bisect_left`` (a run with a key outside that top half is cut to its
-    first key, so unsorted keys are read correctly too).  A run looks its
-    top half up once and reads its rows' form rows once; each key looks up
-    its bottom half and compares only the pairs across the two halves.
-    GSp is closed under transpose, so for a unit c this is t(g) J g = c J.
-    A non-unit factor is the caller's to refuse.
+    significant.  At half sizes above 2, which no enumeration under
+    ``DEFAULT_CAP`` reaches, each key's rows are read from its digits and
+    its transpose is checked alone.  At half sizes 1 and 2 the rows are read
+    as the key's top and bottom halves: the half with code h is entry h of
+    ``_vectors(size // 2, n^size)``.  They are checked for g J t(g) = c J on
+    ``_form_table``, which the enumeration already built: c is the form on
+    the first and last rows, the other partner pairs (i, 2d-1-i) must give c
+    and every other pair 0.  Partners lie in different halves, so the pair
+    inside a half of two rows must give 0; one table per call holds each
+    half's rows, or None where that pair fails.  The keys are walked in runs
+    that share their top half, found by ``bisect_left`` (a run with a key
+    outside that top half is cut to its first key, so unsorted keys are read
+    correctly too).  A run looks its top half up once and reads its rows'
+    form rows once; each key looks up its bottom half and compares only the
+    pairs across the two halves.  GSp is closed under transpose, so for a
+    unit c this is t(g) J g = c J.  A non-unit factor is the caller's to
+    refuse.
     """
-    table, half, base = _form_table(size, n), size // 2, n ** size
-    split = base ** half
+    half, base = size // 2, n ** size
+    if half > 2:
+        vecs = _vectors(size, n)
+        powers = [base ** (size - 1 - i) for i in range(size)]
+        return [similitude(tuple(zip(*[vecs[key // p % base] for p in powers])), n)
+                for key in keys]
+    table, split = _form_table(size, n), base ** half
     if half == 2:
         halves = [None if table[u][v] else (u, v) for u, v in _vectors(2, base)]
-    else:
-        inner = tuple(itertools.combinations(range(half), 2))
-        halves = [None if any(table[rows[i]][rows[j]] for i, j in inner) else rows
-                  for rows in _vectors(half, base)]
-    # (top row i, bottom row j, whether they are partners), but for the
-    # pair of the first and last rows, whose form is c itself
-    cross = tuple((i, j, i + j == half - 1) for i in range(half)
-                  for j in range(half) if (i, j) != (0, half - 1))
+    else:  # one row a half
+        halves = _vectors(1, base)
     out, start = [], 0
     append = out.append
     while start < len(keys):
@@ -325,7 +288,7 @@ def similitudes(keys, size: int, n: int) -> list:
         elif half == 1:
             row = table[tops[0]]
             out.extend([row[key - lo] for key in run])
-        elif half == 2:
+        else:
             row0, row1 = table[tops[0]], table[tops[1]]
             for rows in map(halves.__getitem__, map(sub, run, itertools.repeat(lo))):
                 if rows is None:
@@ -334,17 +297,6 @@ def similitudes(keys, size: int, n: int) -> list:
                 b2, b3 = rows
                 c = row0[b3]
                 append(None if row0[b2] or row1[b3] or row1[b2] != c else c)
-        else:
-            forms = [table[t] for t in tops]
-            for rows in map(halves.__getitem__, map(sub, run, itertools.repeat(lo))):
-                c = None
-                if rows is not None:
-                    c = forms[0][rows[-1]]
-                    for i, j, partner in cross:
-                        if forms[i][rows[j]] != (c if partner else 0):
-                            c = None
-                            break
-                append(c)
     return out
 
 
@@ -367,17 +319,6 @@ def _unit(x: int, n: int) -> bool:
 def units(n: int) -> tuple:
     """The units mod n, increasing."""
     return tuple(u for u in range(1, n) if _unit(u, n))
-
-
-def _scan_linear(k: int, n: int, det_filter) -> list:
-    """Keys of the k x k matrices whose determinant mod n passes
-    ``det_filter``.  Rows are drawn from ``_vectors(k, n)`` in product
-    order, so the i-th matrix scanned has key i."""
-    if n ** (k * k) > _SCAN_GUARD:
-        raise ScopeError(f"scan space {n}^{k*k} exceeds the guard {_SCAN_GUARD}")
-    return [key for key, flat in enumerate(
-                itertools.product(_vectors(k, n), repeat=k))
-            if det_filter(mat_det(flat) % n)]
 
 
 @lru_cache(maxsize=None)
@@ -434,7 +375,8 @@ def _form_table(size: int, n: int) -> tuple:
 
 
 def _enumerate_symplectic(d: int, n: int, sim: int | None) -> list:
-    """Keys of all g with t(g) J g = c J; c = sim if given, else any unit.
+    """Keys of all g with t(g) J g = c J; c = sim if given (a unit), else
+    any unit.
 
     Columns are filled in partner pairs (i, 2d-1-i): inside a pair the
     form must be c, across pairs it must vanish; everything else is free.
@@ -452,8 +394,6 @@ def _enumerate_symplectic(d: int, n: int, sim: int | None) -> list:
     size = 2 * d
     if n ** size > _SCAN_GUARD // 10:
         raise ScopeError(f"column space {n}^{size} too large for backtracking")
-    if sim is not None and not _unit(sim, n):
-        return []
     spread = _column_spread(size, n)
     factors = frozenset(units(n) if sim is None else [sim % n])
     table = _form_table(size, n)
@@ -494,27 +434,17 @@ def _enumerate_symplectic(d: int, n: int, sim: int | None) -> list:
 def _brute_force_cached(kind: GroupKind, n: int, cap: int) -> tuple:
     """(keys, size): the sorted keys of kind over Z/n, checked, and the size
     of its matrices (1 for GSp_0, the similitude torus)."""
+    fam, size = kind.family, kind.param
+    if fam not in ("Sp", "GSp"):
+        raise InputError(f"brute-force enumeration covers Sp and GSp, not {fam}")
     expected = _order_any_level(kind, n)
     if expected > cap:
-        raise ScopeError(
-            f"|{kind.family}({kind.param}) over Z/{n}| = {expected} exceeds cap {cap}")
-    fam, size = kind.family, kind.param
-    if fam in ("GL", "SL"):
-        if size == 0:
-            keys = [0]  # the empty matrix
-        else:
-            want = (lambda det: _unit(det, n)) if fam == "GL" else (
-                lambda det: det % n == 1)
-            keys = _scan_linear(size, n, want)
-    elif fam in ("Sp", "GSp"):
-        if size == 0:
-            # GSp_0 is the similitude torus GL_1 (1 x 1 matrices); Sp_0 is trivial.
-            size, keys = (1, list(units(n))) if fam == "GSp" else (0, [0])
-        else:
-            keys = _enumerate_symplectic(size // 2, n,
-                                         1 if fam == "Sp" else None)
+        raise ScopeError(f"|{fam}({size}) over Z/{n}| = {expected} exceeds cap {cap}")
+    if size == 0:
+        # GSp_0 is the similitude torus GL_1 (1 x 1 matrices); Sp_0 is trivial.
+        size, keys = (1, list(units(n))) if fam == "GSp" else (0, [0])
     else:
-        raise InputError(f"unknown group family {fam!r}")
+        keys = _enumerate_symplectic(size // 2, n, 1 if fam == "Sp" else None)
     # Keys order matrices as their tuples of rows do, so strictly increasing
     # sorted keys mean a duplicate-free enumeration, whose count must be the
     # order; both are checked before any matrix is built.
@@ -527,12 +457,13 @@ def _brute_force_cached(kind: GroupKind, n: int, cap: int) -> tuple:
 
 
 def brute_force_group(kind: GroupKind, n: int, cap: int = DEFAULT_CAP):
-    """Exhaustive, duplicate-free, canonically sorted enumeration.
+    """Exhaustive, duplicate-free, canonically sorted enumeration of Sp or
+    GSp over Z/n; GL and SL are refused.
 
-    The enumeration uses only the defining equations (unit determinant,
-    respectively the symplectic-similitude identity); it is checked to be
-    duplicate-free and its cardinality to be the closed-form order, also
-    under ``python -O``, so a discrepancy in either direction fails loudly.
+    The enumeration uses only the symplectic-similitude identity; it is
+    checked to be duplicate-free and its cardinality to be the closed-form
+    order, also under ``python -O``, so a discrepancy in either direction
+    fails loudly.
     """
     if not (is_int(n) and n >= 2):
         raise InputError(f"modulus must be an integer >= 2, got {n!r}")

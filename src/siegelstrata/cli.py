@@ -4,10 +4,10 @@ Each subcommand is one row of ``COMMANDS``.  A well-formed request is read
 straight from its row into a ``SimpleNamespace``; argparse is imported only
 for help, ``--version`` with more arguments, and usage errors.  ``run`` maps
 the namespace to a payload ``{"meta": {...}, "result": {...}}`` with all
-leaf values pre-rendered as strings (large integers survive any JSON
-reader), and the payload is serialized as canonical JSON (sorted keys,
-two-space indent: the bytes of ``json.dumps``, written without importing
-``json``) or as TSV.
+leaf values pre-rendered as printable-ASCII strings (large integers survive
+any JSON reader), and the payload is serialized as canonical JSON (sorted
+keys, two-space indent: the bytes of ``json.dumps``, written without
+importing ``json``) or as TSV.
 
 Exit codes: 0 success, 2 malformed input, 3 request outside the supported
 computational range, 141 stdout closed by its reader.
@@ -498,30 +498,16 @@ def parse_args(argv=None) -> SimpleNamespace:
 # ---------------------------------------------------------------------------
 # serialization
 
-# the escapes of json.dumps with ensure_ascii; other characters outside
-# " " to "~" (control characters, DEL, non-ASCII) become \uXXXX
-_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t",
-            "\b": "\\b", "\f": "\\f"}
-
-
-def _escape(c: str) -> str:
-    if c in _ESCAPES:
-        return _ESCAPES[c]
-    if " " <= c <= "~":
-        return c
-    n = ord(c)
-    if n > 0xFFFF:  # a surrogate pair
-        n -= 0x10000
-        return f"\\u{0xD800 | n >> 10:04x}\\u{0xDC00 | n & 0x3FF:04x}"
-    return f"\\u{n:04x}"
-
-
 def _quote(s: str) -> str:
+    """s in quotes, as json.dumps writes it: a payload's strings are
+    printable ASCII without a quote or a backslash, which need no escape."""
     try:
         plain = s.isascii() and s.isprintable() and '"' not in s and "\\" not in s
     except AttributeError:  # a key that is not a str
         raise TypeError(f"a payload key is a str, not {type(s).__name__}") from None
-    return f'"{s}"' if plain else '"' + "".join(map(_escape, s)) + '"'
+    if not plain:
+        raise TypeError(f"a payload string needs no JSON escape, got {s!r}")
+    return f'"{s}"'
 
 
 def _json(value, pad: str) -> str:
@@ -610,7 +596,3 @@ def entry() -> "NoReturn":
         os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
         os._exit(141)
     os._exit(code)
-
-
-if __name__ == "__main__":
-    entry()

@@ -8,11 +8,13 @@ inventories by block membership, the Weyl group as signed permutations
 action on those permutations, the subgroup orders by their product
 formula, the congruence kernel by counting a literal closure, a subgroup
 closure by dense matrix products, the symplectic groups by column-pair
-backtracking over tuples, the weighted restriction as a sum of chain
-terms, and Levi dimensions as products of Fraction factors.  The Hecke
-transfer matrix is tabulated literally: both levels enumerated and
-partitioned, and both coordinates of every level-m class found by an
-orbit walk at level n.
+backtracking over tuples, GL_k and SL_k by a scan of all k x k matrices
+kept by their Laplace determinant, the Bernoulli numbers and the zeta
+values at negative integers by their recurrence in fractions, the weighted
+restriction as a sum of chain terms, and Levi dimensions as products of
+Fraction factors.  The Hecke transfer matrix is tabulated literally: both
+levels enumerated and partitioned, and both coordinates of every level-m
+class found by an orbit walk at level n.
 """
 
 import itertools
@@ -294,6 +296,46 @@ def enumerate_symplectic(d: int, n: int, sim: int | None) -> list:
     place_pair(0, None if sim is None else sim % n,
                list(itertools.product(range(n), repeat=size)))
     return out
+
+
+def det(a) -> int:
+    """Integer determinant by Laplace expansion along the first row (1 for
+    the empty matrix)."""
+    if not a:
+        return 1
+    rest = a[1:]
+    return sum((-1) ** j * x * det(tuple(row[:j] + row[j + 1:] for row in rest))
+               for j, x in enumerate(a[0]))
+
+
+def enumerate_linear(kind, n: int) -> tuple:
+    """GL_k(Z/n) (unit determinant) or SL_k(Z/n) (determinant 1), sorted:
+    every k x k matrix over Z/n in lexicographic order, kept by its
+    determinant."""
+    k = kind.param
+    if n ** (k * k) > _SCAN_GUARD:
+        raise ScopeError(f"scan space {n}^{k * k} exceeds the guard {_SCAN_GUARD}")
+    keep = (lambda x: _unit(x, n)) if kind.family == "GL" else (lambda x: x % n == 1)
+    rows = itertools.product(range(n), repeat=k)
+    return tuple(g for g in itertools.product(tuple(rows), repeat=k) if keep(det(g)))
+
+
+@lru_cache(maxsize=None)
+def bernoulli(j: int) -> Fraction:
+    """Bernoulli number B_j (B_1 = -1/2), from sum_{k<=j} C(j+1, k) B_k = 0."""
+    if j == 0:
+        return Fraction(1)
+    total = Fraction(0)
+    binom = 1
+    for k in range(j):
+        total += binom * bernoulli(k)
+        binom = binom * (j + 1 - k) // (k + 1)
+    return -total / (j + 1)
+
+
+def zeta_negative(i: int) -> Fraction:
+    """zeta(1 - i) = -B_i / i for i >= 2 (vanishes for odd i >= 3)."""
+    return -bernoulli(i) / i
 
 
 def restrict_weighted_via_expansion(ctx, profile, lam, r) -> SymbolicClass:

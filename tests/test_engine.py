@@ -10,7 +10,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import restrict_weighted_via_expansion, signed_dot_action, weyl_table
+from oracles import (restrict_weighted_via_expansion, signed_dot_action,
+                     weyl_table, zeta_negative)
 from siegelstrata import (Chain, ClassTerm, InputError, Sp,
                           SymbolicClass, Weight, build_context, central_weight,
                           chain_bounds_for_profile, chain_term,
@@ -18,8 +19,7 @@ from siegelstrata import (Chain, ClassTerm, InputError, Sp,
                           euler_evaluate, expansion_terms, graded_report,
                           group_order, ic_profiles, lie_n_cohomology,
                           parabolic_data, restrict_ic, restrict_weighted,
-                          strata_count, torus_pairing, truncate, weyl_dim,
-                          zeta_negative)
+                          strata_count, torus_pairing, truncate, weyl_dim)
 from siegelstrata.grouptheory import _kept_orbit, weyl_group
 from siegelstrata.reps import GradedVirtualRep, Summand, pairings
 

@@ -81,13 +81,10 @@ def _unreferenced(modules: dict[str, str], refs: Counter) -> list[str]:
 
 # The README documents GL/SL/Sp/GSp as the families whose orders the package
 # computes; GL and Sp are that public API although no calculator path uses them.
-# So are the zeta values at nonpositive integers: the Euler factors take the
-# two that enter them as integers, and zeta_negative stays exported.  So is
-# torus_pairing, the documented one-index form of reps.pairings: truncate reads
-# all pairings of a summand at once, and the tests check the S_s
+# So is torus_pairing, the documented one-index form of reps.pairings: truncate
+# reads all pairings of a summand at once, and the tests check the S_s
 # normalization through it.
-API_ONLY = {"arith.py:GL", "arith.py:Sp", "arith.py:zeta_negative",
-            "reps.py:torus_pairing"}
+API_ONLY = {"arith.py:GL", "arith.py:Sp", "reps.py:torus_pairing"}
 
 
 def _calculator_refs() -> tuple[dict[str, str], Counter]:
@@ -127,6 +124,39 @@ def test_check_flags_a_public_name_only_its_own_body_uses():
     refs += _references(ast.parse("LAYERS = [('m', 'dead')]"), strings=True)
     assert _unreferenced({"m.py": source}, refs) == [
         "m.py:spare", "m.py:C.gone", "m.py:C.sub"]
+
+
+def _imported_modules(source: str) -> set[str]:
+    """The modules that source imports, at any depth of its tree."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            out.add(node.module)
+    return out
+
+
+def test_no_package_module_imports_fractions():
+    # the package works in integers; the Bernoulli numbers and zeta values
+    # in fractions are test oracles (tests/oracles.py)
+    assert _imported_modules("def f():\n    from fractions import Fraction\n") == {"fractions"}
+    assert [p.name for p in sorted(SRC.glob("*.py"))
+            if "fractions" in _imported_modules(p.read_text())] == []
+
+
+def test_linear_group_oracle_reads_its_own_determinant():
+    # GL_k and SL_k are enumerated in tests/oracles.py alone: the scan keeps
+    # a matrix by the oracles' own Laplace determinant and takes from the
+    # package only the scan guard, the unit test and the error type
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text())
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    imported = {a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                and node.module.split(".")[0] == "siegelstrata" for a in node.names}
+    scan = _references(defs["enumerate_linear"])
+    assert scan["det"] and "det" not in imported
+    assert set(scan) & imported == {"_SCAN_GUARD", "_unit", "ScopeError"}
+    assert not set(_references(defs["det"])) & imported
 
 
 def _value_types(source: str) -> list[ast.ClassDef]:
@@ -177,7 +207,7 @@ def _traced_modules() -> set[str]:
 def test_cli_import_graph():
     # Every request is a fresh process, so the CLI's import is paid each time:
     # dataclasses (and the inspect, ast, dis and tokenize it pulls in) stays out,
-    # and so do fractions and decimal (only Bernoulli numbers need them), json
+    # and so do fractions and decimal (the package works in integers), json
     # (the CLI writes its JSON itself) and __future__ (annotations are
     # evaluated as written), while each module the tracer wraps must already
     # be loaded.
