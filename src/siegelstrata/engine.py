@@ -60,17 +60,11 @@ class ClassTerm(Value):
     S: tuple[int, ...]
     module: GradedVirtualRep
 
-    def __new__(cls, coefficient, S, module):
-        return _new(cls, (coefficient, S, module))
-
 
 class SymbolicClass(Value):
     """Formal integer combination of ClassTerms, canonically ordered."""
 
     terms: tuple[ClassTerm, ...]
-
-    def __new__(cls, terms):
-        return _new(cls, (terms,))
 
     @staticmethod
     def build(terms) -> "SymbolicClass":

@@ -21,8 +21,7 @@ import itertools
 import math
 from functools import lru_cache
 
-from .errors import (InputError, Value, check_genus, check_index, check_level,
-                     is_int)
+from .errors import InputError, Value, check_genus, check_level, is_int
 from .reps import Weight
 
 MAX_DEFAULT_GENUS = 6  # 2^d * d! grows fast: |W| = 46,080 at d = 6
@@ -83,31 +82,30 @@ def _kept_orbit(r: int, shifted, profile) -> list:
     return out
 
 
-def weyl_group(d: int, r: int = 0) -> WeylTable:
-    """(length, descent mask, w(rho)) for each w with no descent below r.
+def weyl_group(d: int, S) -> WeylTable:
+    """(length, descent mask, w(rho)) for each w in W^S: the w whose
+    descents all lie in S, a non-empty subset of {0..d-1}.
 
     w(rho) determines w, with rho = (d, ..., 1): w sends e_i to +-e_p where
-    w(rho)[p] = +-rho_i.  r = 0 gives all 2^d * d! signed permutations; in
-    general these are the w that can lie in a W^S with min S = r,
-    2^(d-r) * d!/r! of them: w(rho) ends in r positive decreasing entries,
-    after a signed arrangement of the other d - r values.  They are the
-    ``_kept_orbit`` walk at rho with cuts that never bind.  However r is
-    passed, one (d, r) is built and cached once.
+    w(rho)[p] = +-rho_i.  S = range(d) gives all 2^d * d! signed
+    permutations.  The rows are the ``_kept_orbit`` walk at rho with +inf
+    at the indices of S above min S and -inf elsewhere, which keeps exactly
+    W^S; however S is passed, one (d, S) is built and cached once.
     """
-    return _weyl_group(d, r)
-
-
-@lru_cache(maxsize=None)
-def _weyl_group(d: int, r: int) -> WeylTable:
     check_genus(d, MAX_DEFAULT_GENUS)
-    check_index(r, d)
-    cuts = (-math.inf,) * (r + 1) + (math.inf,) * (d - 1 - r)
+    return _kostant_reps(d, normalize_parabolic_set(d, S))
+
+
+# named for kostant_reps: bench/tracer.py reads the cache by this name
+@lru_cache(maxsize=None)
+def _kostant_reps(d: int, S: tuple[int, ...]) -> WeylTable:
+    cuts = [math.inf if s in S[1:] else -math.inf for s in range(d)]
     return tuple((length, desc, v) for length, desc, _, v
-                 in _kept_orbit(r, range(d, 0, -1), cuts))
+                 in _kept_orbit(S[0], range(d, 0, -1), cuts))
 
 
-weyl_group.cache_info = _weyl_group.cache_info
-weyl_group.cache_clear = _weyl_group.cache_clear
+weyl_group.cache_info = _kostant_reps.cache_info
+weyl_group.cache_clear = _kostant_reps.cache_clear
 
 
 @lru_cache(maxsize=None)
@@ -180,8 +178,9 @@ def normalize_parabolic_set(d: int, S) -> tuple[int, ...]:
     try:
         items = sorted(set(S))
     except TypeError:
-        items = None
-    if items is None or not all(map(is_int, items)):
+        raise InputError(
+            f"parabolic set must be an iterable of integers, got {S!r}") from None
+    if not all(map(is_int, items)):
         raise InputError(f"parabolic set must be an iterable of integers, got {S!r}")
     if not items:
         raise InputError("parabolic set must be non-empty")
@@ -245,19 +244,12 @@ def levi_weyl_order(pd: ParabolicData) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
-def _kostant_reps(d: int, S: tuple[int, ...]) -> WeylTable:
-    outside = ~sum(1 << s for s in S)
-    return tuple(w for w in weyl_group(d, S[0]) if not w[1] & outside)
-
-
 def kostant_reps(ctx: GroupContext, S) -> WeylTable:
     """Minimal-length representatives w with w^-1(Levi simple roots) positive,
     as the (length, descent mask, w(rho)) entries of ``weyl_group``.
 
     For dominant regular mu, these are exactly the w for which w(mu) is
     dominant regular for the Levi of P_S; there is one per coset, so their
-    number is weylOrder / |W_Levi|.  They are read from the table of
-    r = min S, whose w have no descent below r.
+    number is weylOrder / |W_Levi|.
     """
-    return _kostant_reps(ctx.d, normalize_parabolic_set(ctx.d, S))
+    return weyl_group(ctx.d, S)

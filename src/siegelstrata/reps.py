@@ -91,8 +91,7 @@ def torus_pairing(mu: Weight, s: int) -> int:
 
 def is_dominant(mu: Weight) -> bool:
     """Dominance for GSp_2d: a_1 >= a_2 >= ... >= a_d >= 0 (m0 unconstrained)."""
-    a = mu.a
-    return all(a[i] >= a[i + 1] for i in range(len(a) - 1)) and (not a or a[-1] >= 0)
+    return _cut_is_dominant((mu.a,))
 
 
 def check_dominant(mu: Weight) -> Weight:
@@ -198,9 +197,6 @@ class GradedVirtualRep(Value):
     """Integer combination of (degree, Levi highest weight) pairs, canonically sorted."""
 
     summands: tuple[Summand, ...]
-
-    def __new__(cls, summands):
-        return _new(cls, (summands,))
 
     @staticmethod
     def build(summands: Iterable[Summand]) -> "GradedVirtualRep":

@@ -11,7 +11,6 @@ from oracles import (coxeter_length, inverse_apply, levi_roots,
 from siegelstrata import (InputError, LevelError, ScopeError,
                           Weight, build_context, kostant_reps,
                           parabolic_data, weyl_group)
-from siegelstrata import grouptheory
 from siegelstrata.grouptheory import (_kept_orbit, levi_weyl_order,
                                      normalize_parabolic_set, positive_roots)
 
@@ -22,7 +21,7 @@ def _rho(d):
 
 def test_weyl_group_orders():
     for d, order in [(1, 2), (2, 8), (3, 48), (4, 384)]:
-        group = weyl_group(d)
+        group = weyl_group(d, range(d))
         assert len(group) == order == 2 ** d * math.factorial(d)
         assert len(set(group)) == order
 
@@ -31,10 +30,10 @@ def test_identity_and_longest():
     # the identity is w(rho) = rho, of length 0 and no descent; w0 = -1 is
     # w(rho) = -rho, of length d^2 with every descent; both are unique
     for d in (1, 2, 3):
-        by_vector = {v: (length, mask) for length, mask, v in weyl_group(d)}
+        by_vector = {v: (length, mask) for length, mask, v in weyl_group(d, range(d))}
         assert by_vector[_rho(d)] == (0, 0)
         assert by_vector[tuple(-x for x in _rho(d))] == (d * d, (1 << d) - 1)
-        lengths = [length for length, _, _ in weyl_group(d)]
+        lengths = [length for length, _, _ in weyl_group(d, range(d))]
         assert lengths.count(0) == lengths.count(d * d) == 1
 
 
@@ -53,7 +52,7 @@ def test_length_counts_sent_negatives(d):
     # length = number of positive roots sent negative; the image a-vector of
     # any root is again of root shape, so first-nonzero decides the sign
     ctx = build_context(d, 3)
-    for length, _, v in weyl_group(d):
+    for length, _, v in weyl_group(d, range(d)):
         w = _action(v)
         assert w(_rho(d)) == v
         sent = 0
@@ -182,30 +181,30 @@ def test_kostant_reps_minimal_length_property(request, ctx_name):
             assert Counter(reps) == Counter(expected), S
 
 
-def test_kostant_reps_read_only_the_table_of_min_S(monkeypatch):
-    # W^{5} at d = 6 has 12 elements, all in weyl_group(6, 5) (12 entries);
-    # the 46,080-entry weyl_group(6) is never asked for
-    calls = []
-    original = grouptheory.weyl_group
-
-    def recording(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(grouptheory, "weyl_group", recording)
-    reps = grouptheory._kostant_reps.__wrapped__(6, (5,))
-    assert calls == [(6, 5)]
-    assert len(reps) == 12 == len(original(6, 5))
+def test_kostant_reps_build_only_W_S():
+    # W^{0} at d = 6 has 64 elements; they are the one cache entry, and the
+    # 46,080-element whole group is never built
+    weyl_group.cache_clear()
+    reps = kostant_reps(build_context(6, 3), (0,))
+    assert len(reps) == 64 and reps is weyl_group(6, (0,))
+    info = weyl_group.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
 
 @pytest.mark.parametrize("d,r", [(d, r) for d in range(1, 7) for r in range(d)])
 def test_weyl_table_is_the_weyl_group_filter(d, r):
-    # weyl_group(d, r) holds exactly the signed permutations with no descent
-    # below r, each once, with the reference's length and descent mask
-    expected = Counter(row[1:] for row in weyl_table(d) if not row[2] & ((1 << r) - 1))
-    table = weyl_group(d, r)
-    assert len(table) == 2 ** (d - r) * math.factorial(d) // math.factorial(r)
-    assert Counter(table) == expected
+    # for every S with min S = r, weyl_group(d, S) holds exactly the signed
+    # permutations whose descents lie in S, each once, with the reference's
+    # length and descent mask; S = range(r, d) gives 2^(d-r) * d!/r! of them
+    table = weyl_table(d)
+    for size in range(d - r):
+        for rest in itertools.combinations(range(r + 1, d), size):
+            S = (r,) + rest
+            outside = ~sum(1 << s for s in S)
+            expected = Counter(row[1:] for row in table if not row[2] & outside)
+            assert Counter(weyl_group(d, S)) == expected, S
+    assert len(weyl_group(d, range(r, d))) == (
+        2 ** (d - r) * math.factorial(d) // math.factorial(r))
 
 
 def _mul(p, q):
@@ -260,15 +259,15 @@ def test_walk_poincare_polynomial_past_the_genus_guard(d, S):
     _poincare_law(d, S, [length for length, _, _, _ in rows])
 
 
-def test_weyl_group_is_built_once_per_d_r():
-    # r by default, by position or by keyword is one cache entry
-    assert weyl_group(6) is weyl_group(6, 0) is weyl_group(6, r=0)
+def test_weyl_group_is_built_once_per_d_S():
+    # S in any order or container, by position or by keyword, is one cache entry
+    assert weyl_group(6, range(6)) is weyl_group(6, S={5, 4, 3, 2, 1, 0})
 
 
 def test_weyl_table_guards():
     with pytest.raises(ScopeError):
-        weyl_group(7)
+        weyl_group(7, (0,))
     with pytest.raises(ScopeError):
-        weyl_group(7, 6)
+        weyl_group(7, (6,))
     with pytest.raises(InputError):
-        weyl_group(3, 3)
+        weyl_group(3, (3,))

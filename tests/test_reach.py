@@ -41,8 +41,6 @@ ALLOWED = {
     "engine.chain_term": (1, "a chain given as (s, a) pairs is wrapped in a Chain"),
     "engine.SymbolicClass.flatten": (1, "a multiplicity that cancels to 0, as in a "
                                         "summed chain expansion"),
-    "grouptheory.normalize_parabolic_set": (1, "an S that is not a set of integers "
-                                               "falls through to the raise"),
     "errors.Value.__repr__": (2, "Value contract: prints as Name(field=value, ...)"),
     "errors.Value.__getnewargs__": (1, "Value contract: copies and pickles through "
                                        "the constructor"),
