@@ -227,15 +227,17 @@ def similitude(g, n: int):
 
     Entry (i, j) of t(g) J g is the form on columns i and j.  The form is
     alternating, so the pairs i < j decide the identity: c is the form on
-    (col_0, col_{2d-1}), the other partner pairs (i, 2d-1-i) must give c
-    too, and all other pairs 0.  Takes any size and any integer entries,
-    and builds no table: this is the check for a single matrix.
+    (col_0, col_{2d-1}), the other partner pairs (i, j), i + j = 2d-1, must
+    give c too, and all other pairs 0.  Takes any size and any integer
+    entries, and builds no table: this is the check for a single matrix.
     """
     cols = tuple(zip(*g))
+    size = len(cols)
     c = symplectic_form(cols[0], cols[-1], n)
-    for i, j, partner in _column_pairs(len(cols)):
-        if symplectic_form(cols[i], cols[j], n) != (c if partner else 0):
-            return None
+    for i in range(size):
+        for j in range(i + 1, size):
+            if symplectic_form(cols[i], cols[j], n) != (c if i + j == size - 1 else 0):
+                return None
     return c
 
 
@@ -246,34 +248,31 @@ def similitudes(keys, size: int, n: int) -> list:
 
     A key's row codes are its base-n^size digits, first row most
     significant.  At half sizes above 2, which no enumeration under
-    ``DEFAULT_CAP`` reaches, each key's rows are read from its digits and
-    its transpose is checked alone.  At half sizes 1 and 2 the rows are read
-    as the key's top and bottom halves: the half with code h is entry h of
-    ``_vectors(size // 2, n^size)``.  They are checked for g J t(g) = c J on
-    ``_form_table``, which the enumeration already built: c is the form on
-    the first and last rows, the other partner pairs (i, 2d-1-i) must give c
-    and every other pair 0.  Partners lie in different halves, so the pair
-    inside a half of two rows must give 0; one table per call holds each
-    half's rows, or None where that pair fails.  The keys are walked in runs
-    that share their top half, found by ``bisect_left`` (a run with a key
-    outside that top half is cut to its first key, so unsorted keys are read
-    correctly too).  A run looks its top half up once and reads its rows'
-    form rows once; each key looks up its bottom half and compares only the
-    pairs across the two halves.  GSp is closed under transpose, so for a
-    unit c this is t(g) J g = c J.  A non-unit factor is the caller's to
-    refuse.
+    ``DEFAULT_CAP`` reaches, the keys are decoded (``_decode``) and each
+    transpose is checked alone.  At half sizes 1 and 2 the rows are checked
+    for g J t(g) = c J on ``_form_table``, which the enumeration already
+    built: c is the form on the first and last rows, the other partner
+    pairs (i, 2d-1-i) must give c and every other pair 0.  At half size 1
+    that is one entry, the form on the key's two row codes.  At half size 2
+    the rows are read as the key's top and bottom halves: the half with
+    code h is entry h of ``_vectors(2, n^size)``.  Partners lie in
+    different halves, so the pair inside a half must give 0; one table per
+    call holds each half's rows, or None where that pair fails.  The keys
+    are walked in runs that share their top half, found by ``bisect_left``
+    (a run with a key outside that top half is cut to its first key, so
+    unsorted keys are read correctly too).  A run looks its top half up
+    once and reads its rows' form rows once; each key looks up its bottom
+    half and compares only the pairs across the two halves.  GSp is closed
+    under transpose, so for a unit c this is t(g) J g = c J.  A non-unit
+    factor is the caller's to refuse.
     """
     half, base = size // 2, n ** size
     if half > 2:
-        vecs = _vectors(size, n)
-        powers = [base ** (size - 1 - i) for i in range(size)]
-        return [similitude(tuple(zip(*[vecs[key // p % base] for p in powers])), n)
-                for key in keys]
+        return [similitude(tuple(zip(*g)), n) for g in _decode(keys, size, n)]
     table, split = _form_table(size, n), base ** half
-    if half == 2:
-        halves = [None if table[u][v] else (u, v) for u, v in _vectors(2, base)]
-    else:  # one row a half
-        halves = _vectors(1, base)
+    if half == 1:
+        return [table[key // split][key % split] for key in keys]
+    halves = [None if table[u][v] else (u, v) for u, v in _vectors(2, base)]
     out, start = [], 0
     append = out.append
     while start < len(keys):
@@ -285,28 +284,16 @@ def similitudes(keys, size: int, n: int) -> list:
         tops = halves[lo // split]
         if tops is None:
             out.extend([None] * len(run))
-        elif half == 1:
-            row = table[tops[0]]
-            out.extend([row[key - lo] for key in run])
-        else:
-            row0, row1 = table[tops[0]], table[tops[1]]
-            for rows in map(halves.__getitem__, map(sub, run, itertools.repeat(lo))):
-                if rows is None:
-                    append(None)
-                    continue
+            continue
+        row0, row1 = table[tops[0]], table[tops[1]]
+        for rows in map(halves.__getitem__, map(sub, run, itertools.repeat(lo))):
+            if rows is None:
+                append(None)
+            else:
                 b2, b3 = rows
                 c = row0[b3]
                 append(None if row0[b2] or row1[b3] or row1[b2] != c else c)
     return out
-
-
-@lru_cache(maxsize=None)
-def _column_pairs(size: int):
-    """(i, j, whether j is i's partner 2d-1-i) for the column pairs i < j
-    other than (0, 2d-1), whose form is the factor c itself."""
-    return tuple((i, j, j == size - 1 - i)
-                 for i in range(size) for j in range(i + 1, size)
-                 if (i, j) != (0, size - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -341,14 +328,18 @@ def _column_spread(size: int, n: int) -> tuple:
 
 def _decode(keys, size: int, n: int) -> tuple:
     """The size x size matrices with these keys, as tuples of row tuples
-    sharing the rows of ``_vectors(size, n)``.  A key is read as its top and
-    bottom halves of rows, each looked up in the list of every such half
-    (at most 81^2 = 6,561 of them under the default cap, at GSp_4(Z/3))."""
+    sharing the rows of ``_vectors(size, n)``: the one reader of a key's
+    rows.  A key is read as its top and bottom halves of rows, base-n^size
+    codes of the rows in each; only the halves the keys use are decoded,
+    each once per call."""
     vecs = _vectors(size, n)
-    low = size // 2
-    split = len(vecs) ** low
-    top = tuple(itertools.product(vecs, repeat=size - low))
-    bottom = tuple(itertools.product(vecs, repeat=low))
+    base, low = len(vecs), size // 2
+
+    def halves(count: int) -> _Lazy:
+        powers = [base ** (count - 1 - i) for i in range(count)]
+        return _Lazy(lambda h: tuple([vecs[h // p % base] for p in powers]))
+
+    top, bottom, split = halves(size - low), halves(low), base ** low
     return tuple([top[key // split] + bottom[key % split] for key in keys])
 
 

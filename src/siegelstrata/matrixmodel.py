@@ -1,8 +1,14 @@
 """Explicit 2d x 2d matrix realizations: root vectors, and generators of
 the parabolic coset-counting subgroups built from them.
 
-Everything here backs the brute-force oracles.  The conventions match the
-antidiagonal form J of ``arith.symplectic_form``: for 1-indexed i < j <= d,
+Everything here backs the brute-force oracles.  One rule gives every root
+vector (Fulton-Harris, Representation Theory, 16.1): the matrix unit
+E_{p,q} (0-indexed) has torus weight chi_p - chi_q, where chi_p = e_p for
+p < d and chi_p = e_0 - e_{2d-1-p} otherwise.  A root's matrix is its first
+matrix unit in (p, q) order plus the partner unit (2d-1-q, 2d-1-p) with
+coefficient -eps_p * eps_q, eps = +1 on the first d coordinates and -1 on
+the rest, as in the antidiagonal form J of ``arith.symplectic_form``; for a
+long root the two units coincide.  Worked cases, for 1-indexed i < j <= d:
 
     e_i - e_j        |->  E_{i,j} - E_{2d+1-j, 2d+1-i}
     e_i + e_j - e_0  |->  E_{i,2d+1-j} + E_{j,2d+1-i}
@@ -14,41 +20,40 @@ conjugation weight of every root vector, are verified by the test suite
 before anything else trusts them.
 """
 
+import itertools
+from functools import lru_cache
+
 from .arith import units
 from .errors import InputError
 from .grouptheory import GroupContext, parabolic_data, positive_roots
 from .reps import Weight
 
 
+@lru_cache(maxsize=None)
+def _root_units(d: int) -> dict:
+    """{root: (p, q, c)}: the first matrix unit E_{p,q} in (p, q) order of
+    each weight chi_p - chi_q with p != q, and the coefficient c of its
+    partner unit.  Every such weight is a root of GSp_2d."""
+    eye = [Weight(tuple(int(i == p) for i in range(d))) for p in range(d)]
+    chi = eye + [Weight(e.neg().a, 1) for e in reversed(eye)]
+    table = {}
+    for p, q in itertools.permutations(range(2 * d), 2):
+        table.setdefault(chi[p].add(chi[q].neg()),
+                         (p, q, -1 if (p < d) == (q < d) else 1))
+    return table
+
+
 def root_matrix(d: int, root: Weight):
     """Integer nilpotent matrix spanning the root space of ``root``."""
+    unit = _root_units(d).get(root)
+    if unit is None:
+        raise InputError(f"not a root: {root}")
+    p, q, c = unit
     size = 2 * d
     m = [[0] * size for _ in range(size)]
-    support = [(i, x) for i, x in enumerate(root.a) if x]  # 0-indexed coords
-    if root.m0 == 0 and len(support) == 2:
-        (i, xi), (j, xj) = support
-        if xi == -1 and xj == 1:
-            (i, xi), (j, xj) = (j, xj), (i, xi)
-        if (xi, xj) != (1, -1):
-            raise InputError(f"not a root: {root}")
-        m[i][j] = 1
-        m[size - 1 - j][size - 1 - i] = -1
-    elif root.m0 == -1:
-        if len(support) == 1 and support[0][1] == 2:
-            i = support[0][0]
-            m[i][size - 1 - i] = 1
-        elif len(support) == 2 and all(x == 1 for _, x in support):
-            (i, _), (j, _) = support
-            m[i][size - 1 - j] = 1
-            m[j][size - 1 - i] = 1
-        else:
-            raise InputError(f"not a root: {root}")
-    elif root.m0 == 1:
-        # negative long/short roots: transpose of the positive partner
-        return tuple(zip(*root_matrix(d, root.neg())))
-    else:
-        raise InputError(f"not a root: {root}")
-    return tuple(tuple(row) for row in m)
+    m[p][q] = 1
+    m[size - 1 - q][size - 1 - p] = c
+    return tuple(map(tuple, m))
 
 
 def root_element(d: int, root: Weight, n: int):

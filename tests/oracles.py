@@ -2,8 +2,8 @@
 
 Each is written from its definition and shares no code path with the
 function it checks: the symplectic form and the cocharacter points as
-explicit matrices, conjugation scalars by literal division, root
-inventories by block membership, the Weyl group as signed permutations
+explicit matrices, conjugation scalars by literal division, root vectors
+by their shape, root inventories by block membership, the Weyl group as signed permutations
 (perm, signs) with lengths and descents counted on the roots, the dot
 action on those permutations, the subgroup orders by their product
 formula, the congruence kernel by counting a literal closure, a subgroup
@@ -11,10 +11,11 @@ closure by dense matrix products, the symplectic groups by column-pair
 backtracking over tuples, GL_k and SL_k by a scan of all k x k matrices
 kept by their Laplace determinant, the Bernoulli numbers and the zeta
 values at negative integers by their recurrence in fractions, the weighted
-restriction as a sum of chain terms, and Levi dimensions as products of
-Fraction factors.  The Hecke transfer matrix is tabulated literally: both
-levels enumerated and partitioned, and both coordinates of every level-m
-class found by an orbit walk at level n.
+restriction as a sum of chain terms, Levi dimensions as products of
+Fraction factors, and the isotropic flags of (Z/n)^{2d} by Taylor's count
+and Gaussian multinomials, lifted to p^e.  The Hecke transfer matrix is
+tabulated literally: both levels enumerated and partitioned, and both
+coordinates of every level-m class found by an orbit walk at level n.
 """
 
 import itertools
@@ -70,6 +71,40 @@ def torus_element(d: int, ts, c, n: int):
     return tuple(
         tuple((diag[i] % n) if i == j else 0 for j in range(size))
         for i in range(size))
+
+
+def root_matrix_by_shape(d: int, root: Weight):
+    """The root vector of ``root`` by its shape, for 0-indexed i < j < d:
+    E_{i,j} - E_{2d-1-j,2d-1-i} for e_i - e_j, E_{i,2d-1-j} + E_{j,2d-1-i}
+    for e_i + e_j - e_0, E_{i,2d-1-i} for 2e_i - e_0, and the transpose of
+    the positive partner for a negative root.  The weight's length is not
+    checked."""
+    size = 2 * d
+    m = [[0] * size for _ in range(size)]
+    support = [(i, x) for i, x in enumerate(root.a) if x]
+    if root.m0 == 0 and len(support) == 2:
+        (i, xi), (j, xj) = support
+        if xi == -1 and xj == 1:
+            (i, xi), (j, xj) = (j, xj), (i, xi)
+        if (xi, xj) != (1, -1):
+            raise InputError(f"not a root: {root}")
+        m[i][j] = 1
+        m[size - 1 - j][size - 1 - i] = -1
+    elif root.m0 == -1:
+        if len(support) == 1 and support[0][1] == 2:
+            i = support[0][0]
+            m[i][size - 1 - i] = 1
+        elif len(support) == 2 and all(x == 1 for _, x in support):
+            (i, _), (j, _) = support
+            m[i][size - 1 - j] = 1
+            m[j][size - 1 - i] = 1
+        else:
+            raise InputError(f"not a root: {root}")
+    elif root.m0 == 1:
+        return transpose(root_matrix_by_shape(d, root.neg()))
+    else:
+        raise InputError(f"not a root: {root}")
+    return tuple(tuple(row) for row in m)
 
 
 def conjugation_weight(g_diag, x):
@@ -366,4 +401,69 @@ def _gsp_dim(g: Sequence[int]) -> Fraction:
         out *= Fraction(l[i], m[i])
         for j in range(i + 1, r):
             out *= Fraction(l[i] ** 2 - l[j] ** 2, m[i] ** 2 - m[j] ** 2)
+    return out
+
+
+def _prime_powers(n: int) -> dict[int, int]:
+    """{p: e} for the prime powers p^e exactly dividing n, by trial division."""
+    out, p = {}, 2
+    while n > 1:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    return out
+
+
+def totient(n: int) -> int:
+    """Euler's phi(n), from the prime powers of n."""
+    out = 1
+    for p, e in _prime_powers(n).items():
+        out *= p ** (e - 1) * (p - 1)
+    return out
+
+
+def q_binomial(m: int, k: int, q: int) -> int:
+    """The Gaussian binomial [m choose k]_q: the k-subspaces of F_q^m."""
+    num = den = 1
+    for i in range(k):
+        num *= q ** (m - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def isotropic_subspace_count(d: int, k: int, p: int) -> int:
+    """Totally isotropic k-subspaces of a symplectic F_p^{2d} (Taylor, The
+    Geometry of the Classical Groups): [d choose k]_p * prod_{i<k} (p^{d-i} + 1)."""
+    out = q_binomial(d, k, p)
+    for i in range(k):
+        out *= p ** (d - i) + 1
+    return out
+
+
+def flag_blocks(d: int, S) -> list[int]:
+    """The GL block sizes of P_S: the gaps between neighbouring cuts d - s
+    (s in S) and 0, a composition of d - min(S)."""
+    cuts = sorted({0} | {d - s for s in S})
+    return [hi - lo for lo, hi in zip(cuts, cuts[1:])]
+
+
+def isotropic_flag_count(d: int, S, n: int) -> int:
+    """F: the isotropic S-flags of (Z/n)^{2d}, flags of free submodules
+    with steps ``flag_blocks(d, S)`` ending in a totally isotropic one of
+    rank k = d - min(S).  A product over p^e || n of Taylor's count, the
+    Gaussian multinomial of the blocks and p^{(e-1)D}, where D = 2k(d-k) +
+    k(k+1)/2 + sum_{i<j} b_i b_j is the dimension of the flag variety
+    (Hensel lifting from Z/p to Z/p^e)."""
+    blocks = flag_blocks(d, S)
+    k = sum(blocks)
+    dim = 2 * k * (d - k) + k * (k + 1) // 2 + sum(
+        a * b for a, b in itertools.combinations(blocks, 2))
+    out = 1
+    for p, e in _prime_powers(n).items():
+        out *= isotropic_subspace_count(d, k, p) * p ** ((e - 1) * dim)
+        rest = k
+        for b in blocks:
+            out *= q_binomial(rest, b, p)
+            rest -= b
     return out

@@ -148,6 +148,8 @@ def test_c4_coset_count_oracle_equivalence():
     assert double_coset_count_bruteforce(2, 3, 0, (0, 1)) == 4
 
 
+# The isotropic-flag law of test_strata.py reads 40 = 40 * 1 here: the 40
+# Lagrangian planes of F_3^4, times (phi(3)/2)^1 for the one GL block.
 @pytest.mark.xfail(reason="the stated expectation for r = 0 at (d, n) = "
                    "(2, 3) is 20; the closed form and the literal "
                    "enumeration both give 40, and they are what this "

@@ -6,6 +6,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -475,6 +476,19 @@ def test_matrix_keys_decode_and_order_as_tuples(size, n, data):
             spread[j][vecs.index(col)] for j, col in enumerate(zip(*m)))
     assert _decode([_row_major_key(g, n), _row_major_key(h, n)], size, n) == (g, h)
     assert (_row_major_key(g, n) < _row_major_key(h, n)) == (g < h)
+
+
+def test_decode_reads_only_the_halves_its_keys_use():
+    # one key at size 4, n = 6: a list of every half of rows would hold
+    # 6^8 = 1,679,616 entries, about 200 MB
+    tracemalloc.start()
+    try:
+        g = _decode([5], 4, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g == (((0, 0, 0, 0),) * 3 + ((0, 0, 0, 5),),)
+    assert peak < 1_000_000, peak
 
 
 def test_mat_det():

@@ -7,13 +7,15 @@ from itertools import accumulate
 
 import pytest
 
-from oracles import (conjugation_weight, j_form, levi_roots, s_cochar_matrix,
-                     torus_element, transpose, u_roots)
+from oracles import (conjugation_weight, j_form, levi_roots,
+                     root_matrix_by_shape, s_cochar_matrix, torus_element,
+                     transpose, u_roots)
 from siegelstrata import InputError, build_context, parabolic_data
 from siegelstrata.arith import identity_matrix, mat_mod, mat_mul, similitude
 from siegelstrata.matrixmodel import (parabolic_generators, root_element,
                                       root_matrix)
-from siegelstrata.reps import torus_pairing
+from siegelstrata.grouptheory import positive_roots
+from siegelstrata.reps import Weight, torus_pairing
 
 
 def _mat_mul_exact(a, b):
@@ -44,6 +46,30 @@ def test_root_matrices_are_symplectic_nilpotents(d):
         x = root_matrix(d, root)
         assert _is_zero(_mat_mul_exact(x, x)), root
         assert _is_zero(_lie_gsp_defect(d, x)), root
+
+
+# weights at d = 2 that are no root: the zero weight, 2e_1 and e_1 + e_2
+# with no e_0, and e_0 coefficients -2 and +2
+NOT_ROOTS = [Weight((0, 0), 0), Weight((2, 0), 0), Weight((1, 1), 0),
+             Weight((1, 1), -2), Weight((-1, -1), 2)]
+
+
+@pytest.mark.parametrize("root", NOT_ROOTS + [
+    Weight((0, 0, 1, -1), 0), Weight((1, -1, 0), 0)], ids=repr)
+def test_root_matrix_refuses_a_weight_that_is_no_root(root):
+    # the last two are roots of another genus, not of GSp_4
+    with pytest.raises(InputError, match="not a root"):
+        root_matrix(2, root)
+
+
+def test_root_matrix_is_the_table_of_shapes():
+    for d in range(1, 7):
+        for root in positive_roots(d):
+            for y in (root, root.neg()):
+                assert root_matrix(d, y) == root_matrix_by_shape(d, y), (d, y)
+    for root in NOT_ROOTS:
+        with pytest.raises(InputError, match="not a root"):
+            root_matrix_by_shape(2, root)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -18,7 +18,8 @@ from siegelstrata import (GSp, InputError, LevelError, ScopeError, build_context
                           double_coset_count, double_coset_count_bruteforce,
                           euler_phi, ic_profiles, strata_count,
                           strata_count_bruteforce, stratum_dims)
-from oracles import subgroup_order_formula
+from oracles import (flag_blocks, isotropic_flag_count, isotropic_subspace_count,
+                     j_form, q_binomial, subgroup_order_formula, totient)
 from siegelstrata import arith, strata
 from siegelstrata.arith import (DEFAULT_CAP, _brute_force_cached, _decode,
                                 brute_force_group, similitude,
@@ -148,6 +149,45 @@ def test_flag_count_is_a_multiple_of_each_stratum_count(d):
                 flags = strata_count(ctx, S[0]) * double_coset_count(ctx, S[0], S)
                 for s in S:
                     assert flags % strata_count(ctx, s) == 0, (n, S, s)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_strata_and_refinements_count_isotropic_flags(d):
+    # the level-n S-classes are the isotropic S-flags of (Z/n)^{2d}, each
+    # GL block carrying a volume form up to sign: phi(n)/2 of them
+    for n in range(3, 41):
+        ctx = build_context(d, n)
+        for size in range(1, d + 1):
+            for S in itertools.combinations(range(d), size):
+                blocks = flag_blocks(d, S)
+                assert strata_count(ctx, S[0]) * double_coset_count(ctx, S[0], S) == (
+                    isotropic_flag_count(d, S, n) * (totient(n) // 2) ** len(blocks)), (n, S)
+
+
+def _isotropic_subspaces(d: int, k: int, p: int) -> tuple[int, int]:
+    """(k-subspaces of F_p^{2d}, the totally isotropic ones), each subspace
+    met once as its reduced row-echelon basis."""
+    size, j = 2 * d, j_form(d)
+    candidates = isotropic = 0
+    for pivots in itertools.combinations(range(size), k):
+        free = [(i, c) for i, pivot in enumerate(pivots)
+                for c in range(pivot + 1, size) if c not in pivots]
+        for values in itertools.product(range(p), repeat=len(free)):
+            rows = [[int(c == pivot) for c in range(size)] for pivot in pivots]
+            for (i, c), x in zip(free, values):
+                rows[i][c] = x
+            candidates += 1
+            isotropic += all(
+                sum(u[a] * j[a][b] * v[b] for a in range(size) for b in range(size)) % p == 0
+                for u, v in itertools.combinations(rows, 2))
+    return candidates, isotropic
+
+
+@pytest.mark.parametrize("d, p", [(2, 3), (2, 5), (3, 3)])
+def test_taylor_count_is_the_enumeration(d, p):
+    for k in range(d + 1):
+        assert _isotropic_subspaces(d, k, p) == (
+            q_binomial(2 * d, k, p), isotropic_subspace_count(d, k, p)), k
 
 
 @pytest.mark.parametrize("n, index", [(3, 4), (4, 6)])
