@@ -210,13 +210,10 @@ def mat_mod(a, n: int):
 
 def symplectic_form(u, v, n: int) -> int:
     """t(u) J v mod n for the antidiagonal J: +1 on the upper half of the
-    antidiagonal, -1 on the lower half.
-
-    The one definition of the form.  ``similitude`` evaluates it on the
-    column pairs of the one matrix it checks; ``_form_row`` evaluates it on
-    unit vectors and fills the rows of ``_form_table`` by linearity."""
-    size = len(u)
-    s = 0
+    antidiagonal, -1 on the lower half.  The one definition of the form:
+    ``similitude`` evaluates it on the column pairs of the one matrix it
+    checks, ``_form_row`` on unit vectors, filling ``_form_table``."""
+    size, s = len(u), 0
     for i in range(size // 2):
         s += u[i] * v[size - 1 - i] - u[size - 1 - i] * v[i]
     return s % n
@@ -228,11 +225,12 @@ def similitude(g, n: int):
     Entry (i, j) of t(g) J g is the form on columns i and j.  The form is
     alternating, so the pairs i < j decide the identity: c is the form on
     (col_0, col_{2d-1}), the other partner pairs (i, j), i + j = 2d-1, must
-    give c too, and all other pairs 0.  Takes any size and any integer
-    entries, and builds no table: this is the check for a single matrix.
+    give c too, and all other pairs 0.  Takes any positive even size (size
+    0 and odd sizes are refused) and any integer entries, and builds no
+    table: this is the check for a single matrix.
     """
     cols = tuple(zip(*g))
-    size = len(cols)
+    size = _symplectic_size(len(cols))
     c = symplectic_form(cols[0], cols[-1], n)
     for i in range(size):
         for j in range(i + 1, size):
@@ -241,34 +239,38 @@ def similitude(g, n: int):
     return c
 
 
+def _symplectic_size(size) -> int:
+    """size, checked to be the positive even size of a symplectic matrix."""
+    if not (is_int(size) and size > 0 and size % 2 == 0):
+        raise InputError(f"a symplectic matrix has a positive even size, got {size!r}")
+    return size
+
+
 def similitudes(keys, size: int, n: int) -> list:
     """``similitude`` of the transpose of each size x size matrix given by
     its key (entries in [0, n), as ``_brute_force_cached`` gives them),
-    element for element, for any list of keys and any even size.
+    element for element, for any list of keys.  Size 0 and odd sizes are
+    refused (InputError), and sizes above 4, which no enumeration under
+    ``DEFAULT_CAP`` reaches, are out of scope (ScopeError).
 
-    A key's row codes are its base-n^size digits, first row most
-    significant.  At half sizes above 2, which no enumeration under
-    ``DEFAULT_CAP`` reaches, the keys are decoded (``_decode``) and each
-    transpose is checked alone.  At half sizes 1 and 2 the rows are checked
-    for g J t(g) = c J on ``_form_table``, which the enumeration already
-    built: c is the form on the first and last rows, the other partner
-    pairs (i, 2d-1-i) must give c and every other pair 0.  At half size 1
-    that is one entry, the form on the key's two row codes.  At half size 2
-    the rows are read as the key's top and bottom halves: the half with
-    code h is entry h of ``_vectors(2, n^size)``.  Partners lie in
-    different halves, so the pair inside a half must give 0; one table per
-    call holds each half's rows, or None where that pair fails.  The keys
-    are walked in runs that share their top half, found by ``bisect_left``
-    (a run with a key outside that top half is cut to its first key, so
-    unsorted keys are read correctly too).  A run looks its top half up
-    once and reads its rows' form rows once; each key looks up its bottom
-    half and compares only the pairs across the two halves.  GSp is closed
-    under transpose, so for a unit c this is t(g) J g = c J.  A non-unit
-    factor is the caller's to refuse.
+    A key's rows, its base-n^size digits, are checked for g J t(g) = c J
+    on the enumeration's ``_form_table``: c is the form on the first and
+    last rows, the other partner pairs must give c and every other pair 0.
+    At size 2 that is one entry, the form on the key's two row codes.  At
+    size 4 a key is its top and bottom halves of rows; the half with code
+    h is entry h of ``_vectors(2, n^4)``.  One table per call holds each
+    half's rows, or None where the pair inside the half fails (partners
+    lie in different halves).  The keys are walked in runs that share
+    their top half, found by ``bisect_left``; a run with a key outside that
+    half is cut to its first key, so unsorted keys are read correctly too.
+    A run looks its top half up once, and each key looks up its bottom
+    half and compares the pairs across the halves.  GSp is closed under
+    transpose, so for a unit c this is t(g) J g = c J; a non-unit factor
+    is the caller's to refuse.
     """
-    half, base = size // 2, n ** size
+    half, base = _symplectic_size(size) // 2, n ** size
     if half > 2:
-        return [similitude(tuple(zip(*g)), n) for g in _decode(keys, size, n)]
+        raise ScopeError(f"similitudes checks keys of size 2 or 4, not {size}")
     table, split = _form_table(size, n), base ** half
     if half == 1:
         return [table[key // split][key % split] for key in keys]
@@ -312,8 +314,7 @@ def units(n: int) -> tuple:
 def _vectors(size: int, n: int) -> tuple:
     """The n^size vectors over Z/n in lexicographic order, so that the
     vector with code c (its base-n digits, first entry most significant)
-    is entry c.  Decoded matrices share these tuples as their rows, and
-    with n = n'^size they are the halves of a key's row codes."""
+    is entry c; with n = n'^size they are the halves of a key's row codes."""
     return tuple(itertools.product(range(n), repeat=size))
 
 
@@ -327,17 +328,15 @@ def _column_spread(size: int, n: int) -> tuple:
 
 
 def _decode(keys, size: int, n: int) -> tuple:
-    """The size x size matrices with these keys, as tuples of row tuples
-    sharing the rows of ``_vectors(size, n)``: the one reader of a key's
-    rows.  A key is read as its top and bottom halves of rows, base-n^size
-    codes of the rows in each; only the halves the keys use are decoded,
-    each once per call."""
-    vecs = _vectors(size, n)
-    base, low = len(vecs), size // 2
+    """The size x size matrices with these keys, as tuples of row tuples:
+    the one code that builds matrices.  A key is its top and bottom halves
+    of rows, base-n^size row codes; only the halves the keys use are read,
+    each once per call, into the shared row tuples of ``_ColumnCodes.column``."""
+    column, base, low = _column_codes(size, n).column, n ** size, size // 2
 
     def halves(count: int) -> _Lazy:
         powers = [base ** (count - 1 - i) for i in range(count)]
-        return _Lazy(lambda h: tuple([vecs[h // p % base] for p in powers]))
+        return _Lazy(lambda h: tuple([column(h // p % base) for p in powers]))
 
     top, bottom, split = halves(size - low), halves(low), base ** low
     return tuple([top[key // split] + bottom[key % split] for key in keys])
@@ -348,8 +347,7 @@ def _form_row(u, n: int) -> tuple:
     code order: a row of ``_form_table``.  v -> t(u) J v is linear, so the
     row is built one digit of v at a time from the form on the unit
     vectors, each digit appending n shifted copies of the row so far."""
-    size = len(u)
-    row = [0]
+    size, row = len(u), [0]
     for k in range(size):
         f = symplectic_form(u, tuple(int(i == k) for i in range(size)), n)
         row = [(s + a * f) % n for s in row for a in range(n)]
@@ -372,9 +370,9 @@ def _enumerate_symplectic(d: int, n: int, sim: int | None) -> list:
     Columns are filled in partner pairs (i, 2d-1-i): inside a pair the
     form must be c, across pairs it must vanish; everything else is free.
     Each pair is drawn from the vectors orthogonal to every column placed
-    before it, the intersection of their orthogonal sets.  The choices for
-    the last pair depend only on those vectors and c, so they are listed
-    once for each.
+    before it, the intersection of their orthogonal sets, so the search
+    from pair k on depends only on k, the allowed form values and those
+    candidates: ``shares`` lists its key shares once per such triple.
 
     A column is its code in [0, N), N = n^{2d} (its index in
     ``_vectors``), and a matrix is its row-major key, the sum of the
@@ -386,39 +384,29 @@ def _enumerate_symplectic(d: int, n: int, sim: int | None) -> list:
     if n ** size > _SCAN_GUARD // 10:
         raise ScopeError(f"column space {n}^{size} too large for backtracking")
     spread = _column_spread(size, n)
-    factors = frozenset(units(n) if sim is None else [sim % n])
     table = _form_table(size, n)
     orth = _Lazy(lambda u: {v for v, f in enumerate(table[u]) if not f})
-    out, last = [], {}
 
-    def pair_sums(k: int, values, candidates) -> list:
-        """Key shares of the pairs (u, v) of candidates as columns
-        (k, 2d-1-k) whose form value is in values."""
-        first, partner = spread[k], spread[size - 1 - k]
-        sums = []
+    def search(k: int, values, candidates) -> list:
+        """Key shares of columns k..2d-1-k: pairs (u, v) of candidates
+        as columns (k, 2d-1-k) whose form value is in values, each with
+        the shares of the pairs after it."""
+        first, partner, out = spread[k], spread[size - 1 - k], []
         for u in candidates:
             row, head = table[u], first[u]
-            sums.extend([head + partner[v] for v in candidates
-                         if row[v] in values])
-        return sums
-
-    def place_pair(k: int, values, candidates, key: int):
-        if k + 1 == d:
-            memo = (frozenset(candidates), values)
-            if memo not in last:
-                last[memo] = pair_sums(k, values, candidates)
-            out.extend([key + s for s in last[memo]])
-            return
-        first, partner = spread[k], spread[size - 1 - k]
-        for u in candidates:
-            row, head = table[u], key + first[u]
             for v in candidates:
                 if row[v] in values:
-                    place_pair(k + 1, (row[v],), candidates & orth[u] & orth[v],
-                               head + partner[v])
+                    pair = head + partner[v]
+                    if k + 1 == d:
+                        out.append(pair)
+                    else:
+                        out.extend([pair + s for s in shares[
+                            k + 1, (row[v],), candidates & orth[u] & orth[v]]])
+        return out
 
-    place_pair(0, factors, set(range(n ** size)), 0)
-    return out
+    shares = _Lazy(lambda args: search(*args))
+    factors = frozenset(units(n) if sim is None else [sim % n])
+    return shares[0, factors, frozenset(range(n ** size))]
 
 
 @lru_cache(maxsize=None)
@@ -452,9 +440,8 @@ def brute_force_group(kind: GroupKind, n: int, cap: int = DEFAULT_CAP):
     GSp over Z/n; GL and SL are refused.
 
     The enumeration uses only the symplectic-similitude identity; it is
-    checked to be duplicate-free and its cardinality to be the closed-form
-    order, also under ``python -O``, so a discrepancy in either direction
-    fails loudly.
+    checked to be duplicate-free and of the closed-form order, also under
+    ``python -O``, so a discrepancy in either direction fails loudly.
     """
     if not (is_int(n) and n >= 2):
         raise InputError(f"modulus must be an integer >= 2, got {n!r}")
@@ -499,10 +486,6 @@ class _ColumnCodes:
 
     def encode(self, x) -> tuple:
         return tuple(map(self.code, zip(*x)))
-
-    def decode(self, x) -> tuple:
-        """The matrix with column codes x; its rows are shared vector tuples."""
-        return tuple(map(self.column, map(self.code, zip(*map(self.column, x)))))
 
     def key(self, x) -> int:
         """The matrix's key, its row-major base-n number: entry (i, j)
@@ -558,9 +541,10 @@ def _closure_codes(gens, n: int, cap: int = DEFAULT_CAP) -> frozenset:
 
 def subgroup_closure(gens, n: int, cap: int = DEFAULT_CAP):
     """BFS closure of generator matrices under multiplication mod n, as
-    matrices: ``_closure_codes``, decoded."""
+    matrices: ``_closure_codes``, decoded by their keys."""
     closure = _closure_codes(gens, n, cap)
-    return frozenset(map(_column_codes(len(gens[0]), n).decode, closure))
+    size = len(gens[0])
+    return frozenset(_decode(list(map(_column_codes(size, n).key, closure)), size, n))
 
 
 def left_orbits(universe, gens, n: int):
@@ -570,15 +554,16 @@ def left_orbits(universe, gens, n: int):
     is shared with every other closure or orbit at (size, n).  Only
     generators are needed; a generation gap makes orbits split visibly
     rather than silently merge."""
-    codes = _column_codes(len(next(iter(universe), ())), n)
+    size = len(next(iter(universe), ()))
+    codes = _column_codes(size, n)
     acts = [codes.action(g) for g in gens]
     remaining = set(map(codes.encode, universe))
-    reps: dict = {}
+    reps: dict = {}  # an orbit's least key: its size
     while remaining:
         orbit = _orbit(remaining.pop(), acts)
         remaining -= orbit
-        reps[codes.decode(min(orbit, key=codes.key))] = len(orbit)
-    return reps
+        reps[min(map(codes.key, orbit))] = len(orbit)
+    return dict(zip(_decode(list(reps), size, n), reps.values()))
 
 
 def orbit_canonical(x, gens, n: int, cap: int = DEFAULT_CAP):
@@ -587,4 +572,4 @@ def orbit_canonical(x, gens, n: int, cap: int = DEFAULT_CAP):
     x = mat_mod(x, n)
     codes = _column_codes(len(x), n)
     orbit = _orbit(codes.encode(x), [codes.action(g) for g in gens], cap)
-    return codes.decode(min(orbit, key=codes.key))
+    return _decode([min(map(codes.key, orbit))], len(x), n)[0]

@@ -201,11 +201,15 @@ def restrict_ic(ctx: GroupContext, lam: Weight,
 
 def chain_bounds_for_profile(lam: Weight, profile, indices) -> Chain:
     """Chain whose literal thresholds reproduce the shifted profile cuts:
-    a_s = s(s+1)/2 - profile[s] - m, so that -a_s + s(s+1)/2 = profile[s] + m."""
-    m = central_weight(lam)
+    a_s = s(s+1)/2 - profile[s] - m, so that -a_s + s(s+1)/2 = profile[s] + m.
+    The profile needs one threshold per parabolic index of lam, and each
+    index must be one of them."""
+    m, profile, indices = central_weight(lam), _check_profile(lam.d, profile), tuple(indices)
+    for s in indices:
+        check_index(s, lam.d)
     entries = []
     for s in sorted(set(indices), reverse=True):
-        p = _check_bound(profile[s])
+        p = profile[s]
         if p == math.inf:
             a: Bound = -math.inf
         elif p == -math.inf:

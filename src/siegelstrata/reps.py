@@ -60,6 +60,8 @@ class Weight(Value):
         return len(self.a)
 
     def add(self, other: "Weight") -> "Weight":
+        if other.d != self.d:
+            raise InputError(f"cannot add weights of lengths {self.d} and {other.d}")
         return Weight(tuple(x + y for x, y in zip(self.a, other.a)), self.m0 + other.m0)
 
     def neg(self) -> "Weight":

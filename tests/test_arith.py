@@ -271,6 +271,25 @@ def test_j_form_and_similitude():
     assert similitude(not_gsp, n) is None
 
 
+@pytest.mark.parametrize("g", [(), ((),), identity_matrix(1), identity_matrix(3),
+                               ((1, 0, 0), (0, 1, 0))])
+def test_similitude_refuses_size_0_and_odd_sizes(g):
+    # a symplectic form needs a positive even number of columns
+    with pytest.raises(InputError, match="positive even size"):
+        similitude(g, 3)
+
+
+@pytest.mark.parametrize("size, error, message", [
+    *[(size, InputError, "positive even size") for size in (0, 1, 3, 5, -2, True, 4.0)],
+    (6, ScopeError, "size 2 or 4, not 6"), (8, ScopeError, "size 2 or 4, not 8")])
+def test_similitudes_refuses_other_sizes(size, error, message):
+    # sizes above 4 are out of reach of every enumeration under DEFAULT_CAP,
+    # and no second check answers for them
+    for keys in ([], [0, 1, 100]):
+        with pytest.raises(error, match=message):
+            similitudes(keys, size, 3)
+
+
 @lru_cache(maxsize=None)
 def _scaled_j(size: int, c: int, n: int):
     """c J mod n for the antidiagonal J of ``j_form``."""
@@ -408,12 +427,16 @@ def _check_similitudes(rng, size: int, n: int, order: str):
 _ORDERS = st.sampled_from(["sorted", "shuffled", "as drawn", "runs of one"])
 
 
-# size 6: three rows a half, where each key is checked alone
+# size 6, three rows a half, is out of scope: the same draw is refused
 @pytest.mark.parametrize("size, n", [(2, n) for n in range(2, 13)] + [(4, 2), (4, 3), (6, 2)])
 @given(rng=st.randoms(use_true_random=False), order=_ORDERS)
 @settings(max_examples=25, deadline=None)
 def test_similitudes_is_the_similitude_of_each_transpose(size, n, rng, order):
-    _check_similitudes(rng, size, n, order)
+    if size > 4:
+        with pytest.raises(ScopeError, match="size 2 or 4, not 6"):
+            _check_similitudes(rng, size, n, order)
+    else:
+        _check_similitudes(rng, size, n, order)
 
 
 @pytest.mark.parametrize("size, n", [(2, n) for n in range(2, 13)] + [(4, 2), (4, 3)])
@@ -544,8 +567,7 @@ def test_column_code_action_is_the_matrix_product(case):
     codes = _ColumnCodes(len(g), n)
     cx = codes.encode(x)
     y = tuple(map(codes.action(g), cx))
-    assert codes.decode(y) == mat_mul(g, x, n)
-    assert codes.decode(cx) == x
+    assert _decode([codes.key(y), codes.key(cx)], len(g), n) == (mat_mul(g, x, n), x)
     # a code is its column's index in _vectors, and keys order as matrices
     if n ** len(g) <= 4096:
         assert cx == tuple(map(_vectors(len(g), n).index, zip(*x)))

@@ -386,6 +386,22 @@ def test_chain_bounds_for_profile():
     assert chain.entries == ((1, math.inf), (0, -math.inf))
 
 
+@pytest.mark.parametrize("profile, indices, message", [
+    ((0,), [1], "expected 2, got 1"),
+    ((0, 0, 0), [1], "expected 2, got 3"),
+    ((0, "x"), [0], "threshold must be an integer"),
+    ((0, 0), [2], "index 2 out of range"),
+    ((0, 0), [-1], "index -1 out of range"),
+    ((0, 0), [True], "index True out of range"),
+    ((0, 0), ["a", 1], "index 'a' out of range"),
+    ((0, 0), [[1]], r"index \[1\] out of range"),
+])
+def test_chain_bounds_for_profile_refuses_bad_input(profile, indices, message):
+    # one threshold per parabolic index of lam, and each index one of them
+    with pytest.raises(InputError, match=message):
+        chain_bounds_for_profile(Weight((0, 0)), profile, indices)
+
+
 # ---------------------------------------------------------------------------
 # the intersection-complex pair and its frozen Euler values
 

@@ -35,8 +35,8 @@ ALLOWED = {
     "arith._order_any_level": (3, "the GL and Sp orders, and SL_0, the trivial group"),
     "arith._brute_force_cached": (1, "GSp_0 is the similitude torus and Sp_0 is trivial"),
     "arith.similitude": (1, "a non-member gets None"),
-    "arith.similitudes": (5, "a non-member key gets None, unsorted keys are cut into "
-                             "runs of one, and half sizes above 2 are one _decode call"),
+    "arith.similitudes": (4, "a non-member key gets None, and unsorted keys are cut "
+                             "into runs of one"),
     "reps.torus_pairing": (2, "the documented one-index form of reps.pairings"),
     "engine.chain_term": (1, "a chain given as (s, a) pairs is wrapped in a Chain"),
     "engine.SymbolicClass.flatten": (1, "a multiplicity that cancels to 0, as in a "

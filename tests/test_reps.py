@@ -26,6 +26,13 @@ def test_weight_arithmetic():
     assert u.d == 2
 
 
+@pytest.mark.parametrize("a, b", [((1, 2), (1,)), ((1,), (1, 2)), ((), (0,))])
+def test_weight_add_refuses_another_length(a, b):
+    # zip would cut the longer weight short
+    with pytest.raises(InputError, match=f"lengths {len(a)} and {len(b)}"):
+        Weight(a).add(Weight(b))
+
+
 def test_central_weight_values():
     assert central_weight(Weight((1, 1), 0)) == 2
     assert central_weight(Weight((3,), -1)) == 1

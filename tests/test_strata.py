@@ -281,13 +281,14 @@ def test_d2_oracles_read_keys_not_matrices(monkeypatch):
                    _closure_for):
         cached.cache_clear()
     decoded = []
-    real = arith._ColumnCodes.decode
 
-    def counted(self, x):
-        decoded.append(x)
-        return real(self, x)
+    def counted(keys, size, n):
+        decoded.append(keys)
+        return _decode(keys, size, n)
 
-    monkeypatch.setattr(arith._ColumnCodes, "decode", counted)
+    # _decode builds every matrix: the group's, a closure's, an orbit's
+    monkeypatch.setattr(arith, "_decode", counted)
+    monkeypatch.setattr(strata, "_decode", counted)
     tracemalloc.start()
     try:
         assert strata_count_bruteforce(2, 3, 1) == 40
@@ -342,19 +343,40 @@ _FLAKY_GENERATOR = (
     "strata.similitude = flaky\n")
 
 
-@pytest.mark.parametrize("patch, call, message", [
-    (_TAMPER_AMBIENT, "similitude_image_bruteforce(2, 3)",
-     "fails the similitude identity"),
-    (_FLAKY_GENERATOR, "strata_count_bruteforce(1, 3, 0)", "is not in GSp_2(Z/3)"),
-], ids=["ambient-element", "closure-generator"])
-def test_similitude_checks_survive_optimize(patch, call, message):
+_IMPORT_WEIGHT = "from siegelstrata.reps import Weight\n"
+_IMPORT_CHAIN = (_IMPORT_WEIGHT +
+                 "from siegelstrata.engine import chain_bounds_for_profile\n")
+
+
+@pytest.mark.parametrize("patch, call, error, message", [
+    (_TAMPER_AMBIENT, "strata.similitude_image_bruteforce(2, 3)",
+     "ArithmeticError", "fails the similitude identity"),
+    (_FLAKY_GENERATOR, "strata.strata_count_bruteforce(1, 3, 0)",
+     "ArithmeticError", "is not in GSp_2(Z/3)"),
+    ("", "strata.similitude((), 3)", "InputError", "positive even size, got 0"),
+    ("", "strata.similitude(((1, 0, 0),) * 3, 3)", "InputError",
+     "positive even size, got 3"),
+    ("", "strata.similitudes([0, 1, 100], 3, 3)", "InputError",
+     "positive even size, got 3"),
+    ("", "strata.similitudes([0], 6, 2)", "ScopeError", "size 2 or 4, not 6"),
+    (_IMPORT_WEIGHT, "Weight((1, 2)).add(Weight((1,)))", "InputError",
+     "lengths 2 and 1"),
+    (_IMPORT_CHAIN, "chain_bounds_for_profile(Weight((0, 0)), (0,), [1])",
+     "InputError", "expected 2, got 1"),
+    (_IMPORT_CHAIN, "chain_bounds_for_profile(Weight((0, 0)), (0, 0), [2])",
+     "InputError", "parabolic index 2 out of range"),
+], ids=["ambient-element", "closure-generator", "similitude-size-0",
+        "similitude-odd-size", "similitudes-odd-size", "similitudes-size-6",
+        "weight-add-length", "chain-bounds-profile", "chain-bounds-index"])
+def test_similitude_checks_survive_optimize(patch, call, error, message):
     # python -O strips asserts; a matrix that fails the identity must still
-    # stop the oracle, whether it is an element of the group or a generator
-    code = f"from siegelstrata import strata\n{patch}print(strata.{call})"
+    # stop the oracle, whether it is an element of the group or a generator,
+    # and input of the wrong shape must still be refused
+    code = f"from siegelstrata import strata\n{patch}print({call})"
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True, timeout=60,
                           env=dict(os.environ, PYTHONPATH=os.pathsep.join(
                               [str(src), str(Path(__file__).parent)])))
     assert proc.returncode != 0 and proc.stdout == ""
-    assert "ArithmeticError" in proc.stderr and message in proc.stderr
+    assert error in proc.stderr and message in proc.stderr
