@@ -17,8 +17,9 @@ elements (a matrix's key is its row-major base-n number), and the oracles
 read the keys; matrices, tuples of row tuples with entries reduced mod n,
 are built only where a caller asks for them.  The module also carries the
 generic subgroup-closure and orbit machinery the coset-counting oracles are
-built from; closures and orbits run on column codes.  All arithmetic is
-exact.
+built from, on column codes: a closure is built coset by coset (Dimino's
+algorithm), so each element is made once, and an orbit is the closure's
+coset representatives applied to a seed.  All arithmetic is exact.
 """
 
 import itertools
@@ -225,12 +226,16 @@ def similitude(g, n: int):
     Entry (i, j) of t(g) J g is the form on columns i and j.  The form is
     alternating, so the pairs i < j decide the identity: c is the form on
     (col_0, col_{2d-1}), the other partner pairs (i, j), i + j = 2d-1, must
-    give c too, and all other pairs 0.  Takes any positive even size (size
-    0 and odd sizes are refused) and any integer entries, and builds no
-    table: this is the check for a single matrix.
+    give c too, and all other pairs 0.  Takes any square matrix of positive
+    even size (size 0, odd sizes and other shapes are refused) and any
+    integer entries, and builds no table: this is the check for a single
+    matrix.
     """
     cols = tuple(zip(*g))
     size = _symplectic_size(len(cols))
+    if len(g) != size or any(len(row) != size for row in g):
+        raise InputError(f"a symplectic matrix is square, got {len(g)} rows "
+                         f"of lengths {sorted({len(row) for row in g})}")
     c = symplectic_form(cols[0], cols[-1], n)
     for i in range(size):
         for j in range(i + 1, size):
@@ -250,7 +255,8 @@ def similitudes(keys, size: int, n: int) -> list:
     """``similitude`` of the transpose of each size x size matrix given by
     its key (entries in [0, n), as ``_brute_force_cached`` gives them),
     element for element, for any list of keys.  Size 0 and odd sizes are
-    refused (InputError), and sizes above 4, which no enumeration under
+    refused (InputError), and so is a key outside [0, n^(size^2)), which
+    no matrix has; sizes above 4, which no enumeration under
     ``DEFAULT_CAP`` reaches, are out of scope (ScopeError).
 
     A key's rows, its base-n^size digits, are checked for g J t(g) = c J
@@ -263,22 +269,29 @@ def similitudes(keys, size: int, n: int) -> list:
     lie in different halves).  The keys are walked in runs that share
     their top half, found by ``bisect_left``; a run with a key outside that
     half is cut to its first key, so unsorted keys are read correctly too.
-    A run looks its top half up once, and each key looks up its bottom
-    half and compares the pairs across the halves.  GSp is closed under
-    transpose, so for a unit c this is t(g) J g = c J; a non-unit factor
-    is the caller's to refuse.
+    A run looks its top half up once, and checks it for a key's range,
+    and each key looks up its bottom half and compares the pairs across
+    the halves.  GSp is closed under transpose, so for a unit c this is
+    t(g) J g = c J; a non-unit factor is the caller's to refuse.
     """
     half, base = _symplectic_size(size) // 2, n ** size
     if half > 2:
         raise ScopeError(f"similitudes checks keys of size 2 or 4, not {size}")
-    table, split = _form_table(size, n), base ** half
+    table, split, bound = _form_table(size, n), base ** half, base ** size
     if half == 1:
+        low, high = min(keys, default=0), max(keys, default=0)
+        if low < 0 or high >= bound:
+            raise InputError(f"{low if low < 0 else high} is not the key of a 2 x 2 "
+                             f"matrix over Z/{n}, which lies in [0, {bound})")
         return [table[key // split][key % split] for key in keys]
     halves = [None if table[u][v] else (u, v) for u, v in _vectors(2, base)]
     out, start = [], 0
     append = out.append
     while start < len(keys):
         lo = keys[start] // split * split
+        if not 0 <= lo < bound:  # the run's keys lie in [lo, lo + split)
+            raise InputError(f"{keys[start]} is not the key of a 4 x 4 matrix "
+                             f"over Z/{n}, which lies in [0, {bound})")
         run = keys[start:bisect_left(keys, lo + split, start + 1)]
         if min(run) < lo or max(run) >= lo + split:
             run = run[:1]
@@ -318,15 +331,6 @@ def _vectors(size: int, n: int) -> tuple:
     return tuple(itertools.product(range(n), repeat=size))
 
 
-@lru_cache(maxsize=None)
-def _column_spread(size: int, n: int) -> tuple:
-    """spread[j][c]: the share of a matrix's key (``_ColumnCodes.key``)
-    that the vector with code c adds as column j."""
-    codes = _column_codes(size, n)
-    return tuple(tuple([codes.spread(c) * p for c in range(n ** size)])
-                 for p in codes.powers)
-
-
 def _decode(keys, size: int, n: int) -> tuple:
     """The size x size matrices with these keys, as tuples of row tuples:
     the one code that builds matrices.  A key is its top and bottom halves
@@ -364,49 +368,54 @@ def _form_table(size: int, n: int) -> tuple:
 
 
 def _enumerate_symplectic(d: int, n: int, sim: int | None) -> list:
-    """Keys of all g with t(g) J g = c J; c = sim if given (a unit), else
-    any unit.
+    """Keys of all g with g J t(g) = c J, in increasing order; c = sim if
+    given (a unit), else any unit.  GSp and Sp are closed under transpose
+    (t(g) has the factor of g), so these are the keys of all g with
+    t(g) J g = c J.
 
-    Columns are filled in partner pairs (i, 2d-1-i): inside a pair the
-    form must be c, across pairs it must vanish; everything else is free.
-    Each pair is drawn from the vectors orthogonal to every column placed
-    before it, the intersection of their orthogonal sets, so the search
-    from pair k on depends only on k, the allowed form values and those
-    candidates: ``shares`` lists its key shares once per such triple.
+    Rows are filled in partner pairs (i, 2d-1-i): inside a pair the form
+    must be c, across pairs it must vanish; everything else is free.  Each
+    pair is drawn from the vectors orthogonal to every row placed before
+    it, the intersection of their orthogonal sets, so the search from pair
+    k on depends only on k, the allowed form values and those candidates:
+    ``shares`` lists its key shares once per such triple.
 
-    A column is its code in [0, N), N = n^{2d} (its index in
-    ``_vectors``), and a matrix is its row-major key, the sum of the
-    ``_column_spread`` values of its columns.  The form is read from
-    ``_form_table``; its N^2 = n^{4d} entries are far fewer than the
-    group's elements at d >= 2, and about as many at d = 1.
+    A row is its code in [0, N), N = n^{2d} (its index in ``_vectors``),
+    and a matrix is its row-major key: row j weighs N^(2d-1-j).  The
+    candidates are walked in increasing order and the shares that follow
+    one first row are sorted as a block, so the keys leave in key order.
+    The form is read from ``_form_table``; its N^2 = n^{4d} entries are far
+    fewer than the group's elements at d >= 2, and about as many at d = 1.
     """
-    size = 2 * d
-    if n ** size > _SCAN_GUARD // 10:
+    size, count = 2 * d, n ** (2 * d)
+    if count > _SCAN_GUARD // 10:
         raise ScopeError(f"column space {n}^{size} too large for backtracking")
-    spread = _column_spread(size, n)
     table = _form_table(size, n)
-    orth = _Lazy(lambda u: {v for v, f in enumerate(table[u]) if not f})
+    orth = _Lazy(lambda u: sum(1 << v for v, f in enumerate(table[u]) if not f))
 
-    def search(k: int, values, candidates) -> list:
-        """Key shares of columns k..2d-1-k: pairs (u, v) of candidates
-        as columns (k, 2d-1-k) whose form value is in values, each with
-        the shares of the pairs after it."""
-        first, partner, out = spread[k], spread[size - 1 - k], []
-        for u in candidates:
-            row, head = table[u], first[u]
-            for v in candidates:
+    def search(k: int, values, candidates: int) -> list:
+        """Key shares of rows k..2d-1-k, increasing: pairs (u, v) of
+        candidates (the set bits of an int) as rows (k, 2d-1-k) whose form
+        value is in values, each with the shares of the pairs after it."""
+        first, partner, out = count ** (size - 1 - k), count ** k, []
+        walk = [c for c in range(count) if candidates >> c & 1]
+        for u in walk:
+            row, head, block = table[u], u * first, []
+            for v in walk:
                 if row[v] in values:
-                    pair = head + partner[v]
+                    pair = head + v * partner
                     if k + 1 == d:
-                        out.append(pair)
+                        block.append(pair)
                     else:
-                        out.extend([pair + s for s in shares[
-                            k + 1, (row[v],), candidates & orth[u] & orth[v]]])
+                        block += [pair + s for s in shares[
+                            k + 1, (row[v],), candidates & orth[u] & orth[v]]]
+            block.sort()
+            out += block
         return out
 
     shares = _Lazy(lambda args: search(*args))
     factors = frozenset(units(n) if sim is None else [sim % n])
-    return shares[0, factors, frozenset(range(n ** size))]
+    return shares[0, factors, (1 << count) - 1]
 
 
 @lru_cache(maxsize=None)
@@ -426,7 +435,8 @@ def _brute_force_cached(kind: GroupKind, n: int, cap: int) -> tuple:
         keys = _enumerate_symplectic(size // 2, n, 1 if fam == "Sp" else None)
     # Keys order matrices as their tuples of rows do, so strictly increasing
     # sorted keys mean a duplicate-free enumeration, whose count must be the
-    # order; both are checked before any matrix is built.
+    # order; both are checked before any matrix is built.  The enumeration
+    # gives its keys in order, so the sort is one pass over one run.
     keys.sort()
     if len(keys) != expected or not all(map(lt, keys, keys[1:])):
         raise ArithmeticError(
@@ -503,44 +513,71 @@ class _ColumnCodes:
 @lru_cache(maxsize=None)
 def _column_codes(size: int, n: int) -> _ColumnCodes:
     """The one ``_ColumnCodes`` of (size, n), so closures, orbits and the
-    enumeration share its maps and each generator's action."""
+    decoder share its maps and each generator's action."""
     return _ColumnCodes(size, n)
 
 
-def _orbit(seed, acts, cap: int | None = None) -> set:
-    """Breadth-first closure of {seed} under left multiplication, on column
-    codes: ``acts`` holds one ``_ColumnCodes.action`` per generator g, so
-    g x is ``tuple(map(act, x))`` and the orbit set hashes int tuples.
-    Raises ScopeError once the orbit would pass ``cap`` elements (no cap if
-    None).  The generator order fixes the visiting order on every run."""
+def _compose(outer, inner):
+    """The column-code action of the product of two actions' matrices."""
+    return _Lazy(lambda c: outer(inner(c))).__getitem__
+
+
+def _coset_chain(gens, n: int, cap: int | None) -> tuple:
+    """(closure, levels): the closure of generator matrices under
+    multiplication mod n, as the column-code tuples of its elements, by
+    Dimino's coset algorithm.  H_i = <g_1..g_i> is the union of the left
+    cosets r H_{i-1}; levels lists, for each generator not already in
+    H_{i-1}, the column-code actions of the representatives r other than
+    the identity.  A representative s r, for a generator s of H_i, is kept
+    as the composed action, so each element of H_i outside H_{i-1} is made
+    once, as r applied to an element of H_{i-1}.  Raises ScopeError once
+    the closure would pass ``cap`` elements (no cap if None)."""
+    if not gens:
+        raise InputError("need at least one generator")
+    codes = _column_codes(len(gens[0]), n)
+    one = codes.powers  # identity column j has code powers[j]
+    acts = [codes.action(g) for g in gens]
+    closure, levels = {one}, []
+    for i, act in enumerate(acts):
+        if tuple(map(act, one)) in closure:
+            continue
+        block, reps = tuple(closure), [(one, None)]
+        for x, r in reps:  # r = None is the identity; reps grows as it is read
+            for s in acts[:i + 1]:
+                y = tuple(map(s, x))
+                if y in closure:
+                    continue
+                if cap is not None and len(closure) + len(block) > cap:
+                    raise ScopeError(f"orbit exceeded cap {cap}")
+                t = s if r is None else _compose(s, r)
+                closure.update([tuple(map(t, h)) for h in block])
+                reps.append((y, t))
+        levels.append([t for _, t in reps[1:]])
+    return closure, levels
+
+
+def _chain_orbit(seed, levels) -> set:
+    """H x for the closure H of a ``_coset_chain``: H_i x is H_{i-1} x and
+    its images under the representatives of level i, for any seed x (a
+    point with a stabilizer is met more than once and kept once)."""
     orbit = {seed}
-    frontier = [seed]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for act in acts:
-                y = tuple(map(act, x))
-                if y not in orbit:
-                    if cap is not None and len(orbit) >= cap:
-                        raise ScopeError(f"orbit exceeded cap {cap}")
-                    orbit.add(y)
-                    nxt.append(y)
-        frontier = nxt
+    for level in levels:
+        block = tuple(orbit)
+        for t in level:
+            orbit.update([tuple(map(t, x)) for x in block])
     return orbit
 
 
 def _closure_codes(gens, n: int, cap: int = DEFAULT_CAP) -> frozenset:
-    """BFS closure of generator matrices under multiplication mod n, as the
-    column-code tuples of its elements (``_ColumnCodes`` of (size, n)), so
-    closures at one (size, n) compare and count without a matrix built."""
-    if not gens:
-        raise InputError("need at least one generator")
-    codes = _column_codes(len(gens[0]), n)  # identity column j has code powers[j]
-    return frozenset(_orbit(codes.powers, [codes.action(g) for g in gens], cap))
+    """The closure of generator matrices under multiplication mod n, made
+    coset by coset (``_coset_chain``), as the column-code tuples of its
+    elements (``_ColumnCodes`` of (size, n)), so closures at one (size, n)
+    compare and count without a matrix built."""
+    return frozenset(_coset_chain(gens, n, cap)[0])
 
 
 def subgroup_closure(gens, n: int, cap: int = DEFAULT_CAP):
-    """BFS closure of generator matrices under multiplication mod n, as
+    """The closure of generator matrices under multiplication mod n, as
     matrices: ``_closure_codes``, decoded by their keys."""
     closure = _closure_codes(gens, n, cap)
     size = len(gens[0])
@@ -550,17 +587,18 @@ def subgroup_closure(gens, n: int, cap: int = DEFAULT_CAP):
 def left_orbits(universe, gens, n: int):
     """Partition of ``universe`` (entries in [0, n)) into orbits of left
     multiplication by <gens>: {canonical representative (min of orbit):
-    orbit size}.  The universe is encoded once, and each generator's action
-    is shared with every other closure or orbit at (size, n).  Only
-    generators are needed; a generation gap makes orbits split visibly
-    rather than silently merge."""
+    orbit size}.  The universe is encoded once, <gens> is built once as a
+    coset chain, and each orbit is the chain's representatives applied to
+    a seed; each generator's action is shared with every other closure or
+    orbit at (size, n).  Only generators are needed; a generation gap makes
+    orbits split visibly rather than silently merge."""
     size = len(next(iter(universe), ()))
     codes = _column_codes(size, n)
-    acts = [codes.action(g) for g in gens]
+    levels = _coset_chain(gens, n, None)[1]
     remaining = set(map(codes.encode, universe))
     reps: dict = {}  # an orbit's least key: its size
     while remaining:
-        orbit = _orbit(remaining.pop(), acts)
+        orbit = _chain_orbit(remaining.pop(), levels)
         remaining -= orbit
         reps[min(map(codes.key, orbit))] = len(orbit)
     return dict(zip(_decode(list(reps), size, n), reps.values()))
@@ -568,8 +606,9 @@ def left_orbits(universe, gens, n: int):
 
 def orbit_canonical(x, gens, n: int, cap: int = DEFAULT_CAP):
     """Minimal element of the left orbit of x (canonical class label), on
-    the shared column codes and generator actions of (size, n)."""
+    the shared column codes and generator actions of (size, n).  ``cap``
+    bounds the closure of gens, built as a coset chain, hence the orbit."""
     x = mat_mod(x, n)
     codes = _column_codes(len(x), n)
-    orbit = _orbit(codes.encode(x), [codes.action(g) for g in gens], cap)
+    orbit = _chain_orbit(codes.encode(x), _coset_chain(gens, n, cap)[1])
     return _decode([min(map(codes.key, orbit))], len(x), n)[0]

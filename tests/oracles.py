@@ -7,7 +7,9 @@ by their shape, root inventories by block membership, the Weyl group as signed p
 (perm, signs) with lengths and descents counted on the roots, the dot
 action on those permutations, the subgroup orders by their product
 formula, the congruence kernel by counting a literal closure, a subgroup
-closure by dense matrix products, the symplectic groups by column-pair
+closure by dense matrix products, an orbit by a breadth-first walk that
+applies every generator's column-code action (itself checked against the
+matrix product) to every element, the symplectic groups by column-pair
 backtracking over tuples, GL_k and SL_k by a scan of all k x k matrices
 kept by their Laplace determinant, the Bernoulli numbers and the zeta
 values at negative integers by their recurrence in fractions, the weighted
@@ -293,6 +295,25 @@ def mat_mul_closure(gens, n: int) -> frozenset:
                     nxt.append(y)
         frontier = nxt
     return frozenset(seen)
+
+
+def breadth_first_orbit(seed, acts) -> set:
+    """Breadth-first closure of {seed} under left multiplication, on column
+    codes: ``acts`` holds one ``arith._ColumnCodes.action`` per generator
+    g, so g x is ``tuple(map(act, x))``, and every generator is applied to
+    every element reached."""
+    orbit = {seed}
+    frontier = [seed]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for act in acts:
+                y = tuple(map(act, x))
+                if y not in orbit:
+                    orbit.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return orbit
 
 
 def enumerate_symplectic(d: int, n: int, sim: int | None) -> list:

@@ -10,26 +10,29 @@ import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import mul
+from operator import lt, mul
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (bernoulli, det, enumerate_linear, enumerate_symplectic,
-                     j_form, mat_mul_closure, transpose, zeta_negative)
+from oracles import (bernoulli, breadth_first_orbit, det, enumerate_linear,
+                     enumerate_symplectic, j_form, mat_mul_closure, transpose,
+                     zeta_negative)
 from siegelstrata import (GL, GSp, SL, InputError, ScopeError, Sp,
                           brute_force_group, build_context,
                           congruence_index, euler_char_congruence, euler_phi,
                           group_order, integral_image_order)
-from siegelstrata.arith import (FACTOR_LIMIT, _column_spread, _ColumnCodes,
-                                _decode, _form_table, _vectors,
+from siegelstrata.arith import (FACTOR_LIMIT, _closure_codes, _column_codes,
+                                _ColumnCodes, _decode, _enumerate_symplectic,
+                                _form_table, _vectors,
                                 factorint, identity_matrix,
                                 left_orbits, mat_mod,
                                 mat_mul, orbit_canonical, similitude,
                                 similitudes, subgroup_closure,
                                 symplectic_form)
-from siegelstrata.matrixmodel import parabolic_generators
+from siegelstrata.matrixmodel import (linear_parabolic_generators,
+                                      parabolic_generators)
 
 
 def test_factorint_and_phi():
@@ -279,6 +282,31 @@ def test_similitude_refuses_size_0_and_odd_sizes(g):
         similitude(g, 3)
 
 
+@pytest.mark.parametrize("g", [((1, 0), (0, 1), (0, 0)), ((1, 0),) * 4,
+                               ((1, 0), (0, 1, 0)), ((1, 0, 0), (0, 1))])
+def test_similitude_refuses_a_matrix_that_is_not_square(g):
+    # an even column count is not enough: a 3 x 2 matrix used to get 0
+    with pytest.raises(InputError, match="a symplectic matrix is square"):
+        similitude(g, 3)
+
+
+@pytest.mark.parametrize("keys, size", [
+    ([-1], 2), ([81], 2), ([0, 81, 5], 2), ([-81], 2),
+    ([-1], 4), ([3 ** 16], 4), ([0, -1], 4), ([5, 3 ** 16], 4), ([-3 ** 8], 4)])
+def test_similitudes_refuses_keys_outside_the_range(keys, size):
+    # keys of size x size matrices over Z/3 lie in [0, 3^(size^2)): a negative
+    # key used to wrap to the last table row, and 81 at size 2 to IndexError
+    with pytest.raises(InputError, match=r"is not the key of a \d x \d matrix over Z/3"):
+        similitudes(keys, size, 3)
+
+
+@pytest.mark.parametrize("size", [2, 4])
+def test_similitudes_reads_the_keys_at_either_end_of_the_range(size):
+    keys = [0, 3 ** (size * size) - 1, 0]
+    assert similitudes(keys, size, 3) == [
+        similitude(transpose(_matrix_of_key(key, size, 3)), 3) for key in keys]
+
+
 @pytest.mark.parametrize("size, error, message", [
     *[(size, InputError, "positive even size") for size in (0, 1, 3, 5, -2, True, 4.0)],
     (6, ScopeError, "size 2 or 4, not 6"), (8, ScopeError, "size 2 or 4, not 8")])
@@ -466,12 +494,16 @@ def test_two_pair_enumeration_satisfies_the_identity():
 
 
 def test_brute_force_group_is_the_reference_enumeration():
-    # the integer-coded walk against column-pair backtracking over tuples
+    # the integer-coded walk against column-pair backtracking over tuples;
+    # the walk gives its keys in key order (rows placed in increasing order,
+    # each first row's block sorted), so the sort after it is one pass
     cases = [(1, n) for n in range(3, 13)] + [(2, 2), (2, 3)]
     for d, n in cases:
         for kind, sim in ((GSp(2 * d), None), (Sp(2 * d), 1)):
             assert brute_force_group(kind, n) == tuple(
                 sorted(enumerate_symplectic(d, n, sim))), (kind, n)
+            keys = _enumerate_symplectic(d, n, sim)
+            assert all(map(lt, keys, keys[1:])), (kind, n)
 
 
 def test_enumerated_rows_are_shared():
@@ -493,10 +525,12 @@ def test_matrix_keys_decode_and_order_as_tuples(size, n, data):
     entry = st.integers(0, n - 1)
     matrix = st.tuples(*[st.tuples(*[entry] * size)] * size)
     g, h = data.draw(matrix), data.draw(matrix)
-    vecs, spread = _vectors(size, n), _column_spread(size, n)
+    vecs, codes = _vectors(size, n), _ColumnCodes(size, n)
     for m in (g, h):
-        assert _row_major_key(m, n) == sum(
-            spread[j][vecs.index(col)] for j, col in enumerate(zip(*m)))
+        # the key of a matrix's column codes, and the enumeration's rows:
+        # row j, the vector with code c, adds c * n^(size * (size - 1 - j))
+        assert _row_major_key(m, n) == codes.key(codes.encode(m)) == sum(
+            vecs.index(row) * n ** (size * (size - 1 - j)) for j, row in enumerate(m))
     assert _decode([_row_major_key(g, n), _row_major_key(h, n)], size, n) == (g, h)
     assert (_row_major_key(g, n) < _row_major_key(h, n)) == (g < h)
 
@@ -597,6 +631,83 @@ def test_orbit_cap_is_the_largest_orbit_allowed(d, S):
         subgroup_closure(gens, n, cap=len(group) - 1)
     with pytest.raises(ScopeError, match="orbit exceeded cap"):
         orbit_canonical(x, gens, n, cap=len(group) - 1)
+    # the cap bounds the closure, hence the orbit: a singular matrix's
+    # orbit is smaller than the closure and is refused at the same cap
+    singular = ((0,) * (2 * d),) * (2 * d - 1) + ((1,) * (2 * d),)
+    assert len({mat_mul(h, singular, n) for h in group}) < len(group)
+    with pytest.raises(ScopeError, match="orbit exceeded cap"):
+        orbit_canonical(singular, gens, n, cap=len(group) - 1)
+
+
+def _compositions(k: int) -> list:
+    return [(k,)] + [(first, *rest) for first in range(1, k)
+                     for rest in _compositions(k - first)]
+
+
+# (S or GL blocks, n, universe): H_S on GSp_4(Z/3) for every S; H_0 on all
+# 2 x 2 matrices over Z/n, singular ones included, for n = 3..12; and the
+# P_S blocks on the index-r image in GL_k, as double_coset_count_bruteforce
+# takes them at d <= 2, for k <= 2 at n = 3..6
+_ORBIT_CASES = (
+    [(S, 3, "GSp") for S in [(0,), (1,), (0, 1)]]
+    + [((0,), n, "all") for n in range(3, 13)]
+    + [(blocks, n, "GL") for k in (1, 2) for n in range(3, 7)
+       for blocks in _compositions(k)])
+_ORBIT_IDS = [f"{universe}-{n}-{''.join(map(str, blocks))}" for blocks, n, universe in _ORBIT_CASES]
+
+
+def _orbit_case(case):
+    """(gens, n, universe) of an ``_ORBIT_CASES`` entry."""
+    blocks, n, universe = case
+    if universe == "GL":
+        k = sum(blocks)
+        return (linear_parabolic_generators(k, blocks, n), n,
+                subgroup_closure(linear_parabolic_generators(k, (k,), n), n))
+    if universe == "GSp":
+        return parabolic_generators(build_context(2, n), blocks), n, brute_force_group(GSp(4), n)
+    return (parabolic_generators(build_context(1, n), blocks), n,
+            tuple(itertools.product(itertools.product(range(n), repeat=2), repeat=2)))
+
+
+def _walk(seed, gens, n: int) -> set:
+    """The breadth-first reference orbit of seed (column codes) under <gens>."""
+    codes = _column_codes(len(gens[0]), n)
+    return breadth_first_orbit(seed, [codes.action(g) for g in gens])
+
+
+def _least(orbit, size: int, n: int):
+    codes = _column_codes(size, n)
+    return _decode([min(map(codes.key, orbit))], size, n)[0]
+
+
+@pytest.mark.parametrize("case", _ORBIT_CASES, ids=_ORBIT_IDS)
+def test_coset_chain_closure_is_the_breadth_first_closure(case):
+    gens, n, _ = _orbit_case(case)
+    closure = _closure_codes(gens, n)
+    assert closure == frozenset(_walk(_column_codes(len(gens[0]), n).powers, gens, n))
+    assert _closure_codes(gens, n, cap=len(closure)) == closure
+    with pytest.raises(ScopeError, match="orbit exceeded cap"):
+        _closure_codes(gens, n, cap=len(closure) - 1)
+
+
+@pytest.mark.parametrize("case", _ORBIT_CASES, ids=_ORBIT_IDS)
+def test_coset_chain_orbits_are_the_breadth_first_orbits(case):
+    # the chain's representatives applied to a seed give its orbit, free
+    # or not: on the groups the action is free, on all 2 x 2 matrices the
+    # singular ones have stabilizers
+    gens, n, universe = _orbit_case(case)
+    size = len(gens[0])
+    codes = _column_codes(size, n)
+    remaining, want = set(map(codes.encode, universe)), {}
+    while remaining:
+        orbit = _walk(remaining.pop(), gens, n)
+        remaining -= orbit
+        want[_least(orbit, size, n)] = len(orbit)
+    assert left_orbits(universe, gens, n) == want
+    singular = ((0,) * size,) * (size - 1) + ((1,) * size,)  # rank 1 for size >= 2
+    for x in [((0,) * size,) * size, singular] + sorted(universe)[::max(1, len(universe) // 25)]:
+        assert orbit_canonical(x, gens, n) == _least(
+            _walk(codes.encode(x), gens, n), size, n), x
 
 
 def test_subgroup_closure_and_orbits():

@@ -277,8 +277,7 @@ def test_d2_oracles_read_keys_not_matrices(monkeypatch):
     # nor, with the refinement check, a matrix of H_r or H_S, which are
     # counted and compared as column codes
     for cached in (_brute_force_cached, arith._decoded, arith._vectors,
-                   arith._column_spread, arith._form_table, arith._column_codes,
-                   _closure_for):
+                   arith._form_table, arith._column_codes, _closure_for):
         cached.cache_clear()
     decoded = []
 
@@ -359,6 +358,12 @@ _IMPORT_CHAIN = (_IMPORT_WEIGHT +
     ("", "strata.similitudes([0, 1, 100], 3, 3)", "InputError",
      "positive even size, got 3"),
     ("", "strata.similitudes([0], 6, 2)", "ScopeError", "size 2 or 4, not 6"),
+    ("", "strata.similitude(((1, 0), (0, 1), (0, 0)), 3)", "InputError",
+     "a symplectic matrix is square"),
+    ("", "strata.similitudes([-1], 2, 3)", "InputError",
+     "is not the key of a 2 x 2 matrix over Z/3"),
+    ("", "strata.similitudes([0, 3 ** 16], 4, 3)", "InputError",
+     "is not the key of a 4 x 4 matrix over Z/3"),
     (_IMPORT_WEIGHT, "Weight((1, 2)).add(Weight((1,)))", "InputError",
      "lengths 2 and 1"),
     (_IMPORT_CHAIN, "chain_bounds_for_profile(Weight((0, 0)), (0,), [1])",
@@ -367,6 +372,7 @@ _IMPORT_CHAIN = (_IMPORT_WEIGHT +
      "InputError", "parabolic index 2 out of range"),
 ], ids=["ambient-element", "closure-generator", "similitude-size-0",
         "similitude-odd-size", "similitudes-odd-size", "similitudes-size-6",
+        "similitude-not-square", "similitudes-key-below", "similitudes-key-above",
         "weight-add-length", "chain-bounds-profile", "chain-bounds-index"])
 def test_similitude_checks_survive_optimize(patch, call, error, message):
     # python -O strips asserts; a matrix that fails the identity must still
