@@ -23,7 +23,7 @@ from .errors import InputError, Value, _new, check_index, is_int
 from .grouptheory import (GroupContext, _kept_orbit, normalize_parabolic_set,
                           parabolic_data)
 from .kostant import check_weight, kostant_summand, lie_n_cohomology
-from .reps import (Bound, GradedVirtualRep, Weight, _check_bound,
+from .reps import (Bound, GradedVirtualRep, Weight, _check_bound, _check_cut,
                    central_weight, dot_action, pairings, truncate)
 from .strata import double_coset_count, ic_profiles
 
@@ -38,7 +38,7 @@ class Chain(Value):
     entries: tuple[tuple[int, Bound], ...]
 
     def __new__(cls, entries):
-        entries = tuple((s, _check_bound(a)) for s, a in entries)
+        entries = tuple(map(_check_cut, entries))
         if not all(is_int(s) for s, _ in entries):
             raise InputError(f"chain indices must be integers, got {entries}")
         for (s1, _), (s2, _) in zip(entries, entries[1:]):

@@ -21,15 +21,16 @@ highest weight for is read from P_S (``ParabolicData.leviBlocks``).
 from .errors import InputError
 from .grouptheory import (GroupContext, ParabolicData, kostant_reps,
                           levi_weyl_order, parabolic_data)
-from .reps import (GradedVirtualRep, Summand, Weight, central_weight,
-                   check_dominant, dot_action, is_levi_dominant)
+from .reps import (GradedVirtualRep, Summand, Weight, _dominant_cut,
+                   central_weight, dot_action, is_dominant)
 
 
 def check_weight(ctx: GroupContext, lam: Weight) -> None:
     """lam must have d coordinates and be dominant."""
     if len(lam.a) != ctx.d:
         raise InputError(f"weight has {len(lam.a)} coordinates, expected {ctx.d}")
-    check_dominant(lam)
+    if not is_dominant(lam):
+        raise InputError(f"weight {lam.a};{lam.m0} is not dominant for GSp")
 
 
 def kostant_summand(degree: int, mu: Weight, pd: ParabolicData,
@@ -40,7 +41,7 @@ def kostant_summand(degree: int, mu: Weight, pd: ParabolicData,
     central weight is ``central``, that of lam; both checks also run under
     ``python -O``.
     """
-    if not is_levi_dominant(mu, pd.leviBlocks):
+    if _dominant_cut(mu, pd.leviBlocks) is None:
         raise ArithmeticError(f"{mu} is not dominant for the Levi of P_{pd.S}")
     if central_weight(mu) != central:
         raise ArithmeticError(

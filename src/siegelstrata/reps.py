@@ -43,6 +43,12 @@ def _check_bound(b: Bound) -> Bound:
     return b
 
 
+def _check_cut(cut) -> tuple[int, Bound]:
+    if len(cut) != 2:
+        raise InputError(f"a cut must be an (index, bound) pair, got {cut!r}")
+    return cut[0], _check_bound(cut[1])
+
+
 class Weight(Value):
     """A character (a_1..a_d; m0) of the diagonal torus, m0 the similitude exponent."""
 
@@ -92,14 +98,9 @@ def torus_pairing(mu: Weight, s: int) -> int:
 
 
 def is_dominant(mu: Weight) -> bool:
-    """Dominance for GSp_2d: a_1 >= a_2 >= ... >= a_d >= 0 (m0 unconstrained)."""
-    return _cut_is_dominant((mu.a,))
-
-
-def check_dominant(mu: Weight) -> Weight:
-    if not is_dominant(mu):
-        raise InputError(f"weight {mu.a};{mu.m0} is not dominant for GSp")
-    return mu
+    """Dominance for GSp_2d: a_1 >= a_2 >= ... >= a_d >= 0 (m0 unconstrained),
+    Levi dominance with no GL block."""
+    return is_levi_dominant(mu, ())
 
 
 def dot_action(v, shifted: Weight) -> tuple[list[int], int]:
@@ -112,37 +113,42 @@ def dot_action(v, shifted: Weight) -> tuple[list[int], int]:
     m0.  The flipped shifted_i are the entries whose sign changed, so they
     sum to (sum(shifted) - sum(a + rho)) / 2.  Everything is integral; the
     central weight of the result equals that of lam because e_0 is
-    Weyl-invariant.
+    Weyl-invariant.  A v that is not a signed permutation of 1..d is refused.
     """
     d, s = len(v), shifted.a
+    if d != len(s) or set(map(abs, v)) != set(range(1, d + 1)):
+        raise InputError(f"w(rho) must be a signed permutation of 1..{len(s)}, got {v!r}")
     a = [(s[d - x] if x > 0 else -s[d + x]) - d + p for p, x in enumerate(v)]
     return a, shifted.m0 + (sum(s) - sum(a) - d * (d + 1) // 2) // 2
 
 
-def _levi_cut(mu: Weight, blocks) -> list[tuple[int, ...]]:
-    """mu's coordinates cut into GL blocks of the sizes ``blocks`` (positive
-    integers with sum at most d), then the GSp block: the rest."""
+def _dominant_cut(mu: Weight, blocks) -> list[tuple[int, ...]] | None:
+    """mu's coordinates cut into GL blocks of the sizes ``blocks``, then the
+    GSp block (the rest), if each block weakly decreases and the GSp block
+    ends >= 0; None when mu is not dominant for that Levi.  ``blocks`` is
+    trusted: positive integers with sum at most d."""
+    a, lo, cut = mu.a, 0, []
+    for hi in (*itertools.accumulate(blocks), len(a)):
+        b = a[lo:hi]
+        if hi - lo > 1 and list(b) != sorted(b, reverse=True):
+            return None
+        cut.append(b)
+        lo = hi
+    return None if b and b[-1] < 0 else cut
+
+
+def _check_blocks(mu: Weight, blocks):
     if not (isinstance(blocks, tuple) and all(is_int(k) and k > 0 for k in blocks)
             and sum(blocks) <= len(mu.a)):
         raise InputError(f"Levi blocks must be a tuple of positive integers "
                          f"with sum at most {len(mu.a)}, got {blocks!r}")
-    a, lo, out = mu.a, 0, []
-    for k in blocks:
-        out.append(a[lo:lo + k])
-        lo += k
-    out.append(a[lo:])
-    return out
-
-
-def _cut_is_dominant(cut) -> bool:
-    return (all(b[i] >= b[i + 1] for b in cut for i in range(len(b) - 1))
-            and not (cut[-1] and cut[-1][-1] < 0))
+    return blocks
 
 
 def is_levi_dominant(mu: Weight, blocks) -> bool:
     """Dominance for the Levi GL_{blocks} x GSp: each GL block weakly
     decreasing, the GSp block weakly decreasing with last entry >= 0."""
-    return _cut_is_dominant(_levi_cut(mu, blocks))
+    return _dominant_cut(mu, _check_blocks(mu, blocks)) is not None
 
 
 def weyl_dim(mu: Weight, blocks) -> int:
@@ -155,8 +161,8 @@ def weyl_dim(mu: Weight, blocks) -> int:
     integer numerator over one denominator, divided exactly.  Dominance
     makes every factor positive; the similitude exponent does not enter.
     """
-    cut = _levi_cut(mu, blocks)  # one checked cut, read twice
-    if not _cut_is_dominant(cut):
+    cut = _dominant_cut(mu, _check_blocks(mu, blocks))
+    if cut is None:
         raise InputError(f"{mu} is not dominant for the Levi blocks {blocks}")
     *gl, gsp = cut
     num = den = 1
@@ -228,9 +234,7 @@ def truncate(module: GradedVirtualRep,
     bound is checked, and every index s against the module's d (an empty
     module has no d), before any summand is read.
     """
-    conds = list(conds)
-    for _, bound in conds:
-        _check_bound(bound)
+    conds = [_check_cut(c) for c in conds]
     if module.summands:
         d = module.summands[0].levi.d
         for s, _ in conds:

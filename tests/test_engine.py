@@ -42,6 +42,9 @@ def test_chain_validation():
     for s in (1.5, True, "1"):             # indices are ints, not truncated
         with pytest.raises(InputError):
             Chain(((s, 0),))
+    for entries in [((1,),), ((1, 0, 0),), ((2, 0), ())]:   # (index, bound) pairs
+        with pytest.raises(InputError, match=r"an \(index, bound\) pair"):
+            Chain(entries)
 
 
 def test_chain_term_validates(ctx2):

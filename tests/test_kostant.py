@@ -214,7 +214,14 @@ _SUMMAND = ("from siegelstrata import Weight, build_context, parabolic_data\n"
      "e.dot_action = lambda v, shifted: (dot(v, shifted)[0], dot(v, shifted)[1] + 1)\n"
      "print(e.restrict_weighted(build_context(2, 3), ic_profiles(2)[0], Weight((1, 1), 0), 0))",
      "has central weight"),
-], ids=["non-dominant", "central-weight", "summand-count", "restriction-central-weight"])
+    ("import siegelstrata.engine as e\n"
+     "from siegelstrata import Weight, build_context, ic_profiles\n"
+     "dot = e.dot_action\n"
+     "e.dot_action = lambda v, shifted: (sorted(dot(v, shifted)[0]), dot(v, shifted)[1])\n"
+     "print(e.restrict_weighted(build_context(2, 3), ic_profiles(2)[0], Weight((1, 1), 0), 0))",
+     "is not dominant for the Levi"),
+], ids=["non-dominant", "central-weight", "summand-count", "restriction-central-weight",
+        "restriction-non-dominant"])
 def test_summand_checks_survive_optimize(code, message):
     # python -O strips asserts; a dot-action image that is not Levi-dominant,
     # or has the wrong central weight, must still stop the summand (also when

@@ -10,7 +10,8 @@ from siegelstrata import (GradedVirtualRep, InputError, Weight,
                           is_levi_dominant, torus_pairing, truncate, weyl_dim,
                           weyl_group)
 from oracles import _gl_dim, _gsp_dim, signed_dot_action, signed_permutations
-from siegelstrata.reps import Summand, check_dominant, pairings
+from siegelstrata.kostant import check_weight
+from siegelstrata.reps import Summand, pairings
 
 weights = st.builds(
     Weight,
@@ -76,12 +77,12 @@ def test_torus_pairing_step(mu, s):
     assert torus_pairing(mu, s + 1) == torus_pairing(mu, s) - mu.a[mu.d - s - 1]
 
 
-def test_dominance():
+def test_dominance(ctx2):
     assert is_dominant(Weight((3, 1, 0), -5))
     assert not is_dominant(Weight((1, 2), 0))
     assert not is_dominant(Weight((1, -1), 0))
-    with pytest.raises(InputError):
-        check_dominant(Weight((0, 1), 0))
+    with pytest.raises(InputError, match=r"^weight \(0, 1\);0 is not dominant for GSp$"):
+        check_weight(ctx2, Weight((0, 1), 0))
 
 
 def test_dot_action_identity_and_lengths(ctx2):
@@ -118,6 +119,15 @@ def test_dot_action_matches_signed_permutations(d):
         v = w.apply_vector(rho.a)
         for lam in lams:
             assert Weight(*dot_action(v, lam.add(rho))) == signed_dot_action(w, lam, rho)
+
+
+@pytest.mark.parametrize("v, shifted", [
+    ((3,), (1, 0)), ((1, 2), (1,)), ((3, 1), (3, 1)), ((2, 2), (3, 1)),
+    ((0, 1), (3, 1)), ((2, -2), (3, 1)), ((), (1,))])
+def test_dot_action_refuses_what_is_not_a_signed_permutation(v, shifted):
+    # w(rho) must list +-1..d once each, d the length of lam + rho
+    with pytest.raises(InputError, match="signed permutation of 1"):
+        dot_action(v, Weight(shifted, 0))
 
 
 GL2_DIMS = {(1, 0): 2, (1, 1): 1, (2, 0): 3, (1, -3): 5, (0, -4): 5,
@@ -167,15 +177,18 @@ def test_levi_dominance():
 
 @pytest.mark.parametrize("blocks", [(0,), (True,), (1.0,), (-1,), (3,), (1, 2), [1]])
 def test_levi_blocks_are_validated(blocks):
-    # blocks must be a tuple of positive integers with sum at most d = 2
+    # blocks must be a tuple of positive integers with sum at most d = 2, also
+    # right after a valid (1,): (True,) and (1.0,) hash and compare equal to
+    # (1,), so a cache keyed on blocks would let them through
     mu = Weight((1, 0), 0)
     module = GradedVirtualRep.build([Summand(0, mu)])
-    with pytest.raises(InputError):
-        weyl_dim(mu, blocks)
-    with pytest.raises(InputError):
-        is_levi_dominant(mu, blocks)
-    with pytest.raises(InputError):
-        module.euler_dim(blocks)
+    for check in (lambda b: weyl_dim(mu, b), lambda b: is_levi_dominant(mu, b),
+                  module.euler_dim):
+        with pytest.raises(InputError):
+            check(blocks)
+        check((1,))
+        with pytest.raises(InputError):
+            check(blocks)
     # GSp_4, GL_1 x GSp_2, GL_2 and GL_1 x GL_1 dimensions of (1, 0)
     for ok, dim in [((), 4), ((1,), 1), ((2,), 2), ((1, 1), 1)]:
         assert module.euler_dim(ok) == weyl_dim(mu, ok) == dim
@@ -236,6 +249,10 @@ def test_truncate_validates():
         truncate(m, [(0, "x")])
     with pytest.raises(InputError):
         truncate(m, [(0, 0.5)])
+    # each cut must be an (index, bound) pair
+    for cut in [(0,), (0, 1, 2), ()]:
+        with pytest.raises(InputError, match=r"an \(index, bound\) pair"):
+            truncate(m, [(1, 3), cut])
 
 
 def test_truncate_infinite_bounds():
